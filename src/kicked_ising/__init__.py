@@ -44,6 +44,7 @@ from .observables import (
     FourierSpectrum,
     LifetimeResult,
     average_return,
+    first_crossing,
     fourier_spectrum,
     lifetime,
     local_sz,
@@ -76,11 +77,6 @@ from .sweep import (
     SweepConfig,
     SweepResult,
     parse_config,
-    run_evolve,
-    run_fourier,
-    run_lifetime_scan,
-    run_phase_diagram,
-    run_spectrum_report,
     run_sweep,
 )
 
@@ -95,8 +91,8 @@ __all__ = [
     "apply_zz_phase", "build_dense_propagator", "evolve_stroboscopic",
     "floquet_step", "iter_return_probability",
     # observables
-    "FourierSpectrum", "LifetimeResult", "average_return", "fourier_spectrum",
-    "lifetime", "local_sz", "return_probability",
+    "FourierSpectrum", "LifetimeResult", "average_return", "first_crossing",
+    "fourier_spectrum", "lifetime", "local_sz", "return_probability",
     # spectral
     "EXACT_PAIR_TOL", "GapStatistics", "PairCounts", "QuasiEnergySpectrum",
     "check_time_reflection", "count_exact_pi_pairs", "fold_to_branch",
@@ -106,7 +102,5 @@ __all__ = [
     "MagnonPrediction", "c1_magnitude", "predicted_P2T",
     "predicted_P2T_unexpanded", "predicted_return",
     # sweep
-    "ConfigError", "SweepConfig", "SweepResult", "parse_config", "run_evolve",
-    "run_fourier", "run_lifetime_scan", "run_phase_diagram",
-    "run_spectrum_report", "run_sweep",
+    "ConfigError", "SweepConfig", "SweepResult", "parse_config", "run_sweep",
 ]

@@ -16,16 +16,10 @@ from .sweep import ConfigError, parse_config, run_sweep
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        config = parse_config(argv)
+        result = run_sweep(parse_config(argv))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
-    try:
-        result = run_sweep(config)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -15,6 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .observables import _sz_from_weights
 from .states import (
     DENSE_MAX_SITES,
     FloquetParams,
@@ -65,14 +66,40 @@ def _zz_phase_table(L: int, jt: float) -> np.ndarray:
     return table
 
 
-def _kick(amps: np.ndarray, L: int, theta: float) -> np.ndarray:
-    """Apply exp(-i theta sigma^x) on every site; pure, returns a new array."""
+def _kick(amps: np.ndarray, L: int, theta: float, width: int = 1) -> np.ndarray:
+    """Apply exp(-i theta sigma^x) on every site; pure, returns a new flat array.
+
+    ``amps`` holds 2**L rows of ``width`` entries each (row-major); the kick
+    acts on the row index, so a flattened matrix has all its columns kicked.
+    """
     c = np.cos(theta)
     s = np.sin(theta)
     for i in range(L):
-        view = amps.reshape(1 << (L - 1 - i), 2, 1 << i)
+        # Middle axis is bit i of the row index; columns ride along in the last axis.
+        view = amps.reshape(1 << (L - 1 - i), 2, (1 << i) * width)
         amps = (c * view - 1j * s * view[:, ::-1, :]).reshape(-1)
     return amps
+
+
+def _require_same_sites(state: StateVector, params: FloquetParams) -> None:
+    if state.L != params.L:
+        raise ValueError(f"state has L={state.L} but params have L={params.L}")
+
+
+def _periods(initial: StateVector, params: FloquetParams):
+    """Yield the amplitudes after each drive period, indefinitely (the one period loop).
+
+    Every yielded array is fresh and never written again, so callers may keep it.
+    """
+    _require_same_sites(initial, params)
+    L = params.L
+    theta = params.theta
+    phases = _zz_phase_table(L, params.jt)
+    amps = initial.amplitudes
+    while True:
+        amps = _kick(amps, L, theta)
+        amps *= phases
+        yield amps
 
 
 def apply_global_x_rotation(state: StateVector, theta: float) -> StateVector:
@@ -82,24 +109,13 @@ def apply_global_x_rotation(state: StateVector, theta: float) -> StateVector:
 
 def apply_zz_phase(state: StateVector, params: FloquetParams) -> StateVector:
     """Multiply each basis amplitude by exp(-i (JT/4) bond_sum(index))."""
-    if state.L != params.L:
-        raise ValueError(f"state has L={state.L} but params have L={params.L}")
-    amps = state.amplitudes * _zz_phase_table(params.L, params.jt)
-    return StateVector(state.L, amps)
+    _require_same_sites(state, params)
+    return StateVector(state.L, state.amplitudes * _zz_phase_table(params.L, params.jt))
 
 
 def floquet_step(state: StateVector, params: FloquetParams) -> StateVector:
     """Advance one drive period: kick first, then the Ising phase."""
-    if state.L != params.L:
-        raise ValueError(f"state has L={state.L} but params have L={params.L}")
-    amps = _kick(state.amplitudes, params.L, params.theta)
-    amps *= _zz_phase_table(params.L, params.jt)
-    return StateVector(state.L, amps)
-
-
-def _site_sz(weights: np.ndarray, L: int, site: int) -> float:
-    up = weights.reshape(1 << (L - 1 - site), 2, 1 << site)[:, 1, :].sum()
-    return float(2.0 * up - weights.sum())
+    return StateVector(state.L, next(_periods(state, params)))
 
 
 def evolve_stroboscopic(
@@ -113,8 +129,7 @@ def evolve_stroboscopic(
     The state is never renormalized; the accumulated norm drift is reported on
     the result and stays far below 1e-9 over 1e5 periods in practice.
     """
-    if initial.L != params.L:
-        raise ValueError(f"state has L={initial.L} but params have L={params.L}")
+    _require_same_sites(initial, params)
     if n_periods < 1:
         raise ValueError(f"n_periods must be >= 1, got {n_periods}")
     wanted = tuple(observables)
@@ -124,21 +139,14 @@ def evolve_stroboscopic(
     want_sz = "sz" in wanted
 
     L = params.L
-    theta = params.theta
-    phases = _zz_phase_table(L, params.jt)
     psi0 = initial.amplitudes
-    amps = psi0
-
     p_out = np.empty(n_periods)
     sz_out = np.empty((n_periods, L)) if want_sz else None
-    for j in range(n_periods):
-        amps = _kick(amps, L, theta)
-        amps *= phases
+    for j, amps in zip(range(n_periods), _periods(initial, params)):
         p_out[j] = abs(np.vdot(psi0, amps)) ** 2
         if want_sz:
             w = np.abs(amps) ** 2
-            for site in range(L):
-                sz_out[j, site] = _site_sz(w, L, site)
+            sz_out[j] = [_sz_from_weights(w, L, site) for site in range(L)]
 
     drift = abs(float(np.linalg.norm(amps)) - 1.0)
     return StroboscopicSeries(
@@ -157,15 +165,8 @@ def iter_return_probability(initial: StateVector, params: FloquetParams):
     stop early (for instance once the return probability crosses a threshold):
     nothing is stored, the caller bounds the horizon.
     """
-    if initial.L != params.L:
-        raise ValueError(f"state has L={initial.L} but params have L={params.L}")
-    phases = _zz_phase_table(params.L, params.jt)
-    theta = params.theta
     psi0 = initial.amplitudes
-    amps = psi0
-    while True:
-        amps = _kick(amps, params.L, theta)
-        amps *= phases
+    for amps in _periods(initial, params):
         yield float(abs(np.vdot(psi0, amps)) ** 2)
 
 
@@ -179,12 +180,6 @@ def build_dense_propagator(params: FloquetParams) -> DensePropagator:
     _require_sites(params.L, DENSE_MAX_SITES, "dense propagator")
     L = params.L
     dim = 1 << L
-    c = np.cos(params.theta)
-    s = np.sin(params.theta)
-    U = np.eye(dim, dtype=np.complex128)
-    for i in range(L):
-        # Middle axis is bit i of the row index; columns ride along in the last axis.
-        view = U.reshape(1 << (L - 1 - i), 2, (1 << i) * dim)
-        U = (c * view - 1j * s * view[:, ::-1, :]).reshape(dim, dim)
+    U = _kick(np.eye(dim, dtype=np.complex128), L, params.theta, dim).reshape(dim, dim)
     U *= _zz_phase_table(L, params.jt)[:, None]
     return DensePropagator(L, U)

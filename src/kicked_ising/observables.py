@@ -9,7 +9,7 @@ drive frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -62,13 +62,17 @@ def return_probability(current: StateVector, initial: StateVector) -> float:
     return float(abs(np.vdot(initial.amplitudes, current.amplitudes)) ** 2)
 
 
+def _sz_from_weights(weights: np.ndarray, L: int, site: int) -> float:
+    """sigma^z on ``site`` from the basis weights |amp|^2 (shared with the engine)."""
+    up = weights.reshape(1 << (L - 1 - site), 2, 1 << site)[:, 1, :].sum()
+    return float(2.0 * up - weights.sum())
+
+
 def local_sz(state: StateVector, site: int) -> float:
     """Expectation of sigma^z on ``site``: sum of |amp|^2 weighted by the spin sign."""
     if not 0 <= site < state.L:
         raise ValueError(f"site {site} out of range for L={state.L}")
-    w = np.abs(state.amplitudes) ** 2
-    up = w.reshape(1 << (state.L - 1 - site), 2, 1 << site)[:, 1, :].sum()
-    return float(2.0 * up - w.sum())
+    return _sz_from_weights(np.abs(state.amplitudes) ** 2, state.L, site)
 
 
 def fourier_spectrum(samples, period: float = 1.0) -> FourierSpectrum:
@@ -82,6 +86,17 @@ def fourier_spectrum(samples, period: float = 1.0) -> FourierSpectrum:
     return FourierSpectrum(frequencies=freqs, magnitudes=mags, n_samples=n)
 
 
+def first_crossing(samples: Iterable[float], threshold: float) -> Optional[int]:
+    """1-based index of the first sample strictly below ``threshold``, or None.
+
+    Consumes ``samples`` (any iterable, e.g. an open-ended generator) only up to the crossing.
+    """
+    for n, p in enumerate(samples, start=1):
+        if p < threshold:
+            return n
+    return None
+
+
 def lifetime(samples, threshold: float = 0.05) -> LifetimeResult:
     """Scan P(2nT) samples (n = 1, 2, ...) for the first dip below ``threshold``."""
     p = np.asarray(samples, dtype=float)
@@ -89,12 +104,8 @@ def lifetime(samples, threshold: float = 0.05) -> LifetimeResult:
         raise ValueError("need a 1-D sequence of at least 1 sample")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    below = np.nonzero(p < threshold)[0]
-    if below.size == 0:
-        return LifetimeResult(n_star=None, censored=True, n_max=p.size, threshold=threshold)
-    return LifetimeResult(
-        n_star=int(below[0]) + 1, censored=False, n_max=p.size, threshold=threshold
-    )
+    n_star = first_crossing(p.tolist(), threshold)
+    return LifetimeResult(n_star=n_star, censored=n_star is None, n_max=p.size, threshold=threshold)
 
 
 def average_return(samples, window: int = 1000) -> float:

@@ -26,10 +26,13 @@ follows is a function of the configuration alone: repeated runs produce
 byte-identical files once the provenance object is ignored, regardless of
 ``jobs``.  Floats are written with ``repr`` so values round-trip exactly.
 
-Modes that produce per-point curves (``evolve``, ``fourier``, and
-``spectrum`` with ``dump_spectra``) write one auxiliary CSV per grid point
-next to the summary, named ``<stem>_series_<idx>.csv`` or
-``<stem>_spectrum_<idx>.csv``; the summary row records the file name.
+Each mode is one entry of the ``_MODES`` table: its summary columns, a point
+function from ``(FloquetParams, SweepConfig)`` to result cells, and the kind
+of auxiliary CSV its points write, if any (``evolve``, ``fourier``, and
+``spectrum`` with ``dump_spectra`` write one per grid point next to the
+summary, named ``<stem>_series_<idx>.csv`` or ``<stem>_spectrum_<idx>.csv``;
+the summary row records the file name).  Each file is written under a
+temporary name and renamed into place, so a failed write leaves no partial file.
 
 Grid points are processed independently (optionally in a process pool) and
 rows are emitted in grid order.  A failure at one point is captured in that
@@ -42,18 +45,19 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .engine import evolve_stroboscopic, iter_return_probability
-from .observables import average_return, fourier_spectrum, lifetime
+from .observables import average_return, first_crossing, fourier_spectrum, lifetime
 from .spectral import (
     check_time_reflection,
     count_exact_pi_pairs,
@@ -67,8 +71,6 @@ from .states import (
     FloquetParams,
     polarized_state,
 )
-
-MODES = ("evolve", "lifetime-scan", "phase-diagram", "spectrum", "fourier")
 
 _DEFAULT_THRESHOLD = 0.05
 _DEFAULT_WINDOW = 1000
@@ -161,137 +163,106 @@ class SweepResult:
 
 
 # --------------------------------------------------------------------------
-# per-point workers (module level so a process pool can pickle them)
+# per-point functions: (params, config) -> result cells, plus an optional
+# ``_aux = (columns, arrays)`` curve, one array per column, written next to the summary
 
-def _point_params(task):
-    L, jt_pi, eps_pi, period = task[0], task[1], task[2], task[-1]
-    return FloquetParams.from_dimensionless(L, jt_pi, eps_pi, T=period)
+def _evolve_point(params: FloquetParams, config: SweepConfig) -> dict:
+    L = params.L
+    series = evolve_stroboscopic(polarized_state(L), params, config.n_periods,
+                                 observables=("return_probability", "sz"))
+    even = series.return_probability[1::2]
+    crossing = lifetime(even, config.threshold) if even.size else None
+    window_used = min(config.window, even.size) if even.size else None
+    columns = ["n", "t", "return_probability"] + [f"sz_{site}" for site in range(L)]
+    curve = (series.n, series.n * config.period, series.return_probability, *series.sz.T)
+    return dict(
+        n_star=None if crossing is None else crossing.n_star,
+        censored=None if crossing is None else crossing.censored,
+        average_return=None if window_used is None else average_return(even, window_used),
+        window_used=window_used,
+        norm_drift=series.norm_drift,
+        _aux=(columns, curve),
+    )
 
 
-def _evolve_point(task):
-    L, jt_pi, eps_pi, n_periods, threshold, window, period = task
-    row = {
-        "L": L, "jt_over_pi": jt_pi, "epsilon_over_pi": eps_pi,
-        "n_periods": n_periods, "n_star": None, "censored": None,
-        "average_return": None, "window_used": None, "norm_drift": None,
-        "series_file": None, "error": None,
-    }
+def _lifetime_point(params: FloquetParams, config: SweepConfig) -> dict:
+    """``n_star`` indexes even periods (pairs); odd periods are never compared."""
+    stream = iter_return_probability(polarized_state(params.L), params)
+    even = itertools.islice(stream, 1, 2 * (config.n_periods // 2), 2)
+    n_star = first_crossing(even, config.threshold)
+    return {"n_star": n_star, "censored": n_star is None}
+
+
+def _phase_point(params: FloquetParams, config: SweepConfig) -> dict:
+    stream = iter_return_probability(polarized_state(params.L), params)
+    total = 0.0
+    for p_even in itertools.islice(stream, 1, 2 * config.window, 2):
+        total += p_even
+    return {"average_return": total / config.window}
+
+
+def _spectrum_point(params: FloquetParams, config: SweepConfig) -> dict:
+    spec = propagator_spectrum(params)
+    stats = gap_statistics(spec)
+    counts = count_exact_pi_pairs(spec)
+    cells = dict(
+        delta0_mean=stats.delta0_mean,
+        delta_pi_mean=stats.delta_pi_mean,
+        ratio=stats.ratio,
+        n_zero=counts.n_zero,
+        n_pi=counts.n_pi,
+        reflection_residual=check_time_reflection(params),
+    )
+    if config.dump_spectra:
+        cells["_aux"] = (("index", "quasi_energy"), (np.arange(spec.dim), spec.energies))
+    return cells
+
+
+def _fourier_point(params: FloquetParams, config: SweepConfig) -> dict:
+    series = evolve_stroboscopic(polarized_state(params.L), params, config.n_periods)
+    spectrum = fourier_spectrum(series.return_probability, period=config.period)
+    peak = spectrum.peak_bin()
+    half = config.n_periods // 2 if config.n_periods % 2 == 0 else None
+    return dict(
+        peak_bin=peak,
+        peak_frequency=float(spectrum.frequencies[peak]),
+        peak_magnitude=float(spectrum.magnitudes[peak]),
+        subharmonic_magnitude=None if half is None else float(spectrum.magnitudes[half]),
+        _aux=(("bin", "frequency", "magnitude"),
+              (np.arange(spectrum.n_samples), spectrum.frequencies, spectrum.magnitudes)),
+    )
+
+
+_POINT = ("L", "jt_over_pi", "epsilon_over_pi")
+
+#: mode -> (summary columns, point function, aux-file kind or None).
+_MODES = {
+    "evolve": (_POINT + ("n_periods", "n_star", "censored", "average_return", "window_used",
+                         "norm_drift", "series_file", "error"), _evolve_point, "series"),
+    "lifetime-scan": (_POINT + ("threshold", "n_max_pairs", "n_star", "censored", "error"),
+                      _lifetime_point, None),
+    "phase-diagram": (_POINT + ("window", "average_return", "error"), _phase_point, None),
+    "spectrum": (_POINT + ("delta0_mean", "delta_pi_mean", "ratio", "n_zero", "n_pi",
+                           "reflection_residual", "spectrum_file", "error"),
+                 _spectrum_point, "spectrum"),
+    "fourier": (_POINT + ("n_periods", "peak_bin", "peak_frequency", "peak_magnitude",
+                          "subharmonic_magnitude", "spectrum_file", "error"),
+                _fourier_point, "spectrum"),
+}
+MODES = tuple(_MODES)
+
+
+def _sweep_point(task) -> dict:
+    """One grid point as a summary row, a failure recorded in ``error`` (pool-picklable)."""
+    L, jt_pi, eps_pi, config = task
+    columns, point, _ = _MODES[config.mode]
+    cell = dict(L=L, jt_over_pi=jt_pi, epsilon_over_pi=eps_pi, n_periods=config.n_periods,
+                threshold=config.threshold, window=config.window, n_max_pairs=config.n_periods // 2)
+    row = {column: cell.get(column) for column in columns}
     try:
-        params = _point_params(task)
-        series = evolve_stroboscopic(
-            polarized_state(L), params, n_periods,
-            observables=("return_probability", "sz"),
-        )
-        even = series.return_probability[1::2]
-        crossing = lifetime(even, threshold) if even.size else None
-        window_used = min(window, even.size) if even.size else None
-        row.update(
-            n_star=None if crossing is None else crossing.n_star,
-            censored=None if crossing is None else crossing.censored,
-            average_return=None if window_used is None else average_return(even, window_used),
-            window_used=window_used,
-            norm_drift=series.norm_drift,
-            _series=(series.n, series.return_probability, series.sz),
-        )
+        params = FloquetParams.from_dimensionless(L, jt_pi, eps_pi, T=config.period)
+        row.update(point(params, config))
     except Exception as exc:  # noqa: BLE001 - recorded per row, sweep continues
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
-
-
-def _lifetime_point(task):
-    L, jt_pi, eps_pi, n_periods, threshold, period = task
-    n_max_pairs = n_periods // 2
-    row = {
-        "L": L, "jt_over_pi": jt_pi, "epsilon_over_pi": eps_pi,
-        "threshold": threshold, "n_max_pairs": n_max_pairs,
-        "n_star": None, "censored": None, "error": None,
-    }
-    try:
-        params = _point_params(task)
-        stream = iter_return_probability(polarized_state(L), params)
-        censored = True
-        n_star = None
-        for n in range(1, n_max_pairs + 1):
-            next(stream)            # odd period, not compared to the threshold
-            p_even = next(stream)   # period 2n
-            if p_even < threshold:
-                n_star, censored = n, False
-                break
-        row.update(n_star=n_star, censored=censored)
-    except Exception as exc:  # noqa: BLE001
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
-
-
-def _phase_point(task):
-    L, jt_pi, eps_pi, n_periods, window, period = task
-    row = {
-        "L": L, "jt_over_pi": jt_pi, "epsilon_over_pi": eps_pi,
-        "window": window, "average_return": None, "error": None,
-    }
-    try:
-        params = _point_params(task)
-        stream = iter_return_probability(polarized_state(L), params)
-        total = 0.0
-        for _ in range(window):
-            next(stream)
-            total += next(stream)
-        row.update(average_return=total / window)
-    except Exception as exc:  # noqa: BLE001
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
-
-
-def _spectrum_point(task):
-    L, jt_pi, eps_pi, dump, period = task
-    row = {
-        "L": L, "jt_over_pi": jt_pi, "epsilon_over_pi": eps_pi,
-        "delta0_mean": None, "delta_pi_mean": None, "ratio": None,
-        "n_zero": None, "n_pi": None, "reflection_residual": None,
-        "spectrum_file": None, "error": None,
-    }
-    try:
-        params = _point_params(task)
-        spec = propagator_spectrum(params)
-        stats = gap_statistics(spec)
-        counts = count_exact_pi_pairs(spec)
-        row.update(
-            delta0_mean=stats.delta0_mean,
-            delta_pi_mean=stats.delta_pi_mean,
-            ratio=stats.ratio,
-            n_zero=counts.n_zero,
-            n_pi=counts.n_pi,
-            reflection_residual=check_time_reflection(params),
-        )
-        if dump:
-            row["_spectrum"] = spec.energies
-    except Exception as exc:  # noqa: BLE001
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
-
-
-def _fourier_point(task):
-    L, jt_pi, eps_pi, n_periods, period = task
-    row = {
-        "L": L, "jt_over_pi": jt_pi, "epsilon_over_pi": eps_pi,
-        "n_periods": n_periods, "peak_bin": None, "peak_frequency": None,
-        "peak_magnitude": None, "subharmonic_magnitude": None,
-        "spectrum_file": None, "error": None,
-    }
-    try:
-        params = _point_params(task)
-        series = evolve_stroboscopic(polarized_state(L), params, n_periods)
-        spectrum = fourier_spectrum(series.return_probability, period=period)
-        peak = spectrum.peak_bin()
-        half = n_periods // 2 if n_periods % 2 == 0 else None
-        row.update(
-            peak_bin=peak,
-            peak_frequency=float(spectrum.frequencies[peak]),
-            peak_magnitude=float(spectrum.magnitudes[peak]),
-            subharmonic_magnitude=None if half is None else float(spectrum.magnitudes[half]),
-            _spectrum=(spectrum.frequencies, spectrum.magnitudes),
-        )
-    except Exception as exc:  # noqa: BLE001
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -325,183 +296,66 @@ def _config_echo(config: SweepConfig) -> dict:
     provenance object instead, so identical physics configurations yield
     identical data sections byte for byte.
     """
-    return {
-        "mode": config.mode,
-        "lengths": list(config.lengths),
-        "jt_over_pi": list(config.jt_over_pi),
-        "epsilon_over_pi": list(config.epsilon_over_pi),
-        "n_periods": config.n_periods,
-        "threshold": config.threshold,
-        "window": config.window,
-        "period": config.period,
-        "dump_spectra": config.dump_spectra,
-    }
+    echo = asdict(config)
+    del echo["out"], echo["jobs"]
+    return echo
 
 
-def _write_csv(path: Path, columns: Sequence[str], rows: list[dict],
+def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence],
                header: Optional[dict] = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        if header is not None:
-            handle.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(col)) for col in columns])
+    """Write ``<name>.tmp`` beside ``path`` and rename it into place; a failure leaves neither.
+
+    ``rows`` yields one sequence of cells per row, in the order of ``columns``.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            if header is not None:
+                handle.write("# " + json.dumps(header, sort_keys=True) + "\n")
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([_format_cell(cell) for cell in row])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _write_summary(config: SweepConfig, columns: Sequence[str], rows: list[dict],
-                   elapsed: float) -> Path:
-    path = Path(config.out)
+# --------------------------------------------------------------------------
+# the runner
+
+def run_sweep(config: SweepConfig) -> SweepResult:
+    """Run every grid point of ``config.mode``; write aux CSVs, then the summary."""
+    config.validate()
+    started = time.perf_counter()
+    columns, _, kind = _MODES[config.mode]
+    tasks = [(L, jt, eps, config) for L, jt, eps in config.grid()]
+    rows = _run_points(_sweep_point, tasks, config.jobs)
+    out = Path(config.out)
+    aux_files = []
+    for index, row in enumerate(rows):
+        aux = row.pop("_aux", None)
+        if aux is None:
+            continue
+        path = out.with_name(f"{out.stem}_{kind}_{index:03d}.csv")
+        aux_columns, arrays = aux
+        _write_csv(path, aux_columns, zip(*(array.tolist() for array in arrays)))
+        aux_files.append(path)
+        row[f"{kind}_file"] = path.name
     header = {
         "config": _config_echo(config),
         "provenance": {
             "tool": "kicked-ising",
             "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "elapsed_seconds": elapsed,
+            "elapsed_seconds": time.perf_counter() - started,
             "jobs": config.jobs,
             "out": config.out,
         },
     }
-    _write_csv(path, columns, rows, header)
-    return path
-
-
-def _aux_path(out: str, kind: str, index: int) -> Path:
-    path = Path(out)
-    return path.with_name(f"{path.stem}_{kind}_{index:03d}.csv")
-
-
-# --------------------------------------------------------------------------
-# runners
-
-_EVOLVE_COLUMNS = ("L", "jt_over_pi", "epsilon_over_pi", "n_periods", "n_star",
-                   "censored", "average_return", "window_used", "norm_drift",
-                   "series_file", "error")
-_LIFETIME_COLUMNS = ("L", "jt_over_pi", "epsilon_over_pi", "threshold",
-                     "n_max_pairs", "n_star", "censored", "error")
-_PHASE_COLUMNS = ("L", "jt_over_pi", "epsilon_over_pi", "window",
-                  "average_return", "error")
-_SPECTRUM_COLUMNS = ("L", "jt_over_pi", "epsilon_over_pi", "delta0_mean",
-                     "delta_pi_mean", "ratio", "n_zero", "n_pi",
-                     "reflection_residual", "spectrum_file", "error")
-_FOURIER_COLUMNS = ("L", "jt_over_pi", "epsilon_over_pi", "n_periods",
-                    "peak_bin", "peak_frequency", "peak_magnitude",
-                    "subharmonic_magnitude", "spectrum_file", "error")
-
-
-def run_evolve(config: SweepConfig) -> SweepResult:
-    """Time series per grid point: summary CSV plus one series file each."""
-    config.validate()
-    started = time.perf_counter()
-    tasks = [(L, jt, eps, config.n_periods, config.threshold, config.window, config.period)
-             for L, jt, eps in config.grid()]
-    rows = _run_points(_evolve_point, tasks, config.jobs)
-    aux = []
-    for index, row in enumerate(rows):
-        series = row.pop("_series", None)
-        if series is None:
-            continue
-        n, probs, sz = series
-        path = _aux_path(config.out, "series", index)
-        columns = ["n", "t", "return_probability"]
-        L = row["L"]
-        if sz is not None:
-            columns += [f"sz_{site}" for site in range(L)]
-        series_rows = []
-        for k in range(n.size):
-            entry = {"n": int(n[k]), "t": float(n[k]) * config.period,
-                     "return_probability": float(probs[k])}
-            if sz is not None:
-                for site in range(L):
-                    entry[f"sz_{site}"] = float(sz[k, site])
-            series_rows.append(entry)
-        _write_csv(path, columns, series_rows)
-        aux.append(path)
-        row["series_file"] = path.name
-    summary = _write_summary(config, _EVOLVE_COLUMNS, rows, time.perf_counter() - started)
-    return SweepResult(config, _EVOLVE_COLUMNS, rows, summary, aux)
-
-
-def run_lifetime_scan(config: SweepConfig) -> SweepResult:
-    """Threshold-crossing scan; ``n_star`` indexes even periods (pairs)."""
-    config.validate()
-    started = time.perf_counter()
-    tasks = [(L, jt, eps, config.n_periods, config.threshold, config.period)
-             for L, jt, eps in config.grid()]
-    rows = _run_points(_lifetime_point, tasks, config.jobs)
-    summary = _write_summary(config, _LIFETIME_COLUMNS, rows, time.perf_counter() - started)
-    return SweepResult(config, _LIFETIME_COLUMNS, rows, summary)
-
-
-def run_phase_diagram(config: SweepConfig) -> SweepResult:
-    """Early-time averaged return probability over a 2-d drive-parameter grid."""
-    config.validate()
-    started = time.perf_counter()
-    tasks = [(L, jt, eps, config.n_periods, config.window, config.period)
-             for L, jt, eps in config.grid()]
-    rows = _run_points(_phase_point, tasks, config.jobs)
-    summary = _write_summary(config, _PHASE_COLUMNS, rows, time.perf_counter() - started)
-    return SweepResult(config, _PHASE_COLUMNS, rows, summary)
-
-
-def run_spectrum_report(config: SweepConfig) -> SweepResult:
-    """Quasi-energy pairing report per grid point (dense diagonalization)."""
-    config.validate()
-    started = time.perf_counter()
-    tasks = [(L, jt, eps, config.dump_spectra, config.period)
-             for L, jt, eps in config.grid()]
-    rows = _run_points(_spectrum_point, tasks, config.jobs)
-    aux = []
-    for index, row in enumerate(rows):
-        energies = row.pop("_spectrum", None)
-        if energies is None:
-            continue
-        path = _aux_path(config.out, "spectrum", index)
-        _write_csv(path, ("index", "quasi_energy"),
-                   [{"index": k, "quasi_energy": float(e)} for k, e in enumerate(energies)])
-        aux.append(path)
-        row["spectrum_file"] = path.name
-    summary = _write_summary(config, _SPECTRUM_COLUMNS, rows, time.perf_counter() - started)
-    return SweepResult(config, _SPECTRUM_COLUMNS, rows, summary, aux)
-
-
-def run_fourier(config: SweepConfig) -> SweepResult:
-    """DFT of the return-probability series per grid point."""
-    config.validate()
-    started = time.perf_counter()
-    tasks = [(L, jt, eps, config.n_periods, config.period) for L, jt, eps in config.grid()]
-    rows = _run_points(_fourier_point, tasks, config.jobs)
-    aux = []
-    for index, row in enumerate(rows):
-        spectrum = row.pop("_spectrum", None)
-        if spectrum is None:
-            continue
-        frequencies, magnitudes = spectrum
-        path = _aux_path(config.out, "spectrum", index)
-        _write_csv(path, ("bin", "frequency", "magnitude"),
-                   [{"bin": k, "frequency": float(frequencies[k]),
-                     "magnitude": float(magnitudes[k])} for k in range(frequencies.size)])
-        aux.append(path)
-        row["spectrum_file"] = path.name
-    summary = _write_summary(config, _FOURIER_COLUMNS, rows, time.perf_counter() - started)
-    return SweepResult(config, _FOURIER_COLUMNS, rows, summary, aux)
-
-
-_RUNNERS = {
-    "evolve": run_evolve,
-    "lifetime-scan": run_lifetime_scan,
-    "phase-diagram": run_phase_diagram,
-    "spectrum": run_spectrum_report,
-    "fourier": run_fourier,
-}
-
-
-def run_sweep(config: SweepConfig) -> SweepResult:
-    """Dispatch to the runner for ``config.mode``."""
-    if config.mode not in _RUNNERS:
-        raise ConfigError(f"unknown mode {config.mode!r}; choose from {', '.join(MODES)}")
-    return _RUNNERS[config.mode](config)
+    _write_csv(out, columns, ([row[column] for column in columns] for row in rows), header)
+    return SweepResult(config, columns, rows, out, aux_files)
 
 
 # --------------------------------------------------------------------------
@@ -639,34 +493,19 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> SweepConfig:
     values: dict = {}
     if namespace.config is not None:
         values.update(_load_config_file(namespace.config))
-    for key in ("length", "jt_over_pi", "epsilon_over_pi", "periods", "threshold",
-                "window", "out", "jobs"):
-        flag_value = getattr(namespace, key, None)
-        if flag_value is not None:
-            values[key] = flag_value
-    if getattr(namespace, "dump_spectra", None) is not None:
-        values["dump_spectra"] = namespace.dump_spectra
-    values["mode"] = mode  # the subcommand wins over any "mode" key in the file
+    # Explicit flags win; the subcommand wins over any "mode" key in the file.
+    values.update((key, value) for key, value in vars(namespace).items()
+                  if value is not None and key != "config")
 
     problems = []
-    lengths: tuple[int, ...] = ()
-    jt: tuple[float, ...] = ()
-    eps: tuple[float, ...] = ()
-    try:
-        if "length" in values:
-            lengths = _parse_int_grid(values["length"], "--length")
-    except ConfigError as exc:
-        problems.append(str(exc))
-    try:
-        if "jt_over_pi" in values:
-            jt = _parse_float_grid(values["jt_over_pi"], "--jt-over-pi")
-    except ConfigError as exc:
-        problems.append(str(exc))
-    try:
-        if "epsilon_over_pi" in values:
-            eps = _parse_float_grid(values["epsilon_over_pi"], "--epsilon-over-pi")
-    except ConfigError as exc:
-        problems.append(str(exc))
+    grids = {}
+    for key, parse in (("length", _parse_int_grid), ("jt_over_pi", _parse_float_grid),
+                       ("epsilon_over_pi", _parse_float_grid)):
+        try:
+            grids[key] = parse(values[key], "--" + key.replace("_", "-")) if key in values else ()
+        except ConfigError as exc:
+            problems.append(str(exc))
+            grids[key] = ()
 
     def _scalar(key, kind, default):
         value = values.get(key, default)
@@ -688,7 +527,8 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> SweepConfig:
         raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems))
 
     config = SweepConfig(
-        mode=mode, lengths=lengths, jt_over_pi=jt, epsilon_over_pi=eps,
+        mode=mode, lengths=grids["length"], jt_over_pi=grids["jt_over_pi"],
+        epsilon_over_pi=grids["epsilon_over_pi"],
         n_periods=n_periods, threshold=threshold, window=window, out=out,
         jobs=jobs, period=period, dump_spectra=dump_spectra,
     )

@@ -1,12 +1,18 @@
 """Command-line behaviour: exit codes, flag plumbing, and the entry point."""
 
+import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import kicked_ising
+from kicked_ising import sweep
 from kicked_ising.cli import main
 
 from conftest import read_result_csv
@@ -51,6 +57,34 @@ def test_io_error_returns_four(tmp_path, capsys):
     )
     assert code == 4
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    """A write that fails mid-file leaves neither the target nor its temp file."""
+
+    def failing_writer(handle, **kwargs):
+        real = csv.writer(handle, **kwargs)
+
+        class Writer:
+            calls = 0
+
+            def writerow(self, row):
+                self.calls += 1
+                if self.calls > 1:  # the column header goes out, the first row fails
+                    raise OSError("No space left on device")
+                real.writerow(row)
+        return Writer()
+
+    monkeypatch.setattr(sweep, "csv", SimpleNamespace(writer=failing_writer))
+    out = tmp_path / "scan.csv"
+    code = main(
+        ["lifetime-scan", "-L", "4", "--jt-over-pi", "0.9",
+         "--epsilon-over-pi", "0.1", "--periods", "40", "--out", str(out)]
+    )
+    assert code == 4
+    assert "No space left" in capsys.readouterr().err
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_flag_exits_two():
@@ -102,11 +136,15 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_module_invocation(tmp_path):
+    # The child imports the package this test imported, installed or not.
+    package_root = str(Path(kicked_ising.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     completed = subprocess.run(
         [sys.executable, "-m", "kicked_ising.cli", "evolve", "-L", "3",
          "--jt-over-pi", "0.9", "--epsilon-over-pi", "0.1", "--periods", "8",
          "--out", str(tmp_path / "e.csv")],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert completed.returncode == 0, completed.stderr
     assert (tmp_path / "e_series_000.csv").exists()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kicked_ising import (
     StateVector,
     average_return,
+    first_crossing,
     fourier_spectrum,
     lifetime,
     local_sz,
@@ -54,6 +55,19 @@ class TestLifetime:
         assert result.n_star == 3
         assert not result.censored
         assert result.effective_n() == 3
+
+    def test_first_crossing_stops_consuming_at_the_crossing(self):
+        drawn = []
+
+        def samples():
+            for p in (0.9, 0.6, 0.04, 0.01, 0.9):
+                drawn.append(p)
+                yield p
+
+        assert first_crossing(samples(), 0.05) == 3
+        assert drawn == [0.9, 0.6, 0.04]
+        assert first_crossing(iter([0.9, 0.8]), 0.05) is None
+        assert first_crossing([], 0.05) is None
 
     def test_censored_run(self):
         result = lifetime([0.9, 0.8], threshold=0.05)

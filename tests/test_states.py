@@ -13,6 +13,7 @@ from kicked_ising import (
     CapacityError,
     FloquetParams,
     StateVector,
+    apply_global_x_rotation,
     bond_sum,
     bond_sum_table,
     overlap,
@@ -46,7 +47,7 @@ class TestFloquetParams:
             FloquetParams(L=EVOLVE_MAX_SITES + 1, J=1.0, epsilon=0.0)
         with pytest.raises(ValueError):
             FloquetParams(L=4, J=1.0, epsilon=0.0, T=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             FloquetParams(L=4, J=1.0, epsilon=0.0, boundary="open")
 
     def test_capacity_error_is_a_value_error(self):
@@ -70,6 +71,12 @@ class TestStateVector:
         state = StateVector(4, random_state(4, rng))
         assert state.dim == 16
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+    def test_kicked_polarized_state_at_twenty_sites_is_normalized(self):
+        # np.linalg.norm puts this state 2.1e-12 off, above NORM_TOL = 1e-12.
+        params = FloquetParams.from_dimensionless(20, 0.9, 0.1)
+        state = apply_global_x_rotation(polarized_state(20), params.theta)
+        assert abs(state.norm() - 1.0) < 1e-14
 
 
 class TestPolarizedAndProduct:

@@ -15,11 +15,6 @@ from kicked_ising import (
     evolve_stroboscopic,
     parse_config,
     polarized_state,
-    run_evolve,
-    run_fourier,
-    run_lifetime_scan,
-    run_phase_diagram,
-    run_spectrum_report,
     run_sweep,
 )
 
@@ -150,7 +145,7 @@ class TestLifetimeScan:
             lengths=(4,), jt_over_pi=(0.9, 1.0), epsilon_over_pi=(0.1,),
             n_periods=600, out=str(out),
         )
-        result = run_lifetime_scan(config)
+        result = run_sweep(config)
         assert [row["jt_over_pi"] for row in result.rows] == [0.9, 1.0]
 
         decaying, frozen = result.rows
@@ -167,17 +162,36 @@ class TestLifetimeScan:
         assert float(rows[0]["jt_over_pi"]) == 0.9  # repr round-trips exactly
         assert rows[0]["error"] == ""
 
-    def test_jobs_do_not_change_the_bytes(self, tmp_path):
-        configs = [
-            make_config(lengths=(4, 5), jt_over_pi=(0.9, 1.0), n_periods=400,
-                        out=str(tmp_path / f"scan{jobs}.csv"), jobs=jobs)
-            for jobs in (1, 2)
-        ]
-        for config in configs:
-            run_lifetime_scan(config)
-        assert file_without_provenance(tmp_path / "scan1.csv") == file_without_provenance(
-            tmp_path / "scan2.csv"
-        )
+        # One period holds no even period: zero pairs, censored, and no error.
+        run_sweep(make_config(n_periods=1, out=str(out)))
+        _, rows = read_result_csv(out)
+        assert (rows[0]["n_max_pairs"], rows[0]["n_star"], rows[0]["censored"],
+                rows[0]["error"]) == ("0", "", "true", "")
+
+
+JOBS_CASES = {
+    "evolve": dict(lengths=(3, 4), jt_over_pi=(0.9, 1.0), n_periods=16, window=4),
+    "lifetime-scan": dict(lengths=(4, 5), jt_over_pi=(0.9, 1.0), n_periods=400),
+    "phase-diagram": dict(lengths=(4,), jt_over_pi=(0.5, 1.0), n_periods=80, window=40),
+    "spectrum": dict(lengths=(4, 6), jt_over_pi=(1.0,), dump_spectra=True),
+    "fourier": dict(lengths=(4,), jt_over_pi=(1.0, 0.9), epsilon_over_pi=(0.05,),
+                    n_periods=64),
+}
+
+
+@pytest.mark.parametrize("mode", list(JOBS_CASES))
+def test_jobs_do_not_change_the_bytes(mode, tmp_path):
+    written = {}
+    for jobs in (1, 2):
+        (tmp_path / f"jobs{jobs}").mkdir()
+        config = make_config(mode=mode, out=str(tmp_path / f"jobs{jobs}" / "out.csv"),
+                             jobs=jobs, **JOBS_CASES[mode])
+        result = run_sweep(config)
+        written[jobs] = {path.name: file_without_provenance(path)
+                         for path in [result.path, *result.aux_files]}
+    if mode not in ("lifetime-scan", "phase-diagram"):
+        assert len(written[1]) > 1  # the aux curves are compared too
+    assert written[1] == written[2]
 
 
 class TestEvolve:
@@ -187,7 +201,7 @@ class TestEvolve:
             mode="evolve", lengths=(3,), jt_over_pi=(0.9,), epsilon_over_pi=(0.1,),
             n_periods=8, window=4, out=str(out),
         )
-        result = run_evolve(config)
+        result = run_sweep(config)
         row = result.rows[0]
         assert row["series_file"] == "evolve_series_000.csv"
         assert row["window_used"] == 4
@@ -216,7 +230,7 @@ class TestPhaseDiagram:
             epsilon_over_pi=(0.1,), n_periods=80, window=40,
             out=str(tmp_path / "map.csv"),
         )
-        result = run_phase_diagram(config)
+        result = run_sweep(config)
         assert len(result.rows) == 2
         params = FloquetParams.from_dimensionless(4, 0.5, 0.1)
         even = evolve_stroboscopic(polarized_state(4), params, 80).return_probability[1::2]
@@ -233,7 +247,7 @@ class TestSpectrumReport:
             mode="spectrum", lengths=(4, 6), jt_over_pi=(1.0,), epsilon_over_pi=(0.1,),
             out=str(out), dump_spectra=True,
         )
-        result = run_spectrum_report(config)
+        result = run_sweep(config)
         four, six = result.rows
         assert (four["n_zero"], four["n_pi"]) == (4, 6)
         assert four["reflection_residual"] < 1e-12
@@ -255,7 +269,7 @@ class TestFourier:
             mode="fourier", lengths=(4,), jt_over_pi=(1.0,), epsilon_over_pi=(0.05,),
             n_periods=64, out=str(out),
         )
-        result = run_fourier(config)
+        result = run_sweep(config)
         row = result.rows[0]
         assert row["peak_bin"] == 32
         assert row["peak_frequency"] == pytest.approx(0.5)
@@ -268,7 +282,7 @@ class TestFourier:
             mode="fourier", lengths=(4,), jt_over_pi=(1.0,), epsilon_over_pi=(0.05,),
             n_periods=1, out=str(tmp_path / "fft.csv"),  # one sample: DFT refuses
         )
-        result = run_fourier(config)
+        result = run_sweep(config)
         row = result.rows[0]
         assert row["error"].startswith("ValueError")
         assert row["peak_bin"] is None
