@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+import functools
 import math
 
 import numpy as np
@@ -187,14 +188,14 @@ def reflection_operator(L: int) -> np.ndarray:
         raise CapacityError(f"L={L} exceeds the dense operator cap of {DENSE_MAX_SITES} sites")
     dim = 1 << L
     cols = np.arange(dim)
-    rows = cols ^ (dim - 1)
-    popcount = np.zeros(dim, dtype=np.int64)
-    for i in range(L):
-        popcount += (cols >> i) & 1
-    signs = np.where(popcount % 2, -1.0, 1.0)
     R = np.zeros((dim, dim))
-    R[rows, cols] = signs
+    R[cols ^ (dim - 1), cols] = _parity_signs(L)
     return R
+
+
+def _parity_signs(L: int) -> np.ndarray:
+    """(-1)^(number of up spins) of every basis index of an L-site chain."""
+    return functools.reduce(np.kron, [np.array([1.0, -1.0])] * L, np.ones(1))
 
 
 def check_time_reflection(params: FloquetParams) -> float:
@@ -208,13 +209,20 @@ def check_time_reflection(params: FloquetParams) -> float:
 
     which holds exactly at JT = pi for every chain length and any kick
     imperfection; the returned max-norm residual is then at floating-point
-    level, and grows to O(1) away from JT = pi.
+    level, and grows to O(1) away from JT = pi.  R is a signed index reversal:
+    ``R A R^T = (s s^T) * A[::-1, ::-1]``, ``s`` the signs of the flipped index.
     """
     _require_sites(params.L, DENSE_MAX_SITES, "dense operator")
     U = build_dense_propagator(params).matrix
-    R = reflection_operator(params.L)
+    s = _parity_signs(params.L)[::-1]
     phase = 1j ** (params.L % 4)
-    return float(np.max(np.abs(R @ U.conj() @ R.T - phase * U)))
+    return float(np.max(np.abs(np.outer(s, s) * U.conj()[::-1, ::-1] - phase * U)))
+
+
+def _anchor_distances(spec: QuasiEnergySpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Folded distances ``|e|`` and ``|e - pi/T|`` of every level from the two anchors."""
+    return (np.abs(fold_to_branch(spec.energies, period=spec.T)),
+            np.abs(fold_to_branch(spec.energies - math.pi / spec.T, period=spec.T)))
 
 
 def count_exact_pi_pairs(spec: QuasiEnergySpectrum, tol: float = EXACT_PAIR_TOL) -> PairCounts:
@@ -223,10 +231,7 @@ def count_exact_pi_pairs(spec: QuasiEnergySpectrum, tol: float = EXACT_PAIR_TOL)
     Distances are measured on the Floquet circle, so a level just below the
     branch edge -pi/T counts toward the pi/T anchor.
     """
-    e = spec.energies
-    half_period = math.pi / spec.T
-    d_zero = np.abs(fold_to_branch(e, period=spec.T))
-    d_pi = np.abs(fold_to_branch(e - half_period, period=spec.T))
+    d_zero, d_pi = _anchor_distances(spec)
     return PairCounts(n_zero=int(np.sum(d_zero <= tol)), n_pi=int(np.sum(d_pi <= tol)))
 
 
@@ -247,9 +252,8 @@ def paired_superposition(
         raise ValueError("spectrum was computed without eigenvectors")
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    half_period = math.pi / spec.T
-    dev_zero = abs(float(fold_to_branch(spec.energies[zero_index], period=spec.T)))
-    dev_pi = abs(float(fold_to_branch(spec.energies[pi_index] - half_period, period=spec.T)))
+    d_zero, d_pi = _anchor_distances(spec)
+    dev_zero, dev_pi = float(d_zero[zero_index]), float(d_pi[pi_index])
     if dev_zero > tol:
         raise ValueError(f"state {zero_index} is {dev_zero:.3e} away from quasi-energy 0")
     if dev_pi > tol:
@@ -267,11 +271,8 @@ def overlap_with_pair_manifold(
         raise ValueError("spectrum was computed without eigenvectors")
     if state.L != spec.L:
         raise ValueError(f"state has L={state.L} but spectrum has L={spec.L}")
-    e = spec.energies
-    half_period = math.pi / spec.T
-    on_anchor = (np.abs(fold_to_branch(e, period=spec.T)) <= tol) | (
-        np.abs(fold_to_branch(e - half_period, period=spec.T)) <= tol
-    )
+    d_zero, d_pi = _anchor_distances(spec)
+    on_anchor = (d_zero <= tol) | (d_pi <= tol)
     if not np.any(on_anchor):
         return 0.0
     block = spec.eigenvectors[:, on_anchor]

@@ -326,7 +326,7 @@ def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence],
 # the runner
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Run every grid point of ``config.mode``; write aux CSVs, then the summary."""
+    """Run every grid point of ``config.mode``; write aux CSVs, then the summary, or none."""
     config.validate()
     started = time.perf_counter()
     columns, _, kind = _MODES[config.mode]
@@ -334,27 +334,26 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     rows = _run_points(_sweep_point, tasks, config.jobs)
     out = Path(config.out)
     aux_files = []
-    for index, row in enumerate(rows):
-        aux = row.pop("_aux", None)
-        if aux is None:
-            continue
-        path = out.with_name(f"{out.stem}_{kind}_{index:03d}.csv")
-        aux_columns, arrays = aux
-        _write_csv(path, aux_columns, zip(*(array.tolist() for array in arrays)))
-        aux_files.append(path)
-        row[f"{kind}_file"] = path.name
-    header = {
-        "config": _config_echo(config),
-        "provenance": {
-            "tool": "kicked-ising",
-            "version": __version__,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "elapsed_seconds": time.perf_counter() - started,
-            "jobs": config.jobs,
-            "out": config.out,
-        },
-    }
-    _write_csv(out, columns, ([row[column] for column in columns] for row in rows), header)
+    try:
+        for index, row in enumerate(rows):
+            aux = row.pop("_aux", None)
+            if aux is None:
+                continue
+            path = out.with_name(f"{out.stem}_{kind}_{index:03d}.csv")
+            aux_columns, arrays = aux
+            _write_csv(path, aux_columns, zip(*(array.tolist() for array in arrays)))
+            aux_files.append(path)
+            row[f"{kind}_file"] = path.name
+        provenance = dict(tool="kicked-ising", version=__version__,
+                          timestamp=datetime.now(timezone.utc).isoformat(),
+                          elapsed_seconds=time.perf_counter() - started,
+                          jobs=config.jobs, out=config.out)
+        header = {"config": _config_echo(config), "provenance": provenance}
+        _write_csv(out, columns, ([row[column] for column in columns] for row in rows), header)
+    except BaseException:  # no aux file outlives a failed summary
+        for path in aux_files:
+            path.unlink(missing_ok=True)
+        raise
     return SweepResult(config, columns, rows, out, aux_files)
 
 

@@ -87,6 +87,26 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_summary_write_removes_aux_files(tmp_path, monkeypatch, capsys):
+    """The aux files of a run whose summary could not be written are removed again."""
+    real_write = sweep._write_csv
+
+    def failing_write(path, columns, rows, header=None):
+        if header is not None:  # only the summary carries a header
+            raise OSError("No space left on device")
+        real_write(path, columns, rows, header)
+
+    monkeypatch.setattr(sweep, "_write_csv", failing_write)
+    code = main(
+        ["evolve", "-L", "3", "--jt-over-pi", "0.9,1.0", "--epsilon-over-pi", "0.1",
+         "--periods", "8", "--out", str(tmp_path / "e.csv")]
+    )
+    assert code == 4
+    assert "No space left" in capsys.readouterr().err
+    assert list(tmp_path.glob("e_series_*.csv")) == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["evolve", "--frequency", "3"])

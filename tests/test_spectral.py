@@ -145,6 +145,16 @@ class TestTimeReflection:
         params = FloquetParams.from_dimensionless(L, 0.5, 0.1)
         assert check_time_reflection(params) > 1e-2
 
+    @pytest.mark.parametrize("L", range(2, 9))
+    def test_index_reversal_equals_the_dense_product(self, L):
+        """The signed index reversal gives exactly the residual of R conj(U) R^T."""
+        R = reflection_operator(L)
+        for jt_over_pi, eps_over_pi in ((1.0, 0.1), (0.5, 0.1), (1.0, 0.0), (0.2, 0.35)):
+            params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
+            U = build_dense_propagator(params).matrix
+            dense = float(np.max(np.abs(R @ U.conj() @ R.T - 1j ** (L % 4) * U)))
+            assert check_time_reflection(params) == dense
+
 
 class TestPairCounting:
     def test_tolerance_drives_the_count(self):
