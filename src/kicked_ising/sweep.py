@@ -8,7 +8,10 @@ Five sweep modes cover the standard numerical experiments:
 ``lifetime-scan``
     First crossing of the even-period return probability below a threshold,
     scanned over chain length and drive parameters.  Points that never cross
-    within the horizon are reported as censored.
+    within the horizon are reported as censored.  Up to ``DENSE_MAX_SITES``
+    the samples come from one diagonalization of the translation- and
+    reflection-symmetric sector (``sectors.py``), so the cost hardly depends
+    on the horizon; longer chains use the iterative engine.
 ``phase-diagram``
     Early-time average of the even-period return probability on a 2-d grid of
     drive parameters at a single chain length.
@@ -21,7 +24,8 @@ Five sweep modes cover the standard numerical experiments:
 
 Every run writes a single summary CSV whose first line is a ``#``-prefixed
 JSON object echoing the sweep configuration and recording provenance
-(tool, version, timestamp, elapsed time, worker count).  The data that
+(tool, version, timestamp, elapsed time, worker count, and the path --
+``sector``, ``dense`` or ``iterative`` -- that computed each row).  The data that
 follows is a function of the configuration alone: repeated runs produce
 byte-identical files once the provenance object is ignored, regardless of
 ``jobs``.  Floats are written with ``repr`` so values round-trip exactly.
@@ -58,6 +62,7 @@ import numpy as np
 from . import __version__
 from .engine import evolve_stroboscopic, iter_return_probability
 from .observables import average_return, first_crossing, fourier_spectrum, lifetime
+from .sectors import sector_return_probability
 from .spectral import (
     check_time_reflection,
     count_exact_pi_pairs,
@@ -185,11 +190,23 @@ def _evolve_point(params: FloquetParams, config: SweepConfig) -> dict:
     )
 
 
+def _path(mode: str, L: int) -> str:
+    """Which engine computes a point: ``sector``, ``dense`` or ``iterative``."""
+    if mode == "spectrum":
+        return "dense"
+    if mode == "lifetime-scan" and L <= DENSE_MAX_SITES:
+        return "sector"
+    return "iterative"
+
+
 def _lifetime_point(params: FloquetParams, config: SweepConfig) -> dict:
     """``n_star`` indexes even periods (pairs); odd periods are never compared."""
-    stream = iter_return_probability(polarized_state(params.L), params)
-    even = itertools.islice(stream, 1, 2 * (config.n_periods // 2), 2)
-    n_star = first_crossing(even, config.threshold)
+    if _path(config.mode, params.L) == "sector":
+        even = sector_return_probability(params)
+    else:
+        stream = iter_return_probability(polarized_state(params.L), params)
+        even = itertools.islice(stream, 1, None, 2)
+    n_star = first_crossing(itertools.islice(even, config.n_periods // 2), config.threshold)
     return {"n_star": n_star, "censored": n_star is None}
 
 
@@ -347,7 +364,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         provenance = dict(tool="kicked-ising", version=__version__,
                           timestamp=datetime.now(timezone.utc).isoformat(),
                           elapsed_seconds=time.perf_counter() - started,
-                          jobs=config.jobs, out=config.out)
+                          jobs=config.jobs, out=config.out,
+                          paths=[_path(config.mode, L) for L, _, _ in config.grid()])
         header = {"config": _config_echo(config), "provenance": provenance}
         _write_csv(out, columns, ([row[column] for column in columns] for row in rows), header)
     except BaseException:  # no aux file outlives a failed summary

@@ -168,6 +168,21 @@ class TestLifetimeScan:
         assert (rows[0]["n_max_pairs"], rows[0]["n_star"], rows[0]["censored"],
                 rows[0]["error"]) == ("0", "", "true", "")
 
+    # Lifetimes below were measured with the iterative engine (acceptance criteria 05-07).
+    def test_frozen_lifetimes_by_length(self, tmp_path):
+        config = make_config(lengths=tuple(range(6, 12)), n_periods=60_000,
+                             out=str(tmp_path / "scan.csv"))
+        rows = run_sweep(config).rows
+        assert [row["n_star"] for row in rows] == [1676, 3615, 11705, 26671, None, None]
+        assert [row["error"] for row in rows] == [None] * 6
+
+    def test_frozen_lifetimes_by_interaction_phase(self, tmp_path):
+        config = make_config(lengths=(11,), jt_over_pi=(0.75, 0.85, 0.95, 1.0, 1.05, 1.25),
+                             n_periods=100_000, out=str(tmp_path / "scan.csv"))
+        rows = run_sweep(config).rows
+        assert [row["n_star"] for row in rows] == [16760, None, None, None, None, 16760]
+        assert [row["censored"] for row in rows] == [False, True, True, True, True, False]
+
 
 JOBS_CASES = {
     "evolve": dict(lengths=(3, 4), jt_over_pi=(0.9, 1.0), n_periods=16, window=4),
