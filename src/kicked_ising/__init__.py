@@ -65,13 +65,6 @@ from .spectral import (
     quasi_energies,
     reflection_operator,
 )
-from .sectors import (
-    NORMALITY_TOL,
-    orbit_representatives,
-    sector_eigenphases,
-    sector_propagator,
-    sector_return_probability,
-)
 from .magnon import (
     MagnonPrediction,
     c1_magnitude,
@@ -105,9 +98,6 @@ __all__ = [
     "check_time_reflection", "count_exact_pi_pairs", "fold_to_branch",
     "gap_statistics", "overlap_with_pair_manifold", "paired_superposition",
     "propagator_spectrum", "quasi_energies", "reflection_operator",
-    # sectors
-    "NORMALITY_TOL", "orbit_representatives", "sector_eigenphases", "sector_propagator",
-    "sector_return_probability",
     # magnon
     "MagnonPrediction", "c1_magnitude", "predicted_P2T",
     "predicted_P2T_unexpanded", "predicted_return",

@@ -24,6 +24,7 @@ for every n, with no period-by-period evolution.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -37,6 +38,14 @@ NORMALITY_TOL = 1e-10
 _BLOCK = 8
 #: Pairs evaluated per matrix-vector product in ``sector_return_probability``.
 _CHUNK = 256
+
+
+def sector_dimension(L: int) -> int:
+    """Number of dihedral orbits of the 2**L basis states, by Burnside's lemma."""
+    necklaces = sum(2 ** math.gcd(L, k) for k in range(L)) // L
+    if L % 2:
+        return (necklaces + 2 ** ((L + 1) // 2)) // 2
+    return (2 * necklaces + 3 * 2 ** (L // 2)) // 4
 
 
 def orbit_representatives(L: int) -> np.ndarray:

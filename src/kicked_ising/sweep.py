@@ -8,10 +8,11 @@ Five sweep modes cover the standard numerical experiments:
 ``lifetime-scan``
     First crossing of the even-period return probability below a threshold,
     scanned over chain length and drive parameters.  Points that never cross
-    within the horizon are reported as censored.  Up to ``DENSE_MAX_SITES``
-    the samples come from one diagonalization of the translation- and
-    reflection-symmetric sector (``sectors.py``), so the cost hardly depends
-    on the horizon; longer chains use the iterative engine.
+    within the horizon are reported as censored.  Where one diagonalization
+    of the translation- and reflection-symmetric sector (``sectors.py``)
+    costs less than iterating the chain over the horizon, the samples come
+    from that sector and the cost hardly depends on the horizon; short
+    horizons and chains beyond ``DENSE_MAX_SITES`` use the iterative engine.
 ``phase-diagram``
     Early-time average of the even-period return probability on a 2-d grid of
     drive parameters at a single chain length.
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import itertools
 import json
 import os
@@ -58,11 +60,12 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .engine import evolve_stroboscopic, iter_return_probability
 from .observables import average_return, first_crossing, fourier_spectrum, lifetime
-from .sectors import sector_return_probability
+from .sectors import sector_dimension, sector_return_probability
 from .spectral import (
     check_time_reflection,
     count_exact_pi_pairs,
@@ -81,6 +84,14 @@ _DEFAULT_THRESHOLD = 0.05
 _DEFAULT_WINDOW = 1000
 _DEFAULT_PERIODS = {"lifetime-scan": 100_000}
 _DEFAULT_PERIODS_FALLBACK = 2000
+#: Pairs x 2**L per cubed sector dimension from which building and diagonalizing
+#: the sector costs less than iterating the chain; the crossovers measured on a
+#: 2-core Intel Xeon were about 200, 520 and 1200 pairs at L = 12, 13 and 14.
+_SECTOR_BREAK_EVEN = 0.07
+#: OpenBLAS thread-count setters under the names its builds export: plain, and
+#: prefixed as in the numpy (64-bit integer) and scipy wheels.
+_BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads")
 
 
 class ConfigError(ValueError):
@@ -190,18 +201,24 @@ def _evolve_point(params: FloquetParams, config: SweepConfig) -> dict:
     )
 
 
-def _path(mode: str, L: int) -> str:
-    """Which engine computes a point: ``sector``, ``dense`` or ``iterative``."""
+def _path(mode: str, L: int, n_pairs: int) -> str:
+    """Which engine computes a point: ``sector``, ``dense`` or ``iterative``.
+
+    A lifetime point over ``n_pairs`` pairs takes the sector when its set-up,
+    which grows as the cube of the sector dimension, is estimated to cost
+    less than ``n_pairs`` iterated pairs of 2**L amplitudes.
+    """
     if mode == "spectrum":
         return "dense"
-    if mode == "lifetime-scan" and L <= DENSE_MAX_SITES:
+    if mode == "lifetime-scan" and L <= DENSE_MAX_SITES and \
+            n_pairs << L >= _SECTOR_BREAK_EVEN * sector_dimension(L) ** 3:
         return "sector"
     return "iterative"
 
 
 def _lifetime_point(params: FloquetParams, config: SweepConfig) -> dict:
     """``n_star`` indexes even periods (pairs); odd periods are never compared."""
-    if _path(config.mode, params.L) == "sector":
+    if _path(config.mode, params.L, config.n_periods // 2) == "sector":
         even = sector_return_probability(params)
     else:
         stream = iter_return_probability(polarized_state(params.L), params)
@@ -284,10 +301,28 @@ def _sweep_point(task) -> dict:
     return row
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: one OpenBLAS thread per worker, so ``jobs`` workers use ``jobs`` cores.
+
+    A forked worker keeps the thread count OpenBLAS chose for the whole
+    machine, so workers diagonalizing at the same time oversubscribe the
+    cores.  The numpy and scipy wheels keep their OpenBLAS in
+    ``<package>.libs``; a BLAS found nowhere there is left as it is.
+    """
+    for package in (np, scipy):
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        for path in libs.glob("*openblas*"):
+            library = ctypes.CDLL(str(path))
+            for name in _BLAS_THREAD_SETTERS:
+                if hasattr(library, name):
+                    getattr(library, name)(1)
+                    break
+
+
 def _run_points(worker, tasks: list[tuple], jobs: int) -> list[dict]:
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -365,7 +400,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                           timestamp=datetime.now(timezone.utc).isoformat(),
                           elapsed_seconds=time.perf_counter() - started,
                           jobs=config.jobs, out=config.out,
-                          paths=[_path(config.mode, L) for L, _, _ in config.grid()])
+                          paths=[_path(config.mode, L, config.n_periods // 2)
+                                 for L, _, _ in config.grid()])
         header = {"config": _config_echo(config), "provenance": provenance}
         _write_csv(out, columns, ([row[column] for column in columns] for row in rows), header)
     except BaseException:  # no aux file outlives a failed summary

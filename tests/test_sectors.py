@@ -1,7 +1,6 @@
 """The symmetric sector against the dense propagator and the iterative engine."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -14,14 +13,17 @@ from kicked_ising import (
     build_dense_propagator,
     first_crossing,
     iter_return_probability,
-    orbit_representatives,
     polarized_state,
     run_sweep,
+)
+from kicked_ising import sectors
+from kicked_ising.sectors import (
+    orbit_representatives,
+    sector_dimension,
     sector_eigenphases,
     sector_propagator,
     sector_return_probability,
 )
-from kicked_ising import sectors
 
 from conftest import read_result_csv
 
@@ -29,14 +31,6 @@ JT_GRID = (0.0, 0.5, 1.0, 1.3)
 EPS_GRID = (0.0, 0.1, -0.2)
 #: (JT/pi, eps/pi) points whose even-period series cross 0.05 within 2000 pairs for some L.
 CROSSING_POINTS = ((0.9, 0.1), (0.5, 0.1), (1.3, -0.2))
-
-
-def _bracelets(L: int) -> int:
-    """Binary bracelets of length L by Burnside's lemma over the dihedral group."""
-    necklaces = sum(2 ** math.gcd(L, k) for k in range(L)) // L
-    if L % 2:
-        return (necklaces + 2 ** ((L + 1) // 2)) // 2
-    return (2 * necklaces + 3 * 2 ** (L // 2)) // 4
 
 
 def _images(index: int, L: int) -> list[int]:
@@ -59,7 +53,7 @@ class TestOrbits:
         representative = orbit_representatives(L)
         reps, sizes = np.unique(representative, return_counts=True)
         assert sizes.sum() == 2**L
-        assert reps.size == _bracelets(L)
+        assert reps.size == sector_dimension(L)
         all_up = 2**L - 1
         assert representative[all_up] == all_up and np.count_nonzero(representative == all_up) == 1
         index = data.draw(st.integers(0, 2**L - 1))
@@ -68,6 +62,7 @@ class TestOrbits:
     def test_bracelet_numbers(self):
         counts = [np.unique(orbit_representatives(L)).size for L in range(6, 12)]
         assert counts == [13, 18, 30, 46, 78, 126]
+        assert [sector_dimension(L) for L in range(6, 15)] == counts + [224, 380, 687]
 
 
 class TestSectorOperator:
@@ -134,7 +129,27 @@ class TestRouting:
         assert [(row["n_star"], row["censored"], row["error"]) for row in rows] == \
             [(None, True, None)] * 2
         header, _ = read_result_csv(out)
-        assert header["provenance"]["paths"] == ["sector", "sector"]
+        assert header["provenance"]["paths"] == ["iterative", "iterative"]
+
+    @pytest.mark.parametrize("n_periods, path", [(100, "iterative"), (2000, "sector")])
+    def test_horizon_decides_the_path(self, monkeypatch, tmp_path, n_periods, path):
+        """At L = 12 one sector set-up costs about 200 iterated pairs."""
+        built = []
+
+        def counted(params):
+            built.append(params.L)
+            return sector_propagator(params)
+
+        monkeypatch.setattr(sectors, "sector_propagator", counted)
+        out = tmp_path / "scan.csv"
+        config = SweepConfig(mode="lifetime-scan", lengths=(12,), jt_over_pi=(0.5,),
+                             epsilon_over_pi=(0.1,), n_periods=n_periods, out=str(out))
+        row = run_sweep(config).rows[0]
+        header, _ = read_result_csv(out)
+        assert header["provenance"]["paths"] == [path]
+        assert built == ([12] if path == "sector" else [])
+        expected = first_crossing(_iterative_pairs(12, 0.5, 0.1, n_periods // 2).tolist(), 0.05)
+        assert (row["n_star"], row["error"]) == (expected, None)
 
     def test_paths_of_the_other_modes(self, tmp_path):
         for mode, path in (("spectrum", "dense"), ("phase-diagram", "iterative")):

@@ -1,10 +1,13 @@
 """Configuration parsing, sweep runners, and the CSV output format."""
 
+import ctypes
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from kicked_ising import (
     CapacityError,
@@ -17,6 +20,8 @@ from kicked_ising import (
     polarized_state,
     run_sweep,
 )
+
+from kicked_ising import sweep
 
 from conftest import file_without_provenance, read_result_csv
 
@@ -207,6 +212,29 @@ def test_jobs_do_not_change_the_bytes(mode, tmp_path):
     if mode not in ("lifetime-scan", "phase-diagram"):
         assert len(written[1]) > 1  # the aux curves are compared too
     assert written[1] == written[2]
+
+
+def _blas_threads(_task=None) -> list[int]:
+    """OpenBLAS thread counts of this process, one per numpy/scipy wheel library."""
+    counts = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        for path in libs.glob("*openblas*"):
+            library = ctypes.CDLL(str(path))
+            for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                         "openblas_get_num_threads"):
+                if hasattr(library, name):
+                    counts.append(getattr(library, name)())
+                    break
+    return counts
+
+
+def test_pool_workers_run_one_blas_thread():
+    parent = _blas_threads()
+    if not parent:
+        pytest.skip("no OpenBLAS in the numpy or scipy wheel directories")
+    assert sweep._run_points(_blas_threads, [0, 1], 2) == [[1] * len(parent)] * 2
+    assert _blas_threads() == parent
 
 
 class TestEvolve:
