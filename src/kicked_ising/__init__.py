@@ -4,8 +4,9 @@ The package builds around a two-part drive on a periodic chain of L
 spins-1/2: a global x rotation by pi/2 - epsilon on every site, followed by
 a nearest-neighbour Ising phase accumulated for one period.  Everything is
 exact: states are dense vectors over the 2**L computational basis, one
-drive period costs O(L * 2**L), and propagators up to 14 sites can be
-diagonalized densely for quasi-energy analysis.
+drive period is a few matrix products with Kronecker factors of the kick
+(at most five sites each) plus a diagonal phase, and propagators up to 14
+sites can be diagonalized densely for quasi-energy analysis.
 
 Quick start::
 

@@ -2,9 +2,15 @@
 
 A period consists of the global x kick ``K = prod_i exp(-i theta sigma^x_i)``
 with ``theta = pi/2 - epsilon`` acting first, followed by the Ising phase
-``D = diag(exp(-i (JT/4) * bond_sum))``.  The structured path applies these as
-``L`` single-site sweeps plus one diagonal multiply and never materializes a
-matrix, so stroboscopic evolution costs O(L * 2**L) per period.
+``D = diag(exp(-i (JT/4) * bond_sum))``.  The kick is the tensor power
+``k^{(x)L}`` of one symmetric 2x2 rotation ``k``, so it factorizes into a few
+site factors ``k^{(x)n}`` of at most five sites each (Van Loan, "The
+ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 85 (2000)).  The
+structured path applies each factor as one matrix product over a reshaped
+view of the state, plus one diagonal multiply, and never materializes a
+2**L x 2**L matrix: a period costs about ``2**n * L/n`` complex
+multiply-adds per amplitude, done by BLAS.  The dense propagator is the
+Kronecker product of the same factors times the phase table.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .states import (
     DENSE_MAX_SITES,
     FloquetParams,
     StateVector,
+    _norm,
     _require_sites,
     bond_sum_table,
 )
@@ -66,19 +73,54 @@ def _zz_phase_table(L: int, jt: float) -> np.ndarray:
     return table
 
 
+#: Largest number of sites in one Kronecker factor of the kick.
+_FACTOR_MAX_SITES = 5
+
+
+def _factor_sites(L: int) -> tuple[int, ...]:
+    """Split L sites into the fewest near-equal factors of at most five, highest sites first.
+
+    8 -> (4, 4), 12 -> (4, 4, 4), 14 -> (5, 5, 4), 20 -> (5, 5, 5, 5).
+    """
+    count = -(-L // _FACTOR_MAX_SITES)
+    size, larger = divmod(L, count)
+    return (size + 1,) * larger + (size,) * (count - larger)
+
+
+@lru_cache(maxsize=128)
+def _kick_factor(n: int, theta: float) -> np.ndarray:
+    """``k^{(x)n}`` with ``k = cos(theta) I - i sin(theta) sigma^x``, a symmetric 2**n matrix.
+
+    Each entry is the product of its site entries taken from site 0 upwards.
+    """
+    c = np.cos(theta)
+    s = np.sin(theta)
+    k = np.array([[c, -1j * s], [-1j * s, c]])
+    factor = k
+    for _ in range(n - 1):
+        factor = np.kron(k, factor)
+    factor.setflags(write=False)
+    return factor
+
+
 def _kick(amps: np.ndarray, L: int, theta: float, width: int = 1) -> np.ndarray:
     """Apply exp(-i theta sigma^x) on every site; pure, returns a new flat array.
 
     ``amps`` holds 2**L rows of ``width`` entries each (row-major); the kick
     acts on the row index, so a flattened matrix has all its columns kicked.
+    Each site factor, lowest sites first, is one (batched) matrix product.
     """
-    c = np.cos(theta)
-    s = np.sin(theta)
-    for i in range(L):
-        # Middle axis is bit i of the row index; columns ride along in the last axis.
-        view = amps.reshape(1 << (L - 1 - i), 2, (1 << i) * width)
-        amps = (c * view - 1j * s * view[:, ::-1, :]).reshape(-1)
-    return amps
+    low = 0
+    for n in reversed(_factor_sites(L)):
+        factor = _kick_factor(n, theta)
+        if low == 0 and width == 1:
+            # The lowest sites of a vector: one GEMM on the right, as the factor is symmetric.
+            amps = amps.reshape(-1, 1 << n) @ factor
+        else:
+            # Middle axis is the factor's sites; lower sites and columns ride along in the last.
+            amps = np.matmul(factor, amps.reshape(-1, 1 << n, (1 << low) * width))
+        low += n
+    return amps.reshape(-1)
 
 
 def _require_same_sites(state: StateVector, params: FloquetParams) -> None:
@@ -146,9 +188,10 @@ def evolve_stroboscopic(
         p_out[j] = abs(np.vdot(psi0, amps)) ** 2
         if want_sz:
             w = np.abs(amps) ** 2
-            sz_out[j] = [_sz_from_weights(w, L, site) for site in range(L)]
+            total = w.sum()
+            sz_out[j] = [_sz_from_weights(w, L, site, total) for site in range(L)]
 
-    drift = abs(float(np.linalg.norm(amps)) - 1.0)
+    drift = abs(_norm(amps) - 1.0)
     return StroboscopicSeries(
         params=params,
         n=np.arange(1, n_periods + 1),
@@ -173,13 +216,13 @@ def iter_return_probability(initial: StateVector, params: FloquetParams):
 def build_dense_propagator(params: FloquetParams) -> DensePropagator:
     """Materialize the one-period propagator D*K as an explicit matrix.
 
-    Columns equal ``floquet_step`` applied to the basis states; the kick factor
-    is built by sweeping the L single-site rotations over identity columns
-    rather than by a 4**L Kronecker chain.
+    The kick is the Kronecker product of the site factors that ``_kick``
+    applies, multiplied in the same order, so the columns equal
+    ``floquet_step`` applied to the basis states.
     """
     _require_sites(params.L, DENSE_MAX_SITES, "dense propagator")
-    L = params.L
-    dim = 1 << L
-    U = _kick(np.eye(dim, dtype=np.complex128), L, params.theta, dim).reshape(dim, dim)
-    U *= _zz_phase_table(L, params.jt)[:, None]
-    return DensePropagator(L, U)
+    U = np.ones((1, 1), dtype=np.complex128)
+    for n in reversed(_factor_sites(params.L)):
+        U = np.kron(_kick_factor(n, params.theta), U)
+    U *= _zz_phase_table(params.L, params.jt)[:, None]
+    return DensePropagator(params.L, U)

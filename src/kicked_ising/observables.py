@@ -62,17 +62,18 @@ def return_probability(current: StateVector, initial: StateVector) -> float:
     return float(abs(np.vdot(initial.amplitudes, current.amplitudes)) ** 2)
 
 
-def _sz_from_weights(weights: np.ndarray, L: int, site: int) -> float:
-    """sigma^z on ``site`` from the basis weights |amp|^2 (shared with the engine)."""
+def _sz_from_weights(weights: np.ndarray, L: int, site: int, total: float) -> float:
+    """sigma^z on ``site`` from the basis weights |amp|^2 and their sum (shared with the engine)."""
     up = weights.reshape(1 << (L - 1 - site), 2, 1 << site)[:, 1, :].sum()
-    return float(2.0 * up - weights.sum())
+    return float(2.0 * up - total)
 
 
 def local_sz(state: StateVector, site: int) -> float:
     """Expectation of sigma^z on ``site``: sum of |amp|^2 weighted by the spin sign."""
     if not 0 <= site < state.L:
         raise ValueError(f"site {site} out of range for L={state.L}")
-    return _sz_from_weights(np.abs(state.amplitudes) ** 2, state.L, site)
+    weights = np.abs(state.amplitudes) ** 2
+    return _sz_from_weights(weights, state.L, site, weights.sum())
 
 
 def fourier_spectrum(samples, period: float = 1.0) -> FourierSpectrum:

@@ -99,23 +99,38 @@ def _as_matrix(U: Union[DensePropagator, np.ndarray]) -> np.ndarray:
     return m
 
 
+def _dense_matrix(params: FloquetParams, propagator: Optional[DensePropagator]) -> np.ndarray:
+    """The matrix of ``propagator``, or of a propagator built from ``params`` when it is None."""
+    if propagator is None:
+        return build_dense_propagator(params).matrix
+    if propagator.L != params.L:
+        raise ValueError(f"propagator has L={propagator.L} but params have L={params.L}")
+    return propagator.matrix
+
+
 def quasi_energies(
     U: Union[DensePropagator, np.ndarray],
     T: float = 1.0,
     keep_vectors: bool = False,
     unitarity_tol: float = 1e-10,
+    phase: complex = 1.0,
 ) -> QuasiEnergySpectrum:
     """Diagonalize a unitary and return quasi-energies e = -arg(lambda)/T, sorted.
 
     With ``keep_vectors`` the (complex) Schur decomposition is used, so the
     returned eigenvector columns are orthonormal even inside degenerate
-    clusters — exactly what pair-manifold projections need.
+    clusters — exactly what pair-manifold projections need.  The spectrum is
+    that of ``phase * U`` for a unit ``phase``; it multiplies the eigenvalues,
+    so no scaled copy of ``U`` is made.
     """
     m = _as_matrix(U)
     dim = m.shape[0]
     if not T > 0:
         raise ValueError(f"period must be positive, got T={T}")
-    residual = np.max(np.abs(m.conj().T @ m - np.eye(dim)))
+    gram = m.conj().T @ m
+    gram.flat[::dim + 1] -= 1.0  # U^H U - I without a dense identity
+    residual = np.max(np.abs(gram))
+    del gram  # not held through the decomposition
     if residual > unitarity_tol:
         raise ValueError(f"matrix is not unitary: max |U^H U - I| = {residual:.3e}")
 
@@ -125,6 +140,8 @@ def quasi_energies(
     else:
         vectors = None
         eigenvalues = np.linalg.eigvals(m)
+    if phase != 1.0:
+        eigenvalues = phase * eigenvalues
 
     energies = fold_to_branch(-np.angle(eigenvalues) / T, period=T)
     order = np.argsort(energies, kind="stable")
@@ -141,21 +158,25 @@ def propagator_spectrum(
     params: FloquetParams,
     keep_vectors: bool = False,
     phase_reference: str = "aligned",
+    propagator: Optional[DensePropagator] = None,
 ) -> QuasiEnergySpectrum:
     """Spectrum of the one-period propagator with a fixed quasi-energy origin.
 
     ``phase_reference="aligned"`` (default) measures quasi-energies relative
     to the Ising phase of the fully aligned configuration, i.e. diagonalizes
     ``exp(+i J T L / 4) U``; see the module docstring.  ``"raw"`` uses the
-    propagator as built.
+    propagator as built.  ``propagator``, if given, is ``U`` already built
+    from ``params``.
     """
     _require_sites(params.L, DENSE_MAX_SITES, "dense diagonalization")
-    U = build_dense_propagator(params).matrix
     if phase_reference == "aligned":
-        U = U * np.exp(0.25j * params.jt * params.L)
-    elif phase_reference != "raw":
+        phase = np.exp(0.25j * params.jt * params.L)
+    elif phase_reference == "raw":
+        phase = 1.0
+    else:
         raise ValueError(f"phase_reference must be 'aligned' or 'raw', got {phase_reference!r}")
-    return quasi_energies(U, T=params.T, keep_vectors=keep_vectors)
+    U = _dense_matrix(params, propagator)
+    return quasi_energies(U, T=params.T, keep_vectors=keep_vectors, phase=phase)
 
 
 def gap_statistics(spec: QuasiEnergySpectrum) -> GapStatistics:
@@ -198,7 +219,8 @@ def _parity_signs(L: int) -> np.ndarray:
     return functools.reduce(np.kron, [np.array([1.0, -1.0])] * L, np.ones(1))
 
 
-def check_time_reflection(params: FloquetParams) -> float:
+def check_time_reflection(params: FloquetParams,
+                          propagator: Optional[DensePropagator] = None) -> float:
     """Residual of the time-reflection symmetry of the one-period propagator.
 
     The symmetry combines the spin-flip/parity product R (see
@@ -211,9 +233,10 @@ def check_time_reflection(params: FloquetParams) -> float:
     imperfection; the returned max-norm residual is then at floating-point
     level, and grows to O(1) away from JT = pi.  R is a signed index reversal:
     ``R A R^T = (s s^T) * A[::-1, ::-1]``, ``s`` the signs of the flipped index.
+    ``propagator``, if given, is ``U`` already built from ``params``.
     """
     _require_sites(params.L, DENSE_MAX_SITES, "dense operator")
-    U = build_dense_propagator(params).matrix
+    U = _dense_matrix(params, propagator)
     s = _parity_signs(params.L)[::-1]
     phase = 1j ** (params.L % 4)
     return float(np.max(np.abs(np.outer(s, s) * U.conj()[::-1, ::-1] - phase * U)))

@@ -62,7 +62,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, spectral
 from .engine import evolve_stroboscopic, iter_return_probability
 from .observables import average_return, first_crossing, fourier_spectrum, lifetime
 from .sectors import sector_dimension, sector_return_probability
@@ -85,9 +85,11 @@ _DEFAULT_WINDOW = 1000
 _DEFAULT_PERIODS = {"lifetime-scan": 100_000}
 _DEFAULT_PERIODS_FALLBACK = 2000
 #: Pairs x 2**L per cubed sector dimension from which building and diagonalizing
-#: the sector costs less than iterating the chain; the crossovers measured on a
-#: 2-core Intel Xeon were about 200, 520 and 1200 pairs at L = 12, 13 and 14.
-_SECTOR_BREAK_EVEN = 0.07
+#: the sector costs less than iterating the chain.  The crossovers measured on a
+#: 2-core Intel Xeon were about 950, 1450 and 1900 pairs at L = 12, 13 and 14 on
+#: two BLAS threads (690, 1290 and 2600 on one), ratios 0.10 to 0.35; this is
+#: their geometric middle, at most about 2x from either side of a crossover.
+_SECTOR_BREAK_EVEN = 0.18
 #: OpenBLAS thread-count setters under the names its builds export: plain, and
 #: prefixed as in the numpy (64-bit integer) and scipy wheels.
 _BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
@@ -236,7 +238,10 @@ def _phase_point(params: FloquetParams, config: SweepConfig) -> dict:
 
 
 def _spectrum_point(params: FloquetParams, config: SweepConfig) -> dict:
-    spec = propagator_spectrum(params)
+    # One build serves both the spectrum and the reflection check.  It is looked
+    # up on ``spectral`` at call time, so a wrapper installed there sees it.
+    U = spectral.build_dense_propagator(params)
+    spec = propagator_spectrum(params, propagator=U)
     stats = gap_statistics(spec)
     counts = count_exact_pi_pairs(spec)
     cells = dict(
@@ -245,7 +250,7 @@ def _spectrum_point(params: FloquetParams, config: SweepConfig) -> dict:
         ratio=stats.ratio,
         n_zero=counts.n_zero,
         n_pi=counts.n_pi,
-        reflection_residual=check_time_reflection(params),
+        reflection_residual=check_time_reflection(params, propagator=U),
     )
     if config.dump_spectra:
         cells["_aux"] = (("index", "quasi_energy"), (np.arange(spec.dim), spec.energies))

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.linalg import expm
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -41,6 +42,25 @@ def oracle_propagator(L: int, J: float, epsilon: float, T: float = 1.0) -> np.nd
     kick = expm(-1j * theta * kick_generator)
     ising = expm(-0.25j * J * T * ising_generator)
     return ising @ kick
+
+
+def oracle_kick(L: int, theta: float, states: np.ndarray) -> np.ndarray:
+    """exp(-i theta sum_i X_i) applied to the columns of ``states`` (2**L rows).
+
+    The X_i commute, so the kick is the product of the single-site
+    exponentials ``expm(-i theta X)``, each embedded at its site by sparse
+    Kronecker products with identities; no dense 2**L x 2**L matrix is formed.
+    """
+    site_kick = expm(-1j * theta * SX)
+    out = np.asarray(states, dtype=complex)
+    for site in range(L):
+        embedded = scipy.sparse.kron(
+            scipy.sparse.identity(1 << (L - 1 - site)),
+            scipy.sparse.kron(site_kick, scipy.sparse.identity(1 << site)),
+            format="csr",
+        )
+        out = embedded @ out
+    return out
 
 
 def random_state(L: int, rng: np.random.Generator) -> np.ndarray:

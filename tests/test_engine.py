@@ -20,7 +20,9 @@ from kicked_ising import (
     polarized_state,
 )
 
-from conftest import oracle_propagator, random_state
+from kicked_ising.engine import _factor_sites, _kick, _periods
+
+from conftest import oracle_kick, oracle_propagator, random_state
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
@@ -164,3 +166,65 @@ def test_norm_drift_stays_tiny():
     params = FloquetParams.from_dimensionless(8, 0.9, 0.1)
     series = evolve_stroboscopic(polarized_state(8), params, 2000)
     assert series.norm_drift < 1e-10
+
+
+# --------------------------------------------------------------------------
+# the kick as matrix products over Kronecker site factors
+
+
+def sweep_kick(amps: np.ndarray, L: int, theta, width: int = 1) -> np.ndarray:
+    """The per-site kick: L sweeps of one 2x2 rotation, in the dtype of ``amps`` and ``theta``.
+
+    Kept as an oracle; with ``np.clongdouble`` it gives an extended-precision reference.
+    """
+    c = np.cos(theta)
+    s = np.sin(theta)
+    for i in range(L):
+        view = amps.reshape(1 << (L - 1 - i), 2, (1 << i) * width)
+        amps = (c * view - 1j * s * view[:, ::-1, :]).reshape(-1)
+    return amps
+
+
+@pytest.mark.parametrize("L", range(2, 13))
+def test_kick_matches_the_oracle(L, rng):
+    """Every factor split of L = 2..12, on one random state and on a block of three."""
+    assert sum(_factor_sites(L)) == L
+    assert max(_factor_sites(L)) <= 5
+    for theta in (math.pi / 2 - 0.1 * math.pi, 0.37, -1.2):
+        amps = random_state(L, rng)
+        assert np.max(np.abs(_kick(amps, L, theta) - oracle_kick(L, theta, amps))) < 1e-13
+        block = np.stack([random_state(L, rng) for _ in range(3)], axis=1)
+        kicked = _kick(block.reshape(-1), L, theta, 3).reshape(1 << L, 3)
+        assert np.max(np.abs(kicked - oracle_kick(L, theta, block))) < 1e-13
+
+
+def test_factor_split_is_fewest_near_equal():
+    assert [_factor_sites(L) for L in (2, 5, 6, 8, 11, 12, 14, 20, 24)] == [
+        (2,), (5,), (3, 3), (4, 4), (4, 4, 3), (4, 4, 4), (5, 5, 4), (5, 5, 5, 5), (5, 5, 5, 5, 4)]
+
+
+@pytest.mark.parametrize("L", [6, 8])
+def test_long_run_against_extended_precision(L):
+    """Over 1e4 periods the engine stays within 2e-12 of a clongdouble per-site sweep."""
+    params = FloquetParams.from_dimensionless(L, 0.9, 0.1)
+    theta = np.longdouble(params.theta)
+    phases = np.exp(np.clongdouble(-0.25j) * np.longdouble(params.jt) *
+                    np.array([bond_sum(index, L) for index in range(1 << L)], dtype=np.longdouble))
+    reference = polarized_state(L).amplitudes.astype(np.clongdouble)
+    worst = 0.0
+    for _, amps in zip(range(10_000), _periods(polarized_state(L), params)):
+        reference = sweep_kick(reference, L, theta) * phases
+        worst = max(worst, float(np.max(np.abs(amps - reference))))
+    assert worst <= 2e-12
+
+
+@pytest.mark.parametrize("L", [2, 5, 6, 8, 11])
+def test_dense_propagator_columns_are_floquet_steps(L):
+    """One, two and three site factors: the Kronecker build equals the kicked basis states."""
+    params = FloquetParams.from_dimensionless(L, 0.9, 0.1)
+    U = build_dense_propagator(params).matrix
+    for index in range(1 << L):
+        basis = np.zeros(1 << L, dtype=complex)
+        basis[index] = 1.0
+        column = floquet_step(StateVector(L, basis), params).amplitudes
+        assert np.array_equal(U[:, index], column)

@@ -15,13 +15,17 @@ from kicked_ising import (
     FloquetParams,
     SweepConfig,
     average_return,
+    build_dense_propagator,
+    check_time_reflection,
     evolve_stroboscopic,
+    gap_statistics,
     parse_config,
     polarized_state,
+    propagator_spectrum,
     run_sweep,
 )
 
-from kicked_ising import sweep
+from kicked_ising import cli, spectral, sweep
 
 from conftest import file_without_provenance, read_result_csv
 
@@ -214,6 +218,25 @@ def test_jobs_do_not_change_the_bytes(mode, tmp_path):
     assert written[1] == written[2]
 
 
+def test_jobs_do_not_change_the_bytes_at_sixteen_sites(tmp_path):
+    """A parent on the default OpenBLAS threads against one-thread pool workers.
+
+    At 2**16 amplitudes the kick's matrix products are large enough for BLAS
+    to thread them, so the summary and both series files pin that the result
+    does not depend on the thread count.
+    """
+    written = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}" / "e.csv"
+        out.parent.mkdir()
+        assert cli.main(["evolve", "-L", "16", "--jt-over-pi", "0.9,1.0", "--epsilon-over-pi",
+                         "0.1", "--periods", "8", "--jobs", str(jobs), "--out", str(out)]) == 0
+        written[jobs] = {path.name: file_without_provenance(path)
+                         for path in sorted(out.parent.iterdir())}
+    assert sorted(written[1]) == ["e.csv", "e_series_000.csv", "e_series_001.csv"]
+    assert written[1] == written[2]
+
+
 def _blas_threads(_task=None) -> list[int]:
     """OpenBLAS thread counts of this process, one per numpy/scipy wheel library."""
     counts = []
@@ -303,6 +326,34 @@ class TestSpectrumReport:
         assert len(dumped) == 16
         energies = np.array([float(r["quasi_energy"]) for r in dumped])
         assert np.all(np.diff(energies) >= 0)
+
+    def test_one_dense_build_per_point(self, tmp_path, monkeypatch):
+        """The spectrum and the reflection check share one build, with unchanged cells."""
+        built = []
+        build = spectral.build_dense_propagator
+
+        def counted(params):
+            built.append(params.L)
+            return build(params)
+
+        monkeypatch.setattr(spectral, "build_dense_propagator", counted)
+        config = make_config(mode="spectrum", lengths=(4, 6), jt_over_pi=(1.0, 0.5),
+                             epsilon_over_pi=(0.2341,), out=str(tmp_path / "spec.csv"))
+        rows = run_sweep(config).rows
+        assert built == [4, 4, 6, 6]
+        monkeypatch.undo()
+        for row in rows:
+            params = FloquetParams.from_dimensionless(row["L"], row["jt_over_pi"], 0.2341)
+            assert row["reflection_residual"] == check_time_reflection(params)
+            assert row["ratio"] == gap_statistics(propagator_spectrum(params)).ratio
+
+    def test_propagator_of_another_length_is_rejected(self):
+        params = FloquetParams.from_dimensionless(4, 1.0, 0.1)
+        other = build_dense_propagator(FloquetParams.from_dimensionless(3, 1.0, 0.1))
+        with pytest.raises(ValueError, match="L=3"):
+            check_time_reflection(params, propagator=other)
+        with pytest.raises(ValueError, match="L=3"):
+            propagator_spectrum(params, propagator=other)
 
 
 class TestFourier:
