@@ -30,10 +30,14 @@ class FourierSpectrum:
     n_samples: int
 
     def peak_bin(self, skip_dc: bool = True) -> int:
-        """Index of the largest magnitude, optionally excluding the k=0 bin."""
-        if skip_dc:
-            return 1 + int(np.argmax(self.magnitudes[1:]))
-        return int(np.argmax(self.magnitudes))
+        """Index of the largest magnitude in bins 0 .. N//2, optionally excluding bin 0.
+
+        A real series has ``magnitudes[k] == magnitudes[N - k]`` up to
+        rounding, so only the lower half is searched; otherwise rounding
+        would pick between the two mirror bins.
+        """
+        first = 1 if skip_dc else 0
+        return first + int(np.argmax(self.magnitudes[first:self.n_samples // 2 + 1]))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""The translation- and reflection-symmetric sector, and lifetimes computed from it.
+"""Symmetry blocks of the propagator: the symmetric sector, its lifetimes, and momentum blocks.
 
 Both drive factors commute with the L translations of the periodic chain and
 with site reflection, so they commute with the whole dihedral group.  That
@@ -19,12 +19,27 @@ eigenphases ``theta_k`` and orthonormal eigenvectors, and then
     P(2nT) = |sum_k w_k exp(2i n theta_k)|**2,   w_k = |<k|up>|**2
 
 for every n, with no period-by-period evolution.
+
+The translations alone split the whole space into L momentum blocks,
+``k = 2 pi m / L``.  The momentum state of an orbit of size ``N_r``,
+
+    |r,k> = N_r**-1/2 * sum_j exp(i k j) |s_j>,   s_j shifted j sites onto r,
+
+exists when ``m N_r`` is a multiple of L, and block m holds exactly those
+orbits, so the block sizes add up to 2**L (about 2**L / L each; 108 states
+at most for L = 10).  The quasi-energy spectrum is the union of the block
+spectra (``spectral.propagator_spectrum``).
+
+Both kinds of block are built the same way (``OrbitBasis.propagator``): the
+basis states are kicked in blocks of columns by the structured engine and
+read back at the orbit representatives, so no 2**L x 2**L matrix is formed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -34,7 +49,7 @@ from .states import DENSE_MAX_SITES, FloquetParams, _require_sites
 
 #: Largest strictly upper-triangular entry of the Schur factor accepted as rounding.
 NORMALITY_TOL = 1e-10
-#: Orbit-sum columns kicked together while the sector propagator is built.
+#: Basis states kicked together while a block propagator is built.
 _BLOCK = 8
 #: Pairs evaluated per matrix-vector product in ``sector_return_probability``.
 _CHUNK = 256
@@ -48,44 +63,112 @@ def sector_dimension(L: int) -> int:
     return (2 * necklaces + 3 * 2 ** (L // 2)) // 4
 
 
-def orbit_representatives(L: int) -> np.ndarray:
-    """Smallest of the 2L dihedral images (L translations x site reflection) of every index."""
+def translation_orbits(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Representative, shift and orbit size of every basis index under the L translations.
+
+    The representative ``r`` of index ``s`` is the smallest of its L cyclic
+    shifts, the shift ``j`` is the first number of sites that rotates ``s``
+    onto ``r`` (so ``0 <= j < N_r``), and ``N_r`` is the number of distinct
+    shifts, a divisor of L.
+    """
     _require_sites(L, DENSE_MAX_SITES, "sector")
     index = np.arange(1 << L)
     mask = (1 << L) - 1
+    representative = index.copy()
+    shift = np.zeros_like(index)
+    fixed = np.zeros_like(index)
+    for j in range(L):
+        image = ((index << j) | (index >> (L - j))) & mask
+        fixed += image == index
+        smaller = image < representative
+        representative[smaller] = image[smaller]
+        shift[smaller] = j
+    return representative, shift, L // fixed
+
+
+def orbit_representatives(L: int) -> np.ndarray:
+    """Smallest of the 2L dihedral images (L translations x site reflection) of every index."""
+    representative = translation_orbits(L)[0]
+    index = np.arange(1 << L)
     mirrored = np.zeros_like(index)
     for site in range(L):
         mirrored |= ((index >> site) & 1) << (L - 1 - site)
-    smallest = index.copy()
-    for image in (index, mirrored):
-        for shift in range(L):
-            np.minimum(smallest, ((image << shift) | (image >> (L - shift))) & mask, out=smallest)
-    return smallest
+    return np.minimum(representative, representative[mirrored])
+
+
+@dataclass(frozen=True)
+class OrbitBasis:
+    """Orthonormal states, one per orbit, each spread over the basis indices of its orbit.
+
+    ``members`` lists the basis indices orbit by orbit, each orbit led by its
+    representative (its smallest index), and ``amplitudes`` the state's
+    entry on each of them; ``sizes`` holds the orbit sizes ``N_r``.  A
+    representative's entry is ``N_r**-1/2``.  The states span a subspace
+    that the propagator maps into itself.
+    """
+
+    L: int
+    members: np.ndarray
+    sizes: np.ndarray
+    amplitudes: np.ndarray
+
+    def _columns(self) -> np.ndarray:
+        """The orbit (column) of every entry of ``members``."""
+        return np.repeat(np.arange(self.sizes.size), self.sizes)
+
+    def propagator(self, params: FloquetParams) -> np.ndarray:
+        """One-period propagator on this basis, orbits in the order of ``members``.
+
+        Entry ``[r', r] = sqrt(N_r') * (U|r>)[r']``, since ``U|r>`` lies in
+        the span and each state's entry at its representative is
+        ``N_r'**-1/2``.  Blocks of states are kicked by the structured
+        engine and only the representative rows get the Ising phase.
+        """
+        L = params.L
+        bounds = np.concatenate(([0], np.cumsum(self.sizes)))
+        reps = self.members[bounds[:-1]]
+        column = self._columns()
+        row_scale = np.sqrt(self.sizes) * _zz_phase_table(L, params.jt)[reps]
+        M = self.sizes.size
+        U = np.empty((M, M), dtype=np.complex128)
+        for start in range(0, M, _BLOCK):
+            stop = min(start + _BLOCK, M)
+            part = slice(bounds[start], bounds[stop])
+            states = np.zeros((1 << L, stop - start), dtype=np.complex128)
+            states[self.members[part], column[part] - start] = self.amplitudes[part]
+            kicked = _kick(states.reshape(-1), L, params.theta, stop - start).reshape(1 << L, -1)
+            U[:, start:stop] = kicked[reps] * row_scale[:, None]
+        return U
+
+    def lift(self, vectors: np.ndarray) -> np.ndarray:
+        """Columns of coefficients on this basis as columns of 2**L spin-basis amplitudes."""
+        lifted = np.zeros((1 << self.L, vectors.shape[1]), dtype=np.complex128)
+        lifted[self.members] = self.amplitudes[:, None] * vectors[self._columns()]
+        return lifted
 
 
 def sector_propagator(params: FloquetParams) -> np.ndarray:
-    """One-period propagator on the orbit-sum basis, representatives in ascending order.
-
-    Entry ``[r', r] = <r'~|U|r~> = sqrt(N_r') * (U|r~>)[r']``, since ``U|r~>``
-    is constant on each orbit.  Blocks of orbit-sum columns are kicked by the
-    structured engine, so no 2**L x 2**L matrix is formed.
-    """
-    L = params.L
-    representative = orbit_representatives(L)
-    reps, orbit_of, sizes = np.unique(representative, return_inverse=True, return_counts=True)
+    """One-period propagator on the orbit-sum basis, representatives in ascending order."""
+    representative = orbit_representatives(params.L)
+    _, orbit_of, sizes = np.unique(representative, return_inverse=True, return_counts=True)
     members = np.argsort(orbit_of, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    row_scale = np.sqrt(sizes) * _zz_phase_table(L, params.jt)[reps]
-    M = reps.size
-    U = np.empty((M, M), dtype=np.complex128)
-    for start in range(0, M, _BLOCK):
-        stop = min(start + _BLOCK, M)
-        states = members[bounds[start]:bounds[stop]]
-        columns = np.zeros((1 << L, stop - start), dtype=np.complex128)
-        columns[states, orbit_of[states] - start] = 1.0 / np.sqrt(sizes[orbit_of[states]])
-        kicked = _kick(columns.reshape(-1), L, params.theta, stop - start).reshape(1 << L, -1)
-        U[:, start:stop] = kicked[reps] * row_scale[:, None]
-    return U
+    amplitudes = 1.0 / np.sqrt(sizes[orbit_of[members]])
+    return OrbitBasis(params.L, members, sizes, amplitudes).propagator(params)
+
+
+def momentum_blocks(L: int):
+    """Yield the orbit bases of the L momentum blocks, ``k = 2 pi m / L`` for m = 0 .. L-1.
+
+    Each basis holds the momentum states ``|r,k>`` of the orbits with
+    ``m N_r`` a multiple of L, representatives in ascending order.
+    """
+    representative, shift, size = translation_orbits(L)
+    members = np.argsort(representative, kind="stable")
+    for m in range(L):
+        block = members[(m * size[members]) % L == 0]
+        sizes = size[block[representative[block] == block]]
+        amplitudes = np.exp(2j * np.pi * m / L * shift[block]) / np.sqrt(size[block])
+        yield OrbitBasis(L, block, sizes, amplitudes)
 
 
 def sector_eigenphases(params: FloquetParams) -> tuple[np.ndarray, np.ndarray]:

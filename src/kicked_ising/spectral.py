@@ -16,6 +16,17 @@ even-length chain at ``JT = pi`` anchor at 0 and ``pi/T`` for every even L;
 with the raw propagator they sit at 0/pi only for L divisible by 4 and at
 ``+-pi/2T`` for L = 6, 10, ....  Pair *separations* and gap statistics are
 unaffected by the choice.
+
+Momentum blocks
+---------------
+The propagator commutes with the L translations of the periodic chain, so
+``propagator_spectrum`` diagonalizes it block by block on the L momentum
+blocks of ``sectors.momentum_blocks`` (about 2**L / L states each) and
+merges the block spectra; no 2**L x 2**L matrix is diagonalized.  Kept
+eigenvectors are the blocks' Schur vectors lifted to the spin basis.  All
+block work runs on one OpenBLAS thread, so the levels do not depend on the
+process they are computed in.  ``quasi_energies`` of a full matrix is the
+dense oracle, and the time-reflection check stays dense.
 """
 
 from __future__ import annotations
@@ -29,7 +40,9 @@ import math
 import numpy as np
 import scipy.linalg
 
+from . import blas
 from .engine import DensePropagator, build_dense_propagator
+from .sectors import momentum_blocks
 from .states import (
     DENSE_MAX_SITES,
     CapacityError,
@@ -71,7 +84,10 @@ class QuasiEnergySpectrum:
 class GapStatistics:
     """Mean neighbour gap, mean deviation from exact pi pairing, and their ratio.
 
-    ``delta0_mean`` averages consecutive gaps of the sorted spectrum;
+    ``delta0_mean`` averages the D - 1 neighbour gaps of the levels on the
+    Floquet circle that remain once its largest gap is left out, that is
+    ``(2 pi/T - largest circular gap) / (D - 1)``; it does not move when a
+    level crosses the branch edge;
     ``delta_pi_mean`` averages ``|e[i + D/2] - e[i] - pi/T|`` (folded back into
     the branch) over the first half.  Small ``ratio`` means the spectrum is
     organized into rigid pi-separated pairs.
@@ -97,15 +113,6 @@ def _as_matrix(U: Union[DensePropagator, np.ndarray]) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def _dense_matrix(params: FloquetParams, propagator: Optional[DensePropagator]) -> np.ndarray:
-    """The matrix of ``propagator``, or of a propagator built from ``params`` when it is None."""
-    if propagator is None:
-        return build_dense_propagator(params).matrix
-    if propagator.L != params.L:
-        raise ValueError(f"propagator has L={propagator.L} but params have L={params.L}")
-    return propagator.matrix
 
 
 def quasi_energies(
@@ -158,25 +165,40 @@ def propagator_spectrum(
     params: FloquetParams,
     keep_vectors: bool = False,
     phase_reference: str = "aligned",
-    propagator: Optional[DensePropagator] = None,
 ) -> QuasiEnergySpectrum:
     """Spectrum of the one-period propagator with a fixed quasi-energy origin.
 
     ``phase_reference="aligned"`` (default) measures quasi-energies relative
     to the Ising phase of the fully aligned configuration, i.e. diagonalizes
     ``exp(+i J T L / 4) U``; see the module docstring.  ``"raw"`` uses the
-    propagator as built.  ``propagator``, if given, is ``U`` already built
-    from ``params``.
+    propagator as built.  The levels are those of the momentum blocks,
+    merged and sorted; with ``keep_vectors`` column j of the eigenvectors is
+    the lifted Schur vector of level j.
     """
-    _require_sites(params.L, DENSE_MAX_SITES, "dense diagonalization")
+    _require_sites(params.L, DENSE_MAX_SITES, "momentum-block diagonalization")
     if phase_reference == "aligned":
         phase = np.exp(0.25j * params.jt * params.L)
     elif phase_reference == "raw":
         phase = 1.0
     else:
         raise ValueError(f"phase_reference must be 'aligned' or 'raw', got {phase_reference!r}")
-    U = _dense_matrix(params, propagator)
-    return quasi_energies(U, T=params.T, keep_vectors=keep_vectors, phase=phase)
+    energies, vectors = [], []
+    with blas.one_thread():
+        for basis in momentum_blocks(params.L):
+            block = quasi_energies(basis.propagator(params), T=params.T,
+                                   keep_vectors=keep_vectors, phase=phase)
+            energies.append(block.energies)
+            if keep_vectors:
+                vectors.append(basis.lift(block.eigenvectors))
+    energies = np.concatenate(energies)
+    order = np.argsort(energies, kind="stable")
+    energies = energies[order]
+    energies.setflags(write=False)
+    eigenvectors = None
+    if keep_vectors:
+        eigenvectors = np.hstack(vectors)[:, order]
+        eigenvectors.setflags(write=False)
+    return QuasiEnergySpectrum(L=params.L, T=params.T, energies=energies, eigenvectors=eigenvectors)
 
 
 def gap_statistics(spec: QuasiEnergySpectrum) -> GapStatistics:
@@ -188,7 +210,8 @@ def gap_statistics(spec: QuasiEnergySpectrum) -> GapStatistics:
     if D < 2:
         raise ValueError("need at least two levels")
     half_period = math.pi / spec.T
-    delta0 = float(np.mean(np.diff(e)))
+    largest_gap = max(float(np.max(np.diff(e))), float(e[0] + 2.0 * half_period - e[-1]))
+    delta0 = (2.0 * half_period - largest_gap) / (D - 1)
     deviations = fold_to_branch(e[D // 2 :] - e[: D // 2] - half_period, period=spec.T)
     delta_pi = float(np.mean(np.abs(deviations)))
     ratio = delta_pi / delta0 if delta0 > 0 else math.inf
@@ -236,7 +259,12 @@ def check_time_reflection(params: FloquetParams,
     ``propagator``, if given, is ``U`` already built from ``params``.
     """
     _require_sites(params.L, DENSE_MAX_SITES, "dense operator")
-    U = _dense_matrix(params, propagator)
+    if propagator is None:
+        U = build_dense_propagator(params).matrix
+    elif propagator.L != params.L:
+        raise ValueError(f"propagator has L={propagator.L} but params have L={params.L}")
+    else:
+        U = propagator.matrix
     s = _parity_signs(params.L)[::-1]
     phase = 1j ** (params.L % 4)
     return float(np.max(np.abs(np.outer(s, s) * U.conj()[::-1, ::-1] - phase * U)))

@@ -18,7 +18,9 @@ Five sweep modes cover the standard numerical experiments:
     drive parameters at a single chain length.
 ``spectrum``
     Quasi-energy pairing statistics, exact pair counts at the two anchor
-    phases, and the time-reflection residual, per grid point.
+    phases, and the time-reflection residual, per grid point.  The spectrum
+    is the union of the L translation-momentum blocks (``sectors.py``); the
+    reflection check uses the dense propagator.
 ``fourier``
     Discrete Fourier transform of the full return-probability series, with
     the dominant bin and the subharmonic (half drive frequency) weight.
@@ -26,10 +28,11 @@ Five sweep modes cover the standard numerical experiments:
 Every run writes a single summary CSV whose first line is a ``#``-prefixed
 JSON object echoing the sweep configuration and recording provenance
 (tool, version, timestamp, elapsed time, worker count, and the path --
-``sector``, ``dense`` or ``iterative`` -- that computed each row).  The data that
-follows is a function of the configuration alone: repeated runs produce
-byte-identical files once the provenance object is ignored, regardless of
-``jobs``.  Floats are written with ``repr`` so values round-trip exactly.
+``sector``, ``momentum`` or ``iterative`` -- that computed each row).  The
+data that follows is a function of the configuration alone: repeated runs
+produce byte-identical files once the provenance object is ignored,
+regardless of ``jobs``.  Floats are written with ``repr`` so values
+round-trip exactly.
 
 Each mode is one entry of the ``_MODES`` table: its summary columns, a point
 function from ``(FloquetParams, SweepConfig)`` to result cells, and the kind
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import itertools
 import json
 import os
@@ -60,9 +62,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-import scipy
 
-from . import __version__, spectral
+from . import __version__, blas
 from .engine import evolve_stroboscopic, iter_return_probability
 from .observables import average_return, first_crossing, fourier_spectrum, lifetime
 from .sectors import sector_dimension, sector_return_probability
@@ -90,10 +91,6 @@ _DEFAULT_PERIODS_FALLBACK = 2000
 #: two BLAS threads (690, 1290 and 2600 on one), ratios 0.10 to 0.35; this is
 #: their geometric middle, at most about 2x from either side of a crossover.
 _SECTOR_BREAK_EVEN = 0.18
-#: OpenBLAS thread-count setters under the names its builds export: plain, and
-#: prefixed as in the numpy (64-bit integer) and scipy wheels.
-_BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
-                        "scipy_openblas_set_num_threads")
 
 
 class ConfigError(ValueError):
@@ -204,14 +201,14 @@ def _evolve_point(params: FloquetParams, config: SweepConfig) -> dict:
 
 
 def _path(mode: str, L: int, n_pairs: int) -> str:
-    """Which engine computes a point: ``sector``, ``dense`` or ``iterative``.
+    """Which engine computes a point: ``sector``, ``momentum`` or ``iterative``.
 
     A lifetime point over ``n_pairs`` pairs takes the sector when its set-up,
     which grows as the cube of the sector dimension, is estimated to cost
     less than ``n_pairs`` iterated pairs of 2**L amplitudes.
     """
     if mode == "spectrum":
-        return "dense"
+        return "momentum"
     if mode == "lifetime-scan" and L <= DENSE_MAX_SITES and \
             n_pairs << L >= _SECTOR_BREAK_EVEN * sector_dimension(L) ** 3:
         return "sector"
@@ -238,10 +235,7 @@ def _phase_point(params: FloquetParams, config: SweepConfig) -> dict:
 
 
 def _spectrum_point(params: FloquetParams, config: SweepConfig) -> dict:
-    # One build serves both the spectrum and the reflection check.  It is looked
-    # up on ``spectral`` at call time, so a wrapper installed there sees it.
-    U = spectral.build_dense_propagator(params)
-    spec = propagator_spectrum(params, propagator=U)
+    spec = propagator_spectrum(params)
     stats = gap_statistics(spec)
     counts = count_exact_pi_pairs(spec)
     cells = dict(
@@ -250,7 +244,7 @@ def _spectrum_point(params: FloquetParams, config: SweepConfig) -> dict:
         ratio=stats.ratio,
         n_zero=counts.n_zero,
         n_pi=counts.n_pi,
-        reflection_residual=check_time_reflection(params, propagator=U),
+        reflection_residual=check_time_reflection(params),
     )
     if config.dump_spectra:
         cells["_aux"] = (("index", "quasi_energy"), (np.arange(spec.dim), spec.energies))
@@ -306,28 +300,13 @@ def _sweep_point(task) -> dict:
     return row
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: one OpenBLAS thread per worker, so ``jobs`` workers use ``jobs`` cores.
-
-    A forked worker keeps the thread count OpenBLAS chose for the whole
-    machine, so workers diagonalizing at the same time oversubscribe the
-    cores.  The numpy and scipy wheels keep their OpenBLAS in
-    ``<package>.libs``; a BLAS found nowhere there is left as it is.
-    """
-    for package in (np, scipy):
-        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
-        for path in libs.glob("*openblas*"):
-            library = ctypes.CDLL(str(path))
-            for name in _BLAS_THREAD_SETTERS:
-                if hasattr(library, name):
-                    getattr(library, name)(1)
-                    break
-
-
 def _run_points(worker, tasks: list[tuple], jobs: int) -> list[dict]:
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
+    # A forked worker keeps the OpenBLAS thread count chosen for the whole machine, so
+    # workers diagonalizing at once would oversubscribe the cores: one thread apiece.
+    with ProcessPoolExecutor(max_workers=jobs, initializer=blas.set_threads,
+                             initargs=(1,)) as pool:
         return list(pool.map(worker, tasks))
 
 

@@ -14,7 +14,7 @@ noise; their docstrings give the numbers:
   5 L^2 n^2 eps^4, criterion 03's two-period budget at n = 1.
 * 10: at the period-doubled point the pairing is exact at L = 6 and 10,
   where the ratio is rounding noise with no order in L, and incomplete at
-  L = 8 (anchors 32 at 0, 28 at pi), where the ratio is 1.17.  The clause
+  L = 8 (anchors 32 at 0, 28 at pi), where the ratio is 1.26.  The clause
   checks exact pairing at L = 6 and 10 and that each size's ratio stays
   below the melted one.
 """
@@ -250,12 +250,12 @@ def test_criterion_10_gap_ratio_finite_size_trends(capsys):
     with L at the melted point.
 
     At JT = pi, eps = 0.1 pi the pairing is exact at L = 6 and 10
-    (delta_pi_mean 3.7e-16 and 8.6e-16), so the ratio there (4.0e-15 and
-    1.4e-13) is rounding noise and is not ordered in L.  At L = 8 the anchor
+    (delta_pi_mean 4.7e-16 and 4.8e-16), so the ratio there (5.6e-15 and
+    7.9e-14) is rounding noise and is not ordered in L.  At L = 8 the anchor
     multiplicities (32 at 0, 28 at pi) leave 12 levels with no level pi away
-    (the nearest misses by 0.03 to 0.12) and the ratio is 1.17;
+    (the nearest misses by 0.03 to 0.12) and the ratio is 1.26;
     what a chain with L divisible by 4 should show is not settled, so that
-    value is printed and only compared with the melted ratio (38.4) at the
+    value is printed and only compared with the melted ratio (38.7) at the
     same size."""
     dtc = {}
     melted = {}

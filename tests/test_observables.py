@@ -37,6 +37,15 @@ class TestFourierSpectrum:
         assert spec.magnitudes[k] == pytest.approx(1.0)  # amplitude/2
         assert spec.peak_bin(skip_dc=False) in (0, k)
 
+    def test_real_series_peaks_in_the_lower_half(self):
+        """Mirror bins of a real series tie to rounding; the lower one is the peak."""
+        n, k = 64, 6
+        x = 0.3 + np.cos(2 * np.pi * k * np.arange(n) / n)
+        spec = fourier_spectrum(x)
+        assert spec.magnitudes[n - k] == pytest.approx(spec.magnitudes[k], rel=1e-14)
+        assert spec.peak_bin() == k
+        assert spec.peak_bin(skip_dc=False) == k
+
     def test_parseval(self, rng):
         x = rng.normal(size=200)
         spec = fourier_spectrum(x)

@@ -18,11 +18,13 @@ from kicked_ising import (
 )
 from kicked_ising import sectors
 from kicked_ising.sectors import (
+    momentum_blocks,
     orbit_representatives,
     sector_dimension,
     sector_eigenphases,
     sector_propagator,
     sector_return_probability,
+    translation_orbits,
 )
 
 from conftest import read_result_csv
@@ -59,10 +61,40 @@ class TestOrbits:
         index = data.draw(st.integers(0, 2**L - 1))
         assert representative[index] == min(_images(index, L))
 
+    @given(L=st.integers(2, 14), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_translation_orbits(self, L, data):
+        representative, shift, size = translation_orbits(L)
+        index = data.draw(st.integers(0, 2**L - 1))
+        rotations = _images(index, L)[:L]
+        assert representative[index] == min(rotations)
+        assert size[index] == len(set(rotations))
+        assert 0 <= shift[index] < size[index]
+        assert rotations[shift[index]] == representative[index]
+        assert representative[index] not in rotations[:shift[index]]
+
+    @pytest.mark.parametrize("L", range(2, 11))
+    def test_momentum_blocks_partition_the_space(self, L):
+        _, _, size = translation_orbits(L)
+        bases = list(momentum_blocks(L))
+        assert len(bases) == L
+        assert sum(basis.sizes.size for basis in bases) == 2**L
+        for m, basis in enumerate(bases):
+            assert np.all(m * basis.sizes % L == 0)
+            assert basis.sizes.sum() == basis.members.size
+            assert np.all(size[basis.members] == np.repeat(basis.sizes, basis.sizes))
+            # The lifted basis is orthonormal.
+            lifted = basis.lift(np.eye(basis.sizes.size))
+            assert np.max(np.abs(lifted.conj().T @ lifted - np.eye(basis.sizes.size))) < 1e-13
+        # Every orbit has a k = 0 state, so that block is the largest.
+        assert max(basis.sizes.size for basis in bases) == bases[0].sizes.size
+
     def test_bracelet_numbers(self):
         counts = [np.unique(orbit_representatives(L)).size for L in range(6, 12)]
         assert counts == [13, 18, 30, 46, 78, 126]
         assert [sector_dimension(L) for L in range(6, 15)] == counts + [224, 380, 687]
+        # The k = 0 momentum blocks count the necklaces.
+        assert [next(momentum_blocks(L)).sizes.size for L in (6, 8, 10)] == [14, 36, 108]
 
 
 class TestSectorOperator:
@@ -152,7 +184,7 @@ class TestRouting:
         assert (row["n_star"], row["error"]) == (expected, None)
 
     def test_paths_of_the_other_modes(self, tmp_path):
-        for mode, path in (("spectrum", "dense"), ("phase-diagram", "iterative")):
+        for mode, path in (("spectrum", "momentum"), ("phase-diagram", "iterative")):
             out = tmp_path / f"{mode}.csv"
             run_sweep(SweepConfig(mode=mode, lengths=(4,), jt_over_pi=(1.0,),
                                   epsilon_over_pi=(0.1,), n_periods=4, window=2, out=str(out)))

@@ -101,9 +101,72 @@ class TestGapStatistics:
         stats = gap_statistics(QuasiEnergySpectrum(L=2, T=1.0, energies=energies))
         assert math.isinf(stats.ratio)
 
+    def test_a_level_crossing_the_branch_edge_changes_nothing(self, rng):
+        """A level at pi/T that rounding folds to -pi/T moves no figure."""
+        inner = rng.uniform(-math.pi + 0.1, math.pi - 0.1, size=7)
+
+        def stats(level):
+            energies = np.sort(np.append(inner, level))
+            return gap_statistics(QuasiEnergySpectrum(L=3, T=1.0, energies=energies))
+
+        at_edge, folded = stats(math.pi), stats(-math.pi + 1e-15)
+        assert folded.delta0_mean == pytest.approx(at_edge.delta0_mean, rel=1e-13)
+        assert folded.delta_pi_mean == pytest.approx(at_edge.delta_pi_mean, rel=1e-13)
+        assert folded.ratio == pytest.approx(at_edge.ratio, rel=1e-13)
+
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             gap_statistics(QuasiEnergySpectrum(L=2, T=1.0, energies=np.zeros(3)))
+
+
+def _circular_mismatch(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest level distance of the best one-to-one matching of two T = 1 spectra on the circle.
+
+    Both are cut open in the middle of the largest gap of ``b``; on the line
+    the sorted orders match best.
+    """
+    period = 2.0 * math.pi
+    gaps = np.diff(np.append(b, b[0] + period))
+    cut = b[np.argmax(gaps)] + gaps.max() / 2
+    return float(np.max(np.abs(np.sort(np.mod(a - cut, period)) - np.sort(np.mod(b - cut, period)))))
+
+
+#: (JT/pi, eps/pi): degenerate perfect kicks at JT = 0 and pi, the benchmark's
+#: locked and melted points, and a generic point.
+BLOCK_GRID = ((0.0, 0.0), (1.0, 0.0), (1.0, 0.1), (0.5, 0.2341), (1.3, 0.1))
+
+
+class TestMomentumBlocks:
+    @staticmethod
+    def _dense(params):
+        """The dense oracle: one diagonalization of the whole aligned propagator."""
+        U = build_dense_propagator(params)
+        return quasi_energies(U, T=params.T, phase=np.exp(0.25j * params.jt * params.L))
+
+    @pytest.mark.parametrize("L", range(2, 11))
+    def test_levels_counts_and_statistics_match_the_dense_oracle(self, L):
+        for jt_over_pi, eps_over_pi in BLOCK_GRID:
+            params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
+            blocks, dense = propagator_spectrum(params), self._dense(params)
+            assert blocks.dim == 2**L and blocks.L == L
+            assert np.all(np.diff(blocks.energies) >= 0)
+            assert _circular_mismatch(blocks.energies, dense.energies) <= 1e-12
+            assert count_exact_pi_pairs(blocks) == count_exact_pi_pairs(dense)
+            ours, theirs = gap_statistics(blocks), gap_statistics(dense)
+            for name in ("delta0_mean", "delta_pi_mean", "ratio"):
+                assert abs(getattr(ours, name) - getattr(theirs, name)) <= 1e-12, name
+
+    @pytest.mark.parametrize("L", range(2, 11))
+    def test_lifted_vectors_are_orthonormal_eigenvectors(self, L):
+        for jt_over_pi, eps_over_pi in ((1.0, 0.1), (0.0, 0.0)):
+            params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
+            spec = propagator_spectrum(params, keep_vectors=True)
+            V = spec.eigenvectors
+            assert np.max(np.abs(V.conj().T @ V - np.eye(2**L))) <= 1e-12
+            phase = np.exp(0.25j * params.jt * L)
+            eigenvalues = np.exp(-1j * spec.energies * spec.T) / phase
+            U = build_dense_propagator(params).matrix
+            assert np.max(np.linalg.norm(U @ V - V * eigenvalues, axis=0)) <= 1e-12
 
 
 class TestReflectionOperator:

@@ -25,7 +25,7 @@ from kicked_ising import (
     run_sweep,
 )
 
-from kicked_ising import cli, spectral, sweep
+from kicked_ising import blas, cli, spectral, sweep
 
 from conftest import file_without_provenance, read_result_csv
 
@@ -218,6 +218,18 @@ def test_jobs_do_not_change_the_bytes(mode, tmp_path):
     assert written[1] == written[2]
 
 
+def _cli_files_by_jobs(tmp_path, argv) -> dict:
+    """Every file one CLI run writes, provenance removed, at ``--jobs`` 1 and 2."""
+    written = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}" / "e.csv"
+        out.parent.mkdir()
+        assert cli.main([*argv, "--jobs", str(jobs), "--out", str(out)]) == 0
+        written[jobs] = {path.name: file_without_provenance(path)
+                         for path in sorted(out.parent.iterdir())}
+    return written
+
+
 def test_jobs_do_not_change_the_bytes_at_sixteen_sites(tmp_path):
     """A parent on the default OpenBLAS threads against one-thread pool workers.
 
@@ -225,15 +237,20 @@ def test_jobs_do_not_change_the_bytes_at_sixteen_sites(tmp_path):
     to thread them, so the summary and both series files pin that the result
     does not depend on the thread count.
     """
-    written = {}
-    for jobs in (1, 2):
-        out = tmp_path / f"jobs{jobs}" / "e.csv"
-        out.parent.mkdir()
-        assert cli.main(["evolve", "-L", "16", "--jt-over-pi", "0.9,1.0", "--epsilon-over-pi",
-                         "0.1", "--periods", "8", "--jobs", str(jobs), "--out", str(out)]) == 0
-        written[jobs] = {path.name: file_without_provenance(path)
-                         for path in sorted(out.parent.iterdir())}
+    written = _cli_files_by_jobs(tmp_path, ["evolve", "-L", "16", "--jt-over-pi", "0.9,1.0",
+                                            "--epsilon-over-pi", "0.1", "--periods", "8"])
     assert sorted(written[1]) == ["e.csv", "e_series_000.csv", "e_series_001.csv"]
+    assert written[1] == written[2]
+
+
+def test_jobs_do_not_change_the_spectrum_bytes(tmp_path):
+    """LAPACK's eigenvalues depend on the OpenBLAS thread count; the blocks run on one.
+
+    The parent process at ``--jobs 1`` has the default threads, pool workers one.
+    """
+    written = _cli_files_by_jobs(tmp_path, ["spectrum", "-L", "8:10:2", "--jt-over-pi", "0.5,1.0",
+                                            "--epsilon-over-pi", "0.1,0.2341", "--dump-spectra"])
+    assert len(written[1]) == 9
     assert written[1] == written[2]
 
 
@@ -257,6 +274,9 @@ def test_pool_workers_run_one_blas_thread():
     if not parent:
         pytest.skip("no OpenBLAS in the numpy or scipy wheel directories")
     assert sweep._run_points(_blas_threads, [0, 1], 2) == [[1] * len(parent)] * 2
+    assert _blas_threads() == parent
+    with blas.one_thread():
+        assert _blas_threads() == [1] * len(parent)
     assert _blas_threads() == parent
 
 
@@ -328,7 +348,7 @@ class TestSpectrumReport:
         assert np.all(np.diff(energies) >= 0)
 
     def test_one_dense_build_per_point(self, tmp_path, monkeypatch):
-        """The spectrum and the reflection check share one build, with unchanged cells."""
+        """The one dense build per point serves the reflection check; the spectrum takes none."""
         built = []
         build = spectral.build_dense_propagator
 
@@ -352,8 +372,6 @@ class TestSpectrumReport:
         other = build_dense_propagator(FloquetParams.from_dimensionless(3, 1.0, 0.1))
         with pytest.raises(ValueError, match="L=3"):
             check_time_reflection(params, propagator=other)
-        with pytest.raises(ValueError, match="L=3"):
-            propagator_spectrum(params, propagator=other)
 
 
 class TestFourier:
