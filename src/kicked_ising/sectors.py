@@ -16,9 +16,9 @@ L = 6 ... 11 (the binary bracelet numbers), against 2**L.
 One complex Schur decomposition of the sector propagator gives its
 eigenphases ``theta_k`` and orthonormal eigenvectors, and then
 
-    P(2nT) = |sum_k w_k exp(2i n theta_k)|**2,   w_k = |<k|up>|**2
+    P(nT) = |sum_k w_k exp(i n theta_k)|**2,   w_k = |<k|up>|**2
 
-for every n, with no period-by-period evolution.
+for every n, odd or even, with no period-by-period evolution.
 
 The translations alone split the whole space into L momentum blocks,
 ``k = 2 pi m / L``.  The momentum state of an orbit of size ``N_r``,
@@ -40,10 +40,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
+from . import blas
 from .engine import _kick, _zz_phase_table
 from .states import DENSE_MAX_SITES, FloquetParams, _require_sites
 
@@ -51,8 +53,9 @@ from .states import DENSE_MAX_SITES, FloquetParams, _require_sites
 NORMALITY_TOL = 1e-10
 #: Basis states kicked together while a block propagator is built.
 _BLOCK = 8
-#: Pairs evaluated per matrix-vector product in ``sector_return_probability``.
-_CHUNK = 256
+#: Periods evaluated per matrix-vector product in ``sector_return_probability``
+#: (the rows of its phase table, rounded up to a power of two).
+_CHUNK = 512
 
 
 def sector_dimension(L: int) -> int:
@@ -147,13 +150,21 @@ class OrbitBasis:
         return lifted
 
 
-def sector_propagator(params: FloquetParams) -> np.ndarray:
-    """One-period propagator on the orbit-sum basis, representatives in ascending order."""
-    representative = orbit_representatives(params.L)
+@lru_cache(maxsize=None)
+def _sector_basis(L: int) -> OrbitBasis:
+    """The orbit-sum basis of the sector, representatives in ascending order (one per L)."""
+    representative = orbit_representatives(L)
     _, orbit_of, sizes = np.unique(representative, return_inverse=True, return_counts=True)
     members = np.argsort(orbit_of, kind="stable")
     amplitudes = 1.0 / np.sqrt(sizes[orbit_of[members]])
-    return OrbitBasis(params.L, members, sizes, amplitudes).propagator(params)
+    for shared in (members, sizes, amplitudes):  # every caller gets these arrays
+        shared.flags.writeable = False
+    return OrbitBasis(L, members, sizes, amplitudes)
+
+
+def sector_propagator(params: FloquetParams) -> np.ndarray:
+    """One-period propagator on the orbit-sum basis, representatives in ascending order."""
+    return _sector_basis(params.L).propagator(params)
 
 
 def momentum_blocks(L: int):
@@ -177,9 +188,12 @@ def sector_eigenphases(params: FloquetParams) -> tuple[np.ndarray, np.ndarray]:
     The complex Schur vectors stay orthonormal inside degenerate clusters
     (such as those at JT = pi).  A Schur factor that is not diagonal to
     ``NORMALITY_TOL`` means the operator is not normal, so not unitary, and
-    raises ValueError.
+    raises ValueError.  The Schur runs on one OpenBLAS thread, so its last
+    bits do not depend on the process it runs in.
     """
-    triangular, vectors = scipy.linalg.schur(sector_propagator(params), output="complex")
+    propagator = sector_propagator(params)
+    with blas.one_thread():
+        triangular, vectors = scipy.linalg.schur(propagator, output="complex")
     off_diagonal = float(np.max(np.abs(np.triu(triangular, 1))))
     if off_diagonal > NORMALITY_TOL:
         raise ValueError(f"sector propagator is not normal: Schur off-diagonal {off_diagonal:.3e}")
@@ -188,15 +202,20 @@ def sector_eigenphases(params: FloquetParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sector_return_probability(params: FloquetParams):
-    """Yield P(2nT) of the all-up start for n = 1, 2, ..., indefinitely.
+    """Yield P(nT) of the all-up start for n = 1, 2, ..., indefinitely.
 
     Nothing is built before the first sample is requested.  Each chunk of
-    ``_CHUNK`` pairs from ``n0`` on is one product of the fixed table
-    ``exp(2i j theta_k)`` with ``w_k exp(2i n0 theta_k)``; no powers are
-    accumulated, so the error does not compound from chunk to chunk.
+    ``_CHUNK`` periods from ``n0`` on is one product of the fixed table
+    ``exp(i j theta_k)`` with ``w_k exp(i n0 theta_k)``; no powers are
+    accumulated, so the error does not compound from chunk to chunk.  The
+    table is doubled up from ``exp(i 2**b theta_k)``: each entry is a product
+    of at most log2(_CHUNK) exponentials of exactly scaled phases, which is
+    both cheaper and closer than rounding ``j * theta_k`` before ``exp``.
     """
     theta, weights = sector_eigenphases(params)
-    table = np.exp(np.outer(np.arange(_CHUNK), 2j * theta))
-    for n0 in itertools.count(1, _CHUNK):
-        amplitude = table @ (weights * np.exp(2j * n0 * theta))
+    table = np.ones((1, theta.size), dtype=np.complex128)
+    while table.shape[0] < _CHUNK:
+        table = np.concatenate((table, table * np.exp(1j * table.shape[0] * theta)))
+    for n0 in itertools.count(1, len(table)):
+        amplitude = table @ (weights * np.exp(1j * n0 * theta))
         yield from (np.abs(amplitude) ** 2).tolist()

@@ -242,8 +242,7 @@ def _parity_signs(L: int) -> np.ndarray:
     return functools.reduce(np.kron, [np.array([1.0, -1.0])] * L, np.ones(1))
 
 
-def check_time_reflection(params: FloquetParams,
-                          propagator: Optional[DensePropagator] = None) -> float:
+def check_time_reflection(params: FloquetParams) -> float:
     """Residual of the time-reflection symmetry of the one-period propagator.
 
     The symmetry combines the spin-flip/parity product R (see
@@ -256,15 +255,9 @@ def check_time_reflection(params: FloquetParams,
     imperfection; the returned max-norm residual is then at floating-point
     level, and grows to O(1) away from JT = pi.  R is a signed index reversal:
     ``R A R^T = (s s^T) * A[::-1, ::-1]``, ``s`` the signs of the flipped index.
-    ``propagator``, if given, is ``U`` already built from ``params``.
     """
     _require_sites(params.L, DENSE_MAX_SITES, "dense operator")
-    if propagator is None:
-        U = build_dense_propagator(params).matrix
-    elif propagator.L != params.L:
-        raise ValueError(f"propagator has L={propagator.L} but params have L={params.L}")
-    else:
-        U = propagator.matrix
+    U = build_dense_propagator(params).matrix
     s = _parity_signs(params.L)[::-1]
     phase = 1j ** (params.L % 4)
     return float(np.max(np.abs(np.outer(s, s) * U.conj()[::-1, ::-1] - phase * U)))

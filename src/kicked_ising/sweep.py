@@ -8,11 +8,7 @@ Five sweep modes cover the standard numerical experiments:
 ``lifetime-scan``
     First crossing of the even-period return probability below a threshold,
     scanned over chain length and drive parameters.  Points that never cross
-    within the horizon are reported as censored.  Where one diagonalization
-    of the translation- and reflection-symmetric sector (``sectors.py``)
-    costs less than iterating the chain over the horizon, the samples come
-    from that sector and the cost hardly depends on the horizon; short
-    horizons and chains beyond ``DENSE_MAX_SITES`` use the iterative engine.
+    within the horizon are reported as censored.
 ``phase-diagram``
     Early-time average of the even-period return probability on a 2-d grid of
     drive parameters at a single chain length.
@@ -25,6 +21,12 @@ Five sweep modes cover the standard numerical experiments:
     Discrete Fourier transform of the full return-probability series, with
     the dominant bin and the subharmonic (half drive frequency) weight.
 
+``lifetime-scan``, ``phase-diagram`` and ``fourier`` read one stream of
+P(nT) from the all-up start (``_samples``).  Where one diagonalization of
+the translation- and reflection-symmetric sector (``sectors.py``) costs less
+than iterating the chain over a point's horizon, the samples come from that
+sector; short horizons and chains beyond ``DENSE_MAX_SITES`` iterate.
+
 Every run writes a single summary CSV whose first line is a ``#``-prefixed
 JSON object echoing the sweep configuration and recording provenance
 (tool, version, timestamp, elapsed time, worker count, and the path --
@@ -36,11 +38,10 @@ round-trip exactly.
 
 Each mode is one entry of the ``_MODES`` table: its summary columns, a point
 function from ``(FloquetParams, SweepConfig)`` to result cells, and the kind
-of auxiliary CSV its points write, if any (``evolve``, ``fourier``, and
-``spectrum`` with ``dump_spectra`` write one per grid point next to the
-summary, named ``<stem>_series_<idx>.csv`` or ``<stem>_spectrum_<idx>.csv``;
-the summary row records the file name).  Each file is written under a
-temporary name and renamed into place, so a failed write leaves no partial file.
+of auxiliary CSV its points write, if any (one per grid point next to the
+summary, ``<stem>_series_<idx>.csv`` or ``<stem>_spectrum_<idx>.csv``, named
+in the row).  Every file is written under a temporary name and renamed into
+place, so a failed write leaves no partial file.
 
 Grid points are processed independently (optionally in a process pool) and
 rows are emitted in grid order.  A failure at one point is captured in that
@@ -67,12 +68,8 @@ from . import __version__, blas
 from .engine import evolve_stroboscopic, iter_return_probability
 from .observables import average_return, first_crossing, fourier_spectrum, lifetime
 from .sectors import sector_dimension, sector_return_probability
-from .spectral import (
-    check_time_reflection,
-    count_exact_pi_pairs,
-    gap_statistics,
-    propagator_spectrum,
-)
+from .spectral import (check_time_reflection, count_exact_pi_pairs, gap_statistics,
+                       propagator_spectrum)
 from .states import (
     DENSE_MAX_SITES,
     EVOLVE_MAX_SITES,
@@ -145,10 +142,8 @@ class SweepConfig:
             if len(set(self.lengths)) > 1:
                 problems.append("phase-diagram runs at a single chain length")
             if self.n_periods < 2 * self.window:
-                problems.append(
-                    "phase-diagram needs at least 2*window periods "
-                    f"(window={self.window} even-period samples), got {self.n_periods}"
-                )
+                problems.append("phase-diagram needs at least 2*window periods (window="
+                                f"{self.window} even-period samples), got {self.n_periods}")
         if problems:
             raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems))
         cap = DENSE_MAX_SITES if self.mode == "spectrum" else EVOLVE_MAX_SITES
@@ -200,36 +195,44 @@ def _evolve_point(params: FloquetParams, config: SweepConfig) -> dict:
     )
 
 
-def _path(mode: str, L: int, n_pairs: int) -> str:
+def _pairs(config: SweepConfig) -> int:
+    """Even-period samples a point needs: its horizon in pairs, for ``_path``'s cost rule."""
+    return config.window if config.mode == "phase-diagram" else config.n_periods // 2
+
+
+def _path(config: SweepConfig, L: int) -> str:
     """Which engine computes a point: ``sector``, ``momentum`` or ``iterative``.
 
-    A lifetime point over ``n_pairs`` pairs takes the sector when its set-up,
-    which grows as the cube of the sector dimension, is estimated to cost
-    less than ``n_pairs`` iterated pairs of 2**L amplitudes.
+    A ``lifetime-scan``, ``phase-diagram`` or ``fourier`` point takes the
+    sector when its set-up, which grows as the cube of the sector dimension,
+    costs less than ``_pairs(config)`` iterated pairs of 2**L amplitudes.
+    ``evolve`` reports the norm drift and site magnetizations of the 2**L state.
     """
-    if mode == "spectrum":
+    if config.mode == "spectrum":
         return "momentum"
-    if mode == "lifetime-scan" and L <= DENSE_MAX_SITES and \
-            n_pairs << L >= _SECTOR_BREAK_EVEN * sector_dimension(L) ** 3:
+    if config.mode != "evolve" and L <= DENSE_MAX_SITES and \
+            _pairs(config) << L >= _SECTOR_BREAK_EVEN * sector_dimension(L) ** 3:
         return "sector"
     return "iterative"
 
 
+def _samples(params: FloquetParams, config: SweepConfig):
+    """Yield P(nT) of the all-up start for n = 1, 2, ..., from the engine ``_path`` picks."""
+    if _path(config, params.L) == "sector":
+        return sector_return_probability(params)
+    return iter_return_probability(polarized_state(params.L), params)
+
+
 def _lifetime_point(params: FloquetParams, config: SweepConfig) -> dict:
     """``n_star`` indexes even periods (pairs); odd periods are never compared."""
-    if _path(config.mode, params.L, config.n_periods // 2) == "sector":
-        even = sector_return_probability(params)
-    else:
-        stream = iter_return_probability(polarized_state(params.L), params)
-        even = itertools.islice(stream, 1, None, 2)
-    n_star = first_crossing(itertools.islice(even, config.n_periods // 2), config.threshold)
+    even = itertools.islice(_samples(params, config), 1, None, 2)
+    n_star = first_crossing(itertools.islice(even, _pairs(config)), config.threshold)
     return {"n_star": n_star, "censored": n_star is None}
 
 
 def _phase_point(params: FloquetParams, config: SweepConfig) -> dict:
-    stream = iter_return_probability(polarized_state(params.L), params)
     total = 0.0
-    for p_even in itertools.islice(stream, 1, 2 * config.window, 2):
+    for p_even in itertools.islice(_samples(params, config), 1, 2 * _pairs(config), 2):
         total += p_even
     return {"average_return": total / config.window}
 
@@ -252,8 +255,8 @@ def _spectrum_point(params: FloquetParams, config: SweepConfig) -> dict:
 
 
 def _fourier_point(params: FloquetParams, config: SweepConfig) -> dict:
-    series = evolve_stroboscopic(polarized_state(params.L), params, config.n_periods)
-    spectrum = fourier_spectrum(series.return_probability, period=config.period)
+    samples = np.fromiter(_samples(params, config), float, config.n_periods)
+    spectrum = fourier_spectrum(samples, period=config.period)
     peak = spectrum.peak_bin()
     half = config.n_periods // 2 if config.n_periods % 2 == 0 else None
     return dict(
@@ -290,7 +293,7 @@ def _sweep_point(task) -> dict:
     L, jt_pi, eps_pi, config = task
     columns, point, _ = _MODES[config.mode]
     cell = dict(L=L, jt_over_pi=jt_pi, epsilon_over_pi=eps_pi, n_periods=config.n_periods,
-                threshold=config.threshold, window=config.window, n_max_pairs=config.n_periods // 2)
+                threshold=config.threshold, window=config.window, n_max_pairs=_pairs(config))
     row = {column: cell.get(column) for column in columns}
     try:
         params = FloquetParams.from_dimensionless(L, jt_pi, eps_pi, T=config.period)
@@ -326,11 +329,9 @@ def _format_cell(value) -> str:
 
 
 def _config_echo(config: SweepConfig) -> dict:
-    """The part of the configuration that determines the output data.
+    """The configuration without execution details (worker count, output path).
 
-    Execution details (worker count, output path, wall-clock) go in the
-    provenance object instead, so identical physics configurations yield
-    identical data sections byte for byte.
+    Those go in the provenance object, so equal physics gives equal data sections.
     """
     echo = asdict(config)
     del echo["out"], echo["jobs"]
@@ -384,8 +385,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                           timestamp=datetime.now(timezone.utc).isoformat(),
                           elapsed_seconds=time.perf_counter() - started,
                           jobs=config.jobs, out=config.out,
-                          paths=[_path(config.mode, L, config.n_periods // 2)
-                                 for L, _, _ in config.grid()])
+                          paths=[_path(config, L) for L, _, _ in config.grid()])
         header = {"config": _config_echo(config), "provenance": provenance}
         _write_csv(out, columns, ([row[column] for column in columns] for row in rows), header)
     except BaseException:  # no aux file outlives a failed summary
@@ -411,12 +411,9 @@ def _parse_int_grid(value, flag: str) -> tuple[int, ...]:
         try:
             if ":" in text:
                 parts = [int(p) for p in text.split(":")]
-                if len(parts) == 2:
-                    start, stop, step = parts[0], parts[1], 1
-                elif len(parts) == 3:
-                    start, stop, step = parts
-                else:
+                if len(parts) not in (2, 3):
                     raise ValueError
+                start, stop, step = (*parts, 1)[:3]
                 if step < 1 or stop < start:
                     raise ValueError
                 return tuple(range(start, stop + 1, step))

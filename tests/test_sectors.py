@@ -12,6 +12,7 @@ from kicked_ising import (
     SweepConfig,
     build_dense_propagator,
     first_crossing,
+    fourier_spectrum,
     iter_return_probability,
     polarized_state,
     run_sweep,
@@ -42,10 +43,14 @@ def _images(index: int, L: int) -> list[int]:
     return [int(w, 2) for w in words]
 
 
-def _iterative_pairs(L, jt_over_pi, eps_over_pi, n_pairs):
+def _iterative_periods(L, jt_over_pi, eps_over_pi, n_periods):
     params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
     stream = iter_return_probability(polarized_state(L), params)
-    return np.array(list(itertools.islice(stream, 1, 2 * n_pairs, 2)))
+    return np.array(list(itertools.islice(stream, n_periods)))
+
+
+def _iterative_pairs(L, jt_over_pi, eps_over_pi, n_pairs):
+    return _iterative_periods(L, jt_over_pi, eps_over_pi, 2 * n_pairs)[1::2]
 
 
 class TestOrbits:
@@ -124,16 +129,18 @@ class TestSectorOperator:
 class TestSectorReturnProbability:
     @pytest.mark.parametrize("L", range(2, 10))
     def test_matches_the_iterative_engine(self, L):
+        """Every period, odd ones included, across more than one evaluation chunk."""
+        n_periods = sectors._CHUNK + 100
         for jt, eps in itertools.product(JT_GRID, EPS_GRID):
             params = FloquetParams.from_dimensionless(L, jt, eps)
-            sector = list(itertools.islice(sector_return_probability(params), 100))
-            assert np.max(np.abs(sector - _iterative_pairs(L, jt, eps, 100))) <= 1e-12
+            sector = list(itertools.islice(sector_return_probability(params), n_periods))
+            assert np.max(np.abs(sector - _iterative_periods(L, jt, eps, n_periods))) <= 1e-12
 
     @pytest.mark.parametrize("L", range(2, 10))
     def test_same_lifetime_over_2000_pairs(self, L):
         for jt, eps in CROSSING_POINTS:
             params = FloquetParams.from_dimensionless(L, jt, eps)
-            sector = itertools.islice(sector_return_probability(params), 2000)
+            sector = itertools.islice(sector_return_probability(params), 1, 4000, 2)
             iterative = _iterative_pairs(L, jt, eps, 2000).tolist()
             assert first_crossing(sector, 0.05) == first_crossing(iterative, 0.05)
 
@@ -184,12 +191,68 @@ class TestRouting:
         assert (row["n_star"], row["error"]) == (expected, None)
 
     def test_paths_of_the_other_modes(self, tmp_path):
-        for mode, path in (("spectrum", "momentum"), ("phase-diagram", "iterative")):
+        """At L = 4 one sector set-up costs about 2.4 iterated pairs."""
+        for mode, n_periods, window, path in (
+                ("spectrum", 4, 2, "momentum"), ("evolve", 4000, 2000, "iterative"),
+                ("phase-diagram", 4, 2, "iterative"), ("phase-diagram", 200, 100, "sector"),
+                ("fourier", 4, 2, "iterative"), ("fourier", 200, 2, "sector")):
             out = tmp_path / f"{mode}.csv"
-            run_sweep(SweepConfig(mode=mode, lengths=(4,), jt_over_pi=(1.0,),
-                                  epsilon_over_pi=(0.1,), n_periods=4, window=2, out=str(out)))
+            rows = run_sweep(SweepConfig(mode=mode, lengths=(4,), jt_over_pi=(1.0,),
+                                         epsilon_over_pi=(0.1,), n_periods=n_periods,
+                                         window=window, out=str(out))).rows
             header, _ = read_result_csv(out)
-            assert header["provenance"]["paths"] == [path]
+            assert (header["provenance"]["paths"], rows[0]["error"]) == ([path], None)
+
+    @pytest.mark.parametrize("window, path", [(100, "iterative"), (1000, "sector")])
+    def test_phase_cells_route_on_their_window(self, monkeypatch, tmp_path, window, path):
+        """The header names the engine the cell ran on, from the window, not the period count."""
+        if path == "iterative":
+            monkeypatch.setattr(sectors, "sector_propagator", _refuse)
+        out = tmp_path / "map.csv"
+        config = SweepConfig(mode="phase-diagram", lengths=(12,), jt_over_pi=(0.9,),
+                             epsilon_over_pi=(0.1,), n_periods=4000, window=window, out=str(out))
+        row = run_sweep(config).rows[0]
+        header, _ = read_result_csv(out)
+        assert header["provenance"]["paths"] == [path]
+        assert row["error"] is None
+        expected = _iterative_pairs(12, 0.9, 0.1, window).mean()
+        assert abs(row["average_return"] - expected) <= 1e-12
+
+
+class TestModesOnTheSector:
+    """``phase-diagram`` and ``fourier`` rows from the sector against the iterative engine."""
+
+    @pytest.mark.parametrize("L", range(2, 11))
+    def test_phase_cells(self, tmp_path, L):
+        out = tmp_path / "map.csv"
+        config = SweepConfig(mode="phase-diagram", lengths=(L,), jt_over_pi=JT_GRID,
+                             epsilon_over_pi=EPS_GRID, n_periods=200, window=100, out=str(out))
+        rows = run_sweep(config).rows
+        header, _ = read_result_csv(out)
+        assert header["provenance"]["paths"] == ["sector"] * len(rows)
+        for row in rows:
+            expected = _iterative_pairs(L, row["jt_over_pi"], row["epsilon_over_pi"], 100).mean()
+            assert row["error"] is None
+            assert abs(row["average_return"] - expected) <= 1e-12
+
+    @pytest.mark.parametrize("L", (4, 8, 10))
+    def test_fourier_rows(self, tmp_path, L):
+        out = tmp_path / "fft.csv"
+        config = SweepConfig(mode="fourier", lengths=(L,), jt_over_pi=(0.0, 0.9, 1.0),
+                             epsilon_over_pi=(0.0, 0.07), n_periods=2000, out=str(out))
+        result = run_sweep(config)
+        header, _ = read_result_csv(out)
+        assert header["provenance"]["paths"] == ["sector"] * len(result.rows)
+        for row, dumped in zip(result.rows, result.aux_files):
+            expected = fourier_spectrum(_iterative_periods(L, row["jt_over_pi"],
+                                                           row["epsilon_over_pi"], 2000))
+            peak = expected.peak_bin()
+            assert (row["peak_bin"], row["error"]) == (peak, None)
+            assert abs(row["peak_magnitude"] - expected.magnitudes[peak]) <= 1e-12
+            assert abs(row["subharmonic_magnitude"] - expected.magnitudes[1000]) <= 1e-12
+            _, curve = read_result_csv(dumped)
+            magnitudes = np.array([float(line["magnitude"]) for line in curve])
+            assert np.max(np.abs(magnitudes - expected.magnitudes)) <= 1e-12
 
 
 def _refuse(params):

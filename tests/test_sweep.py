@@ -15,7 +15,6 @@ from kicked_ising import (
     FloquetParams,
     SweepConfig,
     average_return,
-    build_dense_propagator,
     check_time_reflection,
     evolve_stroboscopic,
     gap_statistics,
@@ -193,24 +192,33 @@ class TestLifetimeScan:
         assert [row["censored"] for row in rows] == [False, True, True, True, True, False]
 
 
+#: case -> (mode, config fields, engine of each grid point); each stream mode has both engines.
 JOBS_CASES = {
-    "evolve": dict(lengths=(3, 4), jt_over_pi=(0.9, 1.0), n_periods=16, window=4),
-    "lifetime-scan": dict(lengths=(4, 5), jt_over_pi=(0.9, 1.0), n_periods=400),
-    "phase-diagram": dict(lengths=(4,), jt_over_pi=(0.5, 1.0), n_periods=80, window=40),
-    "spectrum": dict(lengths=(4, 6), jt_over_pi=(1.0,), dump_spectra=True),
-    "fourier": dict(lengths=(4,), jt_over_pi=(1.0, 0.9), epsilon_over_pi=(0.05,),
-                    n_periods=64),
+    "evolve": ("evolve", dict(lengths=(3, 4), jt_over_pi=(0.9, 1.0), n_periods=16, window=4),
+               ["iterative"] * 4),
+    "lifetime-scan": ("lifetime-scan", dict(lengths=(4, 12), jt_over_pi=(0.9, 1.0),
+                                            n_periods=400), ["sector"] * 2 + ["iterative"] * 2),
+    "phase-diagram": ("phase-diagram", dict(lengths=(4,), jt_over_pi=(0.5, 1.0),
+                                            n_periods=80, window=40), ["sector"] * 2),
+    "phase-diagram-iterative": ("phase-diagram", dict(lengths=(4,), jt_over_pi=(0.5, 1.0),
+                                                      n_periods=4, window=2), ["iterative"] * 2),
+    "spectrum": ("spectrum", dict(lengths=(4, 6), jt_over_pi=(1.0,), dump_spectra=True),
+                 ["momentum"] * 2),
+    "fourier": ("fourier", dict(lengths=(4, 10), jt_over_pi=(1.0, 0.9), epsilon_over_pi=(0.05,),
+                                n_periods=64), ["sector"] * 2 + ["iterative"] * 2),
 }
 
 
-@pytest.mark.parametrize("mode", list(JOBS_CASES))
-def test_jobs_do_not_change_the_bytes(mode, tmp_path):
+@pytest.mark.parametrize("case", list(JOBS_CASES))
+def test_jobs_do_not_change_the_bytes(case, tmp_path):
+    mode, fields, paths = JOBS_CASES[case]
     written = {}
     for jobs in (1, 2):
         (tmp_path / f"jobs{jobs}").mkdir()
         config = make_config(mode=mode, out=str(tmp_path / f"jobs{jobs}" / "out.csv"),
-                             jobs=jobs, **JOBS_CASES[mode])
+                             jobs=jobs, **fields)
         result = run_sweep(config)
+        assert read_result_csv(result.path)[0]["provenance"]["paths"] == paths
         written[jobs] = {path.name: file_without_provenance(path)
                          for path in [result.path, *result.aux_files]}
     if mode not in ("lifetime-scan", "phase-diagram"):
@@ -251,6 +259,16 @@ def test_jobs_do_not_change_the_spectrum_bytes(tmp_path):
     written = _cli_files_by_jobs(tmp_path, ["spectrum", "-L", "8:10:2", "--jt-over-pi", "0.5,1.0",
                                             "--epsilon-over-pi", "0.1,0.2341", "--dump-spectra"])
     assert len(written[1]) == 9
+    assert written[1] == written[2]
+
+
+def test_jobs_do_not_change_the_sector_bytes(tmp_path):
+    """The sector's Schur runs on one OpenBLAS thread in the parent and in pool workers alike."""
+    written = _cli_files_by_jobs(tmp_path, ["phase-diagram", "-L", "10",
+                                            "--jt-over-pi", "0.5,0.9,1.0",
+                                            "--epsilon-over-pi", "0.1,0.2341",
+                                            "--window", "500", "--periods", "1000"])
+    assert sorted(written[1]) == ["e.csv"]
     assert written[1] == written[2]
 
 
@@ -366,12 +384,6 @@ class TestSpectrumReport:
             params = FloquetParams.from_dimensionless(row["L"], row["jt_over_pi"], 0.2341)
             assert row["reflection_residual"] == check_time_reflection(params)
             assert row["ratio"] == gap_statistics(propagator_spectrum(params)).ratio
-
-    def test_propagator_of_another_length_is_rejected(self):
-        params = FloquetParams.from_dimensionless(4, 1.0, 0.1)
-        other = build_dense_propagator(FloquetParams.from_dimensionless(3, 1.0, 0.1))
-        with pytest.raises(ValueError, match="L=3"):
-            check_time_reflection(params, propagator=other)
 
 
 class TestFourier:
