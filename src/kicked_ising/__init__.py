@@ -5,8 +5,8 @@ spins-1/2: a global x rotation by pi/2 - epsilon on every site, followed by
 a nearest-neighbour Ising phase accumulated for one period.  Everything is
 exact: states are dense vectors over the 2**L computational basis, one
 drive period is a few matrix products with Kronecker factors of the kick
-(at most five sites each) plus a diagonal phase, and propagators up to 14
-sites can be diagonalized densely for quasi-energy analysis.
+(at most five sites each) plus a diagonal phase, and quasi-energy spectra up
+to 14 sites come from the translation-momentum blocks.
 
 Quick start::
 

@@ -26,7 +26,7 @@ merges the block spectra; no 2**L x 2**L matrix is diagonalized.  Kept
 eigenvectors are the blocks' Schur vectors lifted to the spin basis.  All
 block work runs on one OpenBLAS thread, so the levels do not depend on the
 process they are computed in.  ``quasi_energies`` of a full matrix is the
-dense oracle, and the time-reflection check stays dense.
+dense oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ import numpy as np
 import scipy.linalg
 
 from . import blas
-from .engine import DensePropagator, build_dense_propagator
+from .engine import DensePropagator, _zz_phase_table
+# perfbench/tracer.py wraps spectral.build_dense_propagator; its install fails without the name.
+from .engine import build_dense_propagator  # noqa: F401
 from .sectors import momentum_blocks
 from .states import (
     DENSE_MAX_SITES,
@@ -53,6 +55,8 @@ from .states import (
 
 #: Quasi-energies closer than this to an anchor count as exactly degenerate.
 EXACT_PAIR_TOL = 1e-10
+#: Largest ``max |U^H U - I|`` that ``quasi_energies`` accepts as unitary.
+UNITARITY_TOL = 1e-10
 
 
 def fold_to_branch(x, period: float = 1.0):
@@ -119,7 +123,6 @@ def quasi_energies(
     U: Union[DensePropagator, np.ndarray],
     T: float = 1.0,
     keep_vectors: bool = False,
-    unitarity_tol: float = 1e-10,
     phase: complex = 1.0,
 ) -> QuasiEnergySpectrum:
     """Diagonalize a unitary and return quasi-energies e = -arg(lambda)/T, sorted.
@@ -138,7 +141,7 @@ def quasi_energies(
     gram.flat[::dim + 1] -= 1.0  # U^H U - I without a dense identity
     residual = np.max(np.abs(gram))
     del gram  # not held through the decomposition
-    if residual > unitarity_tol:
+    if residual > UNITARITY_TOL:
         raise ValueError(f"matrix is not unitary: max |U^H U - I| = {residual:.3e}")
 
     if keep_vectors:
@@ -233,13 +236,8 @@ def reflection_operator(L: int) -> np.ndarray:
     dim = 1 << L
     cols = np.arange(dim)
     R = np.zeros((dim, dim))
-    R[cols ^ (dim - 1), cols] = _parity_signs(L)
+    R[cols ^ (dim - 1), cols] = functools.reduce(np.kron, [np.array([1.0, -1.0])] * L, np.ones(1))
     return R
-
-
-def _parity_signs(L: int) -> np.ndarray:
-    """(-1)^(number of up spins) of every basis index of an L-site chain."""
-    return functools.reduce(np.kron, [np.array([1.0, -1.0])] * L, np.ones(1))
 
 
 def check_time_reflection(params: FloquetParams) -> float:
@@ -249,18 +247,19 @@ def check_time_reflection(params: FloquetParams) -> float:
     ``reflection_operator``) with complex conjugation in the spin basis — an
     antiunitary operation, as time reflection must be.  The identity tested is
 
-        R conj(U) R^dagger = i**L U,
+        R conj(U) R^T = i**L U,    U = D K,
 
     which holds exactly at JT = pi for every chain length and any kick
     imperfection; the returned max-norm residual is then at floating-point
-    level, and grows to O(1) away from JT = pi.  R is a signed index reversal:
-    ``R A R^T = (s s^T) * A[::-1, ::-1]``, ``s`` the signs of the flipped index.
+    level, and grows to O(1) away from JT = pi.  It comes from U's two factors:
+    R = r^{(x)L} with r = [[0, -1], [1, 0]] and r conj(k) r^T = k, so
+    R conj(K) R^T = K; D is diagonal with flip-invariant bond sums, so
+    R conj(D) R^T = conj(D).  The residual is (conj(D) - i**L D) K; the largest
+    entries of every row of K have modulus max(|cos theta|, |sin theta|)**L.
     """
-    _require_sites(params.L, DENSE_MAX_SITES, "dense operator")
-    U = build_dense_propagator(params).matrix
-    s = _parity_signs(params.L)[::-1]
-    phase = 1j ** (params.L % 4)
-    return float(np.max(np.abs(np.outer(s, s) * U.conj()[::-1, ::-1] - phase * U)))
+    d = _zz_phase_table(params.L, params.jt)
+    kick = max(abs(math.cos(params.theta)), abs(math.sin(params.theta))) ** params.L
+    return float(np.max(np.abs(d.conj() - 1j ** (params.L % 4) * d))) * kick
 
 
 def _anchor_distances(spec: QuasiEnergySpectrum) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,7 @@ Five sweep modes cover the standard numerical experiments:
 ``spectrum``
     Quasi-energy pairing statistics, exact pair counts at the two anchor
     phases, and the time-reflection residual, per grid point.  The spectrum
-    is the union of the L translation-momentum blocks (``sectors.py``); the
-    reflection check uses the dense propagator.
+    is the union of the L translation-momentum blocks (``sectors.py``).
 ``fourier``
     Discrete Fourier transform of the full return-probability series, with
     the dominant bin and the subharmonic (half drive frequency) weight.

@@ -25,7 +25,12 @@ from kicked_ising import (
     reflection_operator,
 )
 
+from kicked_ising.engine import _kick_factor
+
 from conftest import random_state
+
+#: (JT/pi, epsilon/pi) drive points of the time-reflection comparisons.
+DRIVES = ((1.0, 0.1), (0.5, 0.1), (1.0, 0.0), (0.2, 0.35), (0.0, 0.0), (1.3, 0.2341))
 
 
 class TestFoldToBranch:
@@ -197,26 +202,44 @@ class TestReflectionOperator:
 
 
 class TestTimeReflection:
-    @pytest.mark.parametrize("L", [3, 4, 5, 6])
+    @pytest.mark.parametrize("L", [3, 4, 5, 6, 16])
     def test_exact_at_jt_pi_for_any_kick(self, L):
         for eps_over_pi in (0.1, 0.1177):
             params = FloquetParams.from_dimensionless(L, 1.0, eps_over_pi)
             assert check_time_reflection(params) < 1e-12
 
-    @pytest.mark.parametrize("L", [3, 4, 5, 6])
+    @pytest.mark.parametrize("L", [3, 4, 5, 6, 16])
     def test_broken_away_from_jt_pi(self, L):
         params = FloquetParams.from_dimensionless(L, 0.5, 0.1)
         assert check_time_reflection(params) > 1e-2
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_kick_factors_are_reflection_invariant(self, n):
+        """R conj(F) R^T == F bit for bit for every kick factor F = k^(x)n."""
+        s = reflection_operator(n).sum(axis=1)
+        for theta in (0.4 * math.pi, 0.2659 * math.pi, 1.3):
+            F = _kick_factor(n, theta)
+            assert np.array_equal(np.outer(s, s) * F.conj()[::-1, ::-1], F)
+
     @pytest.mark.parametrize("L", range(2, 9))
     def test_index_reversal_equals_the_dense_product(self, L):
-        """The signed index reversal gives exactly the residual of R conj(U) R^T."""
+        """R A R^T is the signed index reversal (s s^T) * A[::-1, ::-1], bit for bit."""
         R = reflection_operator(L)
-        for jt_over_pi, eps_over_pi in ((1.0, 0.1), (0.5, 0.1), (1.0, 0.0), (0.2, 0.35)):
+        s = R.sum(axis=1)
+        for jt_over_pi, eps_over_pi in DRIVES:
+            params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
+            A = build_dense_propagator(params).matrix.conj()
+            assert np.array_equal(R @ A @ R.T, np.outer(s, s) * A[::-1, ::-1])
+
+    @pytest.mark.parametrize("L", range(2, 11))
+    def test_factored_residual_equals_the_dense_product(self, L):
+        """The residual from U's two factors is max |R conj(U) R^T - i^L U| of the dense U."""
+        R = reflection_operator(L)
+        for jt_over_pi, eps_over_pi in DRIVES:
             params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
             U = build_dense_propagator(params).matrix
             dense = float(np.max(np.abs(R @ U.conj() @ R.T - 1j ** (L % 4) * U)))
-            assert check_time_reflection(params) == dense
+            assert abs(check_time_reflection(params) - dense) <= 1e-15
 
 
 class TestPairCounting:

@@ -1,6 +1,7 @@
 """Configuration parsing, sweep runners, and the CSV output format."""
 
 import ctypes
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -365,8 +366,8 @@ class TestSpectrumReport:
         energies = np.array([float(r["quasi_energy"]) for r in dumped])
         assert np.all(np.diff(energies) >= 0)
 
-    def test_one_dense_build_per_point(self, tmp_path, monkeypatch):
-        """The one dense build per point serves the reflection check; the spectrum takes none."""
+    def test_no_dense_build_per_point(self, tmp_path, monkeypatch):
+        """Neither the block spectrum nor the factored reflection check builds a dense U."""
         built = []
         build = spectral.build_dense_propagator
 
@@ -378,7 +379,7 @@ class TestSpectrumReport:
         config = make_config(mode="spectrum", lengths=(4, 6), jt_over_pi=(1.0, 0.5),
                              epsilon_over_pi=(0.2341,), out=str(tmp_path / "spec.csv"))
         rows = run_sweep(config).rows
-        assert built == [4, 4, 6, 6]
+        assert built == []
         monkeypatch.undo()
         for row in rows:
             params = FloquetParams.from_dimensionless(row["L"], row["jt_over_pi"], 0.2341)
@@ -412,3 +413,13 @@ class TestFourier:
         assert row["peak_bin"] is None
         _, rows = read_result_csv(tmp_path / "fft.csv")
         assert len(rows) == 1 and rows[0]["error"] != ""
+
+
+def test_benchmark_tracer_bindings_resolve():
+    """Every (module, attribute) the benchmark tracer wraps exists on the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for short, attr, _ in (*tracer.WRAPPED, tracer.STREAMED):
+        assert hasattr(importlib.import_module(f"kicked_ising.{short}"), attr), f"{short}.{attr}"
