@@ -80,7 +80,7 @@ def local_sz(state: StateVector, site: int) -> float:
     return _sz_from_weights(weights, state.L, site, weights.sum())
 
 
-def fourier_spectrum(samples, period: float = 1.0) -> FourierSpectrum:
+def fourier_spectrum(samples) -> FourierSpectrum:
     """DFT magnitudes of a real stroboscopic sequence sampled once per period."""
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 2:

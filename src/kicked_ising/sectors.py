@@ -30,7 +30,11 @@ orbits, so the block sizes add up to 2**L (about 2**L / L each; 108 states
 at most for L = 10).  The quasi-energy spectrum is the union of the block
 spectra (``spectral.propagator_spectrum``).
 
-Both kinds of block are built the same way (``OrbitBasis.propagator``): the
+Every block comes from one builder, ``orbit_basis(images, characters)``:
+the group enters as one row of basis-index images per element and one
+character per element.  The sector is the 2L dihedral images with every
+character 1; block m is the L rotations with characters ``exp(i k j)``.
+Both are built into operators the same way (``OrbitBasis.propagator``): the
 basis states are kicked in blocks of columns by the structured engine and
 read back at the orbit representatives, so no 2**L x 2**L matrix is formed.
 """
@@ -38,7 +42,6 @@ read back at the orbit representatives, so no 2**L x 2**L matrix is formed.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,56 +50,13 @@ import scipy.linalg
 
 from . import blas
 from .engine import _kick, _zz_phase_table
-from .states import DENSE_MAX_SITES, FloquetParams, _require_sites
+from .states import DENSE_MAX_SITES, FloquetParams, _require_sites, _require_unitary
 
-#: Largest strictly upper-triangular entry of the Schur factor accepted as rounding.
-NORMALITY_TOL = 1e-10
 #: Basis states kicked together while a block propagator is built.
 _BLOCK = 8
 #: Periods evaluated per matrix-vector product in ``sector_return_probability``
 #: (the rows of its phase table, rounded up to a power of two).
 _CHUNK = 512
-
-
-def sector_dimension(L: int) -> int:
-    """Number of dihedral orbits of the 2**L basis states, by Burnside's lemma."""
-    necklaces = sum(2 ** math.gcd(L, k) for k in range(L)) // L
-    if L % 2:
-        return (necklaces + 2 ** ((L + 1) // 2)) // 2
-    return (2 * necklaces + 3 * 2 ** (L // 2)) // 4
-
-
-def translation_orbits(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Representative, shift and orbit size of every basis index under the L translations.
-
-    The representative ``r`` of index ``s`` is the smallest of its L cyclic
-    shifts, the shift ``j`` is the first number of sites that rotates ``s``
-    onto ``r`` (so ``0 <= j < N_r``), and ``N_r`` is the number of distinct
-    shifts, a divisor of L.
-    """
-    _require_sites(L, DENSE_MAX_SITES, "sector")
-    index = np.arange(1 << L)
-    mask = (1 << L) - 1
-    representative = index.copy()
-    shift = np.zeros_like(index)
-    fixed = np.zeros_like(index)
-    for j in range(L):
-        image = ((index << j) | (index >> (L - j))) & mask
-        fixed += image == index
-        smaller = image < representative
-        representative[smaller] = image[smaller]
-        shift[smaller] = j
-    return representative, shift, L // fixed
-
-
-def orbit_representatives(L: int) -> np.ndarray:
-    """Smallest of the 2L dihedral images (L translations x site reflection) of every index."""
-    representative = translation_orbits(L)[0]
-    index = np.arange(1 << L)
-    mirrored = np.zeros_like(index)
-    for site in range(L):
-        mirrored |= ((index >> site) & 1) << (L - 1 - site)
-    return np.minimum(representative, representative[mirrored])
 
 
 @dataclass(frozen=True)
@@ -150,16 +110,53 @@ class OrbitBasis:
         return lifted
 
 
+def _rotations(L: int) -> np.ndarray:
+    """The L cyclic shifts of every basis index, row j shifted by j sites (row 0 the identity)."""
+    _require_sites(L, DENSE_MAX_SITES, "sector")
+    index = np.arange(1 << L)
+    mask = (1 << L) - 1
+    return np.stack([((index << j) | (index >> (L - j))) & mask for j in range(L)])
+
+
+def orbit_basis(images: np.ndarray, characters: np.ndarray) -> OrbitBasis:
+    """The orbit states of a group that permutes the basis, one per orbit that survives.
+
+    Row g of ``images`` holds the image of every basis index under group
+    element g, the identity first, and ``characters[g]`` is its character.
+    An orbit's representative is its first smallest image, and a member's
+    entry is the character of the first element that maps it onto the
+    representative, over ``sqrt(N_r)``.  The characters of a stabilizer add
+    up to its order or cancel to zero, and an orbit is kept when they do
+    not cancel.  Members are ordered by representative (a stable sort).
+    """
+    group, dim = images.shape
+    first = np.argmin(images, axis=0)
+    representative = images[first, np.arange(dim)]
+    fixed = images == np.arange(dim)
+    size = group // np.count_nonzero(fixed, axis=0)
+    kept = np.abs(np.where(fixed, characters[:, None], 0).sum(axis=0)) > 0.5
+    members = np.argsort(representative, kind="stable")
+    members = members[kept[members]]
+    sizes = size[members[representative[members] == members]]
+    amplitudes = characters[first[members]] / np.sqrt(size[members])
+    for shared in (members, sizes, amplitudes):  # a cached basis hands these to every caller
+        shared.flags.writeable = False
+    return OrbitBasis(dim.bit_length() - 1, members, sizes, amplitudes)
+
+
 @lru_cache(maxsize=None)
 def _sector_basis(L: int) -> OrbitBasis:
-    """The orbit-sum basis of the sector, representatives in ascending order (one per L)."""
-    representative = orbit_representatives(L)
-    _, orbit_of, sizes = np.unique(representative, return_inverse=True, return_counts=True)
-    members = np.argsort(orbit_of, kind="stable")
-    amplitudes = 1.0 / np.sqrt(sizes[orbit_of[members]])
-    for shared in (members, sizes, amplitudes):  # every caller gets these arrays
-        shared.flags.writeable = False
-    return OrbitBasis(L, members, sizes, amplitudes)
+    """The orbit-sum basis of the sector: the 2L dihedral images, every character 1."""
+    rotations = _rotations(L)
+    mirrored = np.zeros_like(rotations[0])
+    for site in range(L):
+        mirrored |= ((rotations[0] >> site) & 1) << (L - 1 - site)
+    return orbit_basis(np.concatenate((rotations, rotations[:, mirrored])), np.ones(2 * L))
+
+
+def sector_dimension(L: int) -> int:
+    """Number of dihedral orbits of the 2**L basis states (the binary bracelets)."""
+    return _sector_basis(L).sizes.size
 
 
 def sector_propagator(params: FloquetParams) -> np.ndarray:
@@ -170,33 +167,26 @@ def sector_propagator(params: FloquetParams) -> np.ndarray:
 def momentum_blocks(L: int):
     """Yield the orbit bases of the L momentum blocks, ``k = 2 pi m / L`` for m = 0 .. L-1.
 
-    Each basis holds the momentum states ``|r,k>`` of the orbits with
-    ``m N_r`` a multiple of L, representatives in ascending order.
+    Block m is the L rotations with characters ``exp(i k j)``; it holds the
+    momentum states ``|r,k>`` of the orbits with ``m N_r`` a multiple of L.
     """
-    representative, shift, size = translation_orbits(L)
-    members = np.argsort(representative, kind="stable")
+    rotations = _rotations(L)
     for m in range(L):
-        block = members[(m * size[members]) % L == 0]
-        sizes = size[block[representative[block] == block]]
-        amplitudes = np.exp(2j * np.pi * m / L * shift[block]) / np.sqrt(size[block])
-        yield OrbitBasis(L, block, sizes, amplitudes)
+        yield orbit_basis(rotations, np.exp(2j * np.pi * m / L * np.arange(L)))
 
 
 def sector_eigenphases(params: FloquetParams) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases ``theta_k`` of the sector propagator and the weights ``|<k|up>|**2``.
 
+    An operator that fails ``states._require_unitary`` raises ValueError.
     The complex Schur vectors stay orthonormal inside degenerate clusters
-    (such as those at JT = pi).  A Schur factor that is not diagonal to
-    ``NORMALITY_TOL`` means the operator is not normal, so not unitary, and
-    raises ValueError.  The Schur runs on one OpenBLAS thread, so its last
-    bits do not depend on the process it runs in.
+    (such as those at JT = pi).  The Schur runs on one OpenBLAS thread, so
+    its last bits do not depend on the process it runs in.
     """
     propagator = sector_propagator(params)
     with blas.one_thread():
+        _require_unitary(propagator, "sector propagator")
         triangular, vectors = scipy.linalg.schur(propagator, output="complex")
-    off_diagonal = float(np.max(np.abs(np.triu(triangular, 1))))
-    if off_diagonal > NORMALITY_TOL:
-        raise ValueError(f"sector propagator is not normal: Schur off-diagonal {off_diagonal:.3e}")
     # The all-up index 2**L - 1 is the largest representative, so the last row.
     return np.angle(np.diag(triangular)), np.abs(vectors[-1]) ** 2
 

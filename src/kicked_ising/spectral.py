@@ -51,12 +51,11 @@ from .states import (
     FloquetParams,
     StateVector,
     _require_sites,
+    _require_unitary,
 )
 
 #: Quasi-energies closer than this to an anchor count as exactly degenerate.
 EXACT_PAIR_TOL = 1e-10
-#: Largest ``max |U^H U - I|`` that ``quasi_energies`` accepts as unitary.
-UNITARITY_TOL = 1e-10
 
 
 def fold_to_branch(x, period: float = 1.0):
@@ -137,12 +136,7 @@ def quasi_energies(
     dim = m.shape[0]
     if not T > 0:
         raise ValueError(f"period must be positive, got T={T}")
-    gram = m.conj().T @ m
-    gram.flat[::dim + 1] -= 1.0  # U^H U - I without a dense identity
-    residual = np.max(np.abs(gram))
-    del gram  # not held through the decomposition
-    if residual > UNITARITY_TOL:
-        raise ValueError(f"matrix is not unitary: max |U^H U - I| = {residual:.3e}")
+    _require_unitary(m, "matrix")
 
     if keep_vectors:
         triangular, vectors = scipy.linalg.schur(m, output="complex")

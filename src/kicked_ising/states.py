@@ -24,6 +24,8 @@ DENSE_MAX_SITES = 14
 
 #: Tolerance on the 2-norm of a state vector.
 NORM_TOL = 1e-12
+#: Largest ``max |U^H U - I|`` accepted as unitary.
+UNITARITY_TOL = 1e-10
 
 
 class CapacityError(ValueError):
@@ -46,6 +48,15 @@ def _require_sites(L: int, cap: int, what: str) -> None:
         raise ValueError(f"a periodic chain needs at least 2 sites, got L={L}")
     if L > cap:
         raise CapacityError(f"L={L} exceeds the {what} cap of {cap} sites")
+
+
+def _require_unitary(matrix: np.ndarray, what: str) -> None:
+    """Raise ValueError unless ``max |U^H U - I| <= UNITARITY_TOL``."""
+    gram = matrix.conj().T @ matrix
+    gram.flat[::matrix.shape[0] + 1] -= 1.0  # U^H U - I without a dense identity
+    residual = np.max(np.abs(gram))
+    if residual > UNITARITY_TOL:
+        raise ValueError(f"{what} is not unitary: max |U^H U - I| = {residual:.3e}")
 
 
 @dataclass(frozen=True)

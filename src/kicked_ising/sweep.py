@@ -106,7 +106,6 @@ class SweepConfig:
     window: int = _DEFAULT_WINDOW
     out: str = ""
     jobs: int = 1
-    period: float = 1.0
     dump_spectra: bool = False
 
     def validate(self) -> None:
@@ -125,6 +124,9 @@ class SweepConfig:
             problems.append("no interaction phase given (--jt-over-pi)")
         if not self.epsilon_over_pi:
             problems.append("no kick imperfection given (--epsilon-over-pi)")
+        non_finite = [x for x in self.jt_over_pi + self.epsilon_over_pi if not np.isfinite(x)]
+        if non_finite:
+            problems.append(f"drive parameters must be finite, got {non_finite}")
         if self.n_periods < 1:
             problems.append(f"periods must be positive, got {self.n_periods}")
         if not 0.0 < self.threshold < 1.0:
@@ -133,8 +135,6 @@ class SweepConfig:
             problems.append(f"window must be positive, got {self.window}")
         if self.jobs < 1:
             problems.append(f"jobs must be positive, got {self.jobs}")
-        if not self.period > 0.0:
-            problems.append(f"period must be positive, got {self.period}")
         if not self.out:
             problems.append("no output path given (--out)")
         if self.mode == "phase-diagram":
@@ -183,7 +183,7 @@ def _evolve_point(params: FloquetParams, config: SweepConfig) -> dict:
     crossing = lifetime(even, config.threshold) if even.size else None
     window_used = min(config.window, even.size) if even.size else None
     columns = ["n", "t", "return_probability"] + [f"sz_{site}" for site in range(L)]
-    curve = (series.n, series.n * config.period, series.return_probability, *series.sz.T)
+    curve = (series.n, series.n * params.T, series.return_probability, *series.sz.T)
     return dict(
         n_star=None if crossing is None else crossing.n_star,
         censored=None if crossing is None else crossing.censored,
@@ -255,7 +255,7 @@ def _spectrum_point(params: FloquetParams, config: SweepConfig) -> dict:
 
 def _fourier_point(params: FloquetParams, config: SweepConfig) -> dict:
     samples = np.fromiter(_samples(params, config), float, config.n_periods)
-    spectrum = fourier_spectrum(samples, period=config.period)
+    spectrum = fourier_spectrum(samples)
     peak = spectrum.peak_bin()
     half = config.n_periods // 2 if config.n_periods % 2 == 0 else None
     return dict(
@@ -295,7 +295,7 @@ def _sweep_point(task) -> dict:
                 threshold=config.threshold, window=config.window, n_max_pairs=_pairs(config))
     row = {column: cell.get(column) for column in columns}
     try:
-        params = FloquetParams.from_dimensionless(L, jt_pi, eps_pi, T=config.period)
+        params = FloquetParams.from_dimensionless(L, jt_pi, eps_pi)
         row.update(point(params, config))
     except Exception as exc:  # noqa: BLE001 - recorded per row, sweep continues
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -307,7 +307,7 @@ def _run_points(worker, tasks: list[tuple], jobs: int) -> list[dict]:
         return [worker(task) for task in tasks]
     # A forked worker keeps the OpenBLAS thread count chosen for the whole machine, so
     # workers diagonalizing at once would oversubscribe the cores: one thread apiece.
-    with ProcessPoolExecutor(max_workers=jobs, initializer=blas.set_threads,
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=blas.set_threads,
                              initargs=(1,)) as pool:
         return list(pool.map(worker, tasks))
 
@@ -453,7 +453,7 @@ def _parse_float_grid(value, flag: str) -> tuple[float, ...]:
 
 _CONFIG_KEYS = {
     "mode", "length", "jt_over_pi", "epsilon_over_pi", "periods",
-    "threshold", "window", "out", "jobs", "dump_spectra", "period",
+    "threshold", "window", "out", "jobs", "dump_spectra",
 }
 
 
@@ -552,7 +552,6 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> SweepConfig:
     threshold = _scalar("threshold", float, _DEFAULT_THRESHOLD)
     window = _scalar("window", int, _DEFAULT_WINDOW)
     jobs = _scalar("jobs", int, 1)
-    period = _scalar("period", float, 1.0)
     out = str(values.get("out", f"kicked-ising-{mode}.csv"))
     dump_spectra = bool(values.get("dump_spectra", False))
 
@@ -563,7 +562,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> SweepConfig:
         mode=mode, lengths=grids["length"], jt_over_pi=grids["jt_over_pi"],
         epsilon_over_pi=grids["epsilon_over_pi"],
         n_periods=n_periods, threshold=threshold, window=window, out=out,
-        jobs=jobs, period=period, dump_spectra=dump_spectra,
+        jobs=jobs, dump_spectra=dump_spectra,
     )
     config.validate()
     return config

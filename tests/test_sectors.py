@@ -20,12 +20,11 @@ from kicked_ising import (
 from kicked_ising import sectors
 from kicked_ising.sectors import (
     momentum_blocks,
-    orbit_representatives,
+    orbit_basis,
     sector_dimension,
     sector_eigenphases,
     sector_propagator,
     sector_return_probability,
-    translation_orbits,
 )
 
 from conftest import read_result_csv
@@ -53,49 +52,108 @@ def _iterative_pairs(L, jt_over_pi, eps_over_pi, n_pairs):
     return _iterative_periods(L, jt_over_pi, eps_over_pi, 2 * n_pairs)[1::2]
 
 
+def _orbit_of_members(basis) -> tuple[np.ndarray, np.ndarray]:
+    """Representative and orbit size at every basis index the basis holds (-1 elsewhere)."""
+    column = np.repeat(np.arange(basis.sizes.size), basis.sizes)
+    starts = np.cumsum(basis.sizes) - basis.sizes
+    representative = np.full(2**basis.L, -1)
+    size = np.full(2**basis.L, -1)
+    representative[basis.members] = basis.members[starts][column]
+    size[basis.members] = basis.sizes[column]
+    return representative, size
+
+
+def _assert_symmetric(basis, images, characters):
+    """The lifted states are orthonormal, and reading one at the images of element g gives
+    it times the conjugate character: psi[g s] = conj(chi(g)) psi[s]."""
+    lifted = basis.lift(np.eye(basis.sizes.size))
+    assert np.max(np.abs(lifted.conj().T @ lifted - np.eye(basis.sizes.size))) < 1e-13
+    for image, character in zip(images, characters):
+        assert np.max(np.abs(lifted[image] - np.conj(character) * lifted)) < 1e-13
+
+
 class TestOrbits:
+    """``orbit_basis`` against the brute-force dihedral images of ``_images``."""
+
     @given(L=st.integers(2, 14), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_orbit_properties(self, L, data):
-        representative = orbit_representatives(L)
-        reps, sizes = np.unique(representative, return_counts=True)
-        assert sizes.sum() == 2**L
-        assert reps.size == sector_dimension(L)
+        """The sector: every index once, in its dihedral orbit, entry N_r**-1/2."""
+        basis = sectors._sector_basis(L)
+        representative, size = _orbit_of_members(basis)
+        assert np.array_equal(np.sort(basis.members), np.arange(2**L))
+        assert basis.sizes.size == sector_dimension(L)
+        assert np.all(np.diff(basis.members[np.cumsum(basis.sizes) - basis.sizes]) > 0)
+        assert np.array_equal(basis.amplitudes, 1.0 / np.sqrt(size[basis.members]))
+        # The all-up state is an orbit of its own, the last one.
         all_up = 2**L - 1
-        assert representative[all_up] == all_up and np.count_nonzero(representative == all_up) == 1
+        assert (basis.members[-1], basis.sizes[-1]) == (all_up, 1)
         index = data.draw(st.integers(0, 2**L - 1))
-        assert representative[index] == min(_images(index, L))
+        images = _images(index, L)
+        assert (representative[index], size[index]) == (min(images), len(set(images)))
 
     @given(L=st.integers(2, 14), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_translation_orbits(self, L, data):
-        representative, shift, size = translation_orbits(L)
+        """A member of block m carries exp(i k j) / sqrt(N_r), j its first shift onto r."""
         index = data.draw(st.integers(0, 2**L - 1))
         rotations = _images(index, L)[:L]
-        assert representative[index] == min(rotations)
-        assert size[index] == len(set(rotations))
-        assert 0 <= shift[index] < size[index]
-        assert rotations[shift[index]] == representative[index]
-        assert representative[index] not in rotations[:shift[index]]
+        rep, orbit_size = min(rotations), len(set(rotations))
+        shift = rotations.index(rep)
+        for m, basis in enumerate(momentum_blocks(L)):
+            representative, size = _orbit_of_members(basis)
+            where = np.flatnonzero(basis.members == index)
+            if m * orbit_size % L:
+                assert where.size == 0
+                continue
+            assert (representative[index], size[index]) == (rep, orbit_size)
+            # Bit for bit: the characters of block m, taken at the first shift.
+            characters = np.exp(2j * np.pi * m / L * np.arange(L))
+            assert basis.amplitudes[where[0]] == characters[shift] / np.sqrt(orbit_size)
+        # The all-up state is an orbit of its own, in the k = 0 block only.
+        holders = [m for m, basis in enumerate(momentum_blocks(L)) if 2**L - 1 in basis.members]
+        assert holders == [0]
 
     @pytest.mark.parametrize("L", range(2, 11))
     def test_momentum_blocks_partition_the_space(self, L):
-        _, _, size = translation_orbits(L)
+        rotations = np.array([_images(index, L)[:L] for index in range(2**L)]).T
+        sizes = np.array([len(set(column)) for column in rotations.T])
+        shifts = np.array([list(column).index(min(column)) for column in rotations.T])
         bases = list(momentum_blocks(L))
         assert len(bases) == L
         assert sum(basis.sizes.size for basis in bases) == 2**L
         for m, basis in enumerate(bases):
             assert np.all(m * basis.sizes % L == 0)
             assert basis.sizes.sum() == basis.members.size
-            assert np.all(size[basis.members] == np.repeat(basis.sizes, basis.sizes))
-            # The lifted basis is orthonormal.
-            lifted = basis.lift(np.eye(basis.sizes.size))
-            assert np.max(np.abs(lifted.conj().T @ lifted - np.eye(basis.sizes.size))) < 1e-13
+            assert np.array_equal(_orbit_of_members(basis)[1][basis.members], sizes[basis.members])
+            characters = np.exp(2j * np.pi * m / L * np.arange(L))
+            assert np.array_equal(basis.amplitudes, characters[shifts[basis.members]]
+                                  / np.sqrt(sizes[basis.members]))
+            _assert_symmetric(basis, rotations, characters)
+        # Together the blocks are one orthonormal basis of the whole space.
+        lifted = np.hstack([basis.lift(np.eye(basis.sizes.size)) for basis in bases])
+        assert np.max(np.abs(lifted.conj().T @ lifted - np.eye(2**L))) < 1e-13
         # Every orbit has a k = 0 state, so that block is the largest.
         assert max(basis.sizes.size for basis in bases) == bases[0].sizes.size
 
+    @pytest.mark.parametrize("L", (6, 8, 9))
+    def test_cancelling_stabilizers_drop_their_orbits(self, L):
+        """Reflections with character -1 cancel every orbit that a reflection fixes.
+
+        Those are all orbits below L = 6; 1, 6 and 14 chiral orbits (necklaces less
+        bracelets) are left at L = 6, 8, 9.
+        """
+        images = np.array([_images(index, L) for index in range(2**L)]).T
+        characters = np.repeat([1.0, -1.0], L)
+        basis = orbit_basis(images, characters)
+        kept = {min(column) for column in images.T if not any(column[L:] == column[0])}
+        assert set(basis.members[np.cumsum(basis.sizes) - basis.sizes]) == kept
+        assert len(kept) == {6: 1, 8: 6, 9: 14}[L]
+        _assert_symmetric(basis, images, characters)
+        _assert_symmetric(sectors._sector_basis(L), images, np.ones(2 * L))
+
     def test_bracelet_numbers(self):
-        counts = [np.unique(orbit_representatives(L)).size for L in range(6, 12)]
+        counts = [len({min(_images(index, L)) for index in range(2**L)}) for L in range(6, 12)]
         assert counts == [13, 18, 30, 46, 78, 126]
         assert [sector_dimension(L) for L in range(6, 15)] == counts + [224, 380, 687]
         # The k = 0 momentum blocks count the necklaces.
@@ -116,14 +174,15 @@ class TestSectorOperator:
             assert weights.sum() == pytest.approx(1.0, abs=1e-13)
 
     def test_non_normal_operator_is_refused(self, monkeypatch, tmp_path):
-        bad = np.triu(np.ones((3, 3))) * 0.5
-        monkeypatch.setattr(sectors, "sector_propagator", lambda params: bad)
-        with pytest.raises(ValueError, match="not normal"):
-            sector_eigenphases(FloquetParams.from_dimensionless(2, 0.9, 0.1))
-        config = SweepConfig(mode="lifetime-scan", lengths=(2,), jt_over_pi=(0.9,),
-                             epsilon_over_pi=(0.1,), n_periods=10, out=str(tmp_path / "s.csv"))
-        row = run_sweep(config).rows[0]
-        assert row["error"].startswith("ValueError: sector propagator is not normal")
+        """A non-normal operator and a normal one that is not unitary (0.5 I) are refused."""
+        for bad in (np.triu(np.ones((3, 3))) * 0.5, 0.5 * np.eye(3)):
+            monkeypatch.setattr(sectors, "sector_propagator", lambda params: bad)
+            with pytest.raises(ValueError, match="sector propagator is not unitary"):
+                sector_eigenphases(FloquetParams.from_dimensionless(2, 0.9, 0.1))
+            config = SweepConfig(mode="lifetime-scan", lengths=(2,), jt_over_pi=(0.9,),
+                                 epsilon_over_pi=(0.1,), n_periods=10, out=str(tmp_path / "s.csv"))
+            row = run_sweep(config).rows[0]
+            assert row["error"].startswith("ValueError: sector propagator is not unitary")
 
 
 class TestSectorReturnProbability:
@@ -135,6 +194,20 @@ class TestSectorReturnProbability:
             params = FloquetParams.from_dimensionless(L, jt, eps)
             sector = list(itertools.islice(sector_return_probability(params), n_periods))
             assert np.max(np.abs(sector - _iterative_periods(L, jt, eps, n_periods))) <= 1e-12
+
+    @pytest.mark.parametrize("L", (6, 8, 10))
+    def test_drift_within_a_linear_budget_over_4000_periods(self, L):
+        """The rounding of the eigenphases adds up linearly in n: |dP| <= 5e-13 + 2e-15 n.
+
+        Measured over these five points at L = 6, 8, 10: at most 2.6e-12 by n = 4000 and
+        3.5e-13 within the first 612 periods, a third of the budget.
+        """
+        n_periods = 4000
+        budget = 5e-13 + 2e-15 * np.arange(1, n_periods + 1)
+        for jt, eps in CROSSING_POINTS + ((1.0, 0.1), (0.0, 0.1)):
+            params = FloquetParams.from_dimensionless(L, jt, eps)
+            sector = np.fromiter(sector_return_probability(params), float, n_periods)
+            assert np.all(np.abs(sector - _iterative_periods(L, jt, eps, n_periods)) <= budget)
 
     @pytest.mark.parametrize("L", range(2, 10))
     def test_same_lifetime_over_2000_pairs(self, L):

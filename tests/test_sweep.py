@@ -128,6 +128,17 @@ class TestParseConfig:
 
 
 class TestSweepConfigValidation:
+    @pytest.mark.parametrize("value", ["nan", "inf", "0:inf:3"])
+    def test_non_finite_drive_parameters_exit_two(self, tmp_path, value):
+        for flag in ("--jt-over-pi", "--epsilon-over-pi"):
+            argv = ["evolve", "-L", "4", "--jt-over-pi", "0.9", "--epsilon-over-pi", "0.1",
+                    "--periods", "4", "--out", str(tmp_path / "e.csv")]
+            argv[argv.index(flag) + 1] = value
+            with pytest.raises(ConfigError, match="drive parameters must be finite"):
+                parse_config(argv)
+            assert cli.main(argv) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_phase_diagram_needs_one_length(self):
         config = make_config(mode="phase-diagram", lengths=(4, 6), window=100, n_periods=400)
         with pytest.raises(ConfigError, match="single chain length"):
@@ -208,6 +219,30 @@ JOBS_CASES = {
     "fourier": ("fourier", dict(lengths=(4, 10), jt_over_pi=(1.0, 0.9), epsilon_over_pi=(0.05,),
                                 n_periods=64), ["sector"] * 2 + ["iterative"] * 2),
 }
+
+
+def test_pool_never_asks_for_more_workers_than_points(monkeypatch, tmp_path):
+    """``--jobs 64`` on a two-point grid asks the pool for two workers (mapped serially here)."""
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, tasks):
+            return map(worker, tasks)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    argv = ["lifetime-scan", "-L", "4", "--jt-over-pi", "0.9", "--epsilon-over-pi", "0.1,0.2",
+            "--periods", "10", "--jobs", "64", "--out", str(tmp_path / "scan.csv")]
+    assert cli.main(argv) == 0
+    assert asked == [2]
 
 
 @pytest.mark.parametrize("case", list(JOBS_CASES))
