@@ -6,7 +6,10 @@ a nearest-neighbour Ising phase accumulated for one period.  Everything is
 exact: states are dense vectors over the 2**L computational basis, one
 drive period is a few matrix products with Kronecker factors of the kick
 (at most five sites each) plus a diagonal phase, and quasi-energy spectra up
-to 14 sites come from the translation-momentum blocks.
+to 14 sites come from the translation-momentum blocks.  The return
+probability of the all-up start, behind the lifetime, phase-diagram and
+Fourier sweeps, is a closed-form product over the two parity sectors of the
+chain's free fermions, with no 2**L array at any size.
 
 Quick start::
 

@@ -1,24 +1,42 @@
-"""Symmetry blocks of the propagator: the symmetric sector, its lifetimes, and momentum blocks.
+"""Symmetry blocks: the all-up return amplitude in closed form, and momentum blocks.
 
-Both drive factors commute with the L translations of the periodic chain and
-with site reflection, so they commute with the whole dihedral group.  That
-group permutes basis states without signs.  The normalized orbit sums
+The drive has no longitudinal field, so the Jordan-Wigner transformation with
+``X_j = 1 - 2 n_j`` makes both of its factors quadratic in fermions (Lieb,
+Schultz & Mattis, Ann. Phys. 16, 407 (1961); Prosen, Prog. Theor. Phys.
+Suppl. 139, 191 (2000)).  Both factors commute with the parity
+``prod_j X_j = (-1)**N``, and the all-up state is ``(|GHZ+> + |GHZ->) / sqrt(2)``,
+so its return amplitude splits into one amplitude per parity sector,
 
-    |r~> = N_r**-1/2 * sum of the N_r basis states in the orbit of r
+    <up|U**n|up> = (A_NS(n) + A_R(n)) / 2,
 
-therefore span the invariant subspace of momentum k = 0 and even reflection
-parity.  The propagator maps that subspace into itself.  The all-up state
-is an orbit of one state, so its whole evolution stays in the sector
-(Sandvik, arXiv:1101.3281, section 4; Weinberg & Bukov, SciPost Phys. 2,
-003 (2017)).  The sector has 13, 18, 30, 46, 78 and 126 states for
-L = 6 ... 11 (the binary bracelet numbers), against 2**L.
+where parity +1 (NS) takes the antiperiodic momenta ``k = pi (2m+1) / L`` and
+parity -1 (R) the periodic momenta ``k = 2 pi m / L``.  In each sector the GHZ
+state is the top eigenstate of the Ising bond sum: a product over the pairs
+(k, -k), 0 < k < pi, of states in span{|0>, c+_k c+_-k |0>}, on which one
+period acts as
 
-One complex Schur decomposition of the sector propagator gives its
-eigenphases ``theta_k`` and orthonormal eigenvectors, and then
+    V_k = exp(-i (JT/4) H_k) diag(1, exp(4 i theta)),
+    H_k = [[0, -2i sin k], [2i sin k, 4 cos k]].
 
-    P(nT) = |sum_k w_k exp(i n theta_k)|**2,   w_k = |<k|up>|**2
+One more phase per period holds the unpaired modes: ``-theta L`` in both
+sectors, and in R ``2 theta - JT/2`` for its occupied k = 0 mode (k = pi
+stays empty).  Writing ``H_k = 2 cos k + 2 n.sigma`` with
+``n = (0, sin k, -cos k)`` makes ``V_k`` a phase ``exp(i beta_k)``,
+``beta_k = 2 theta - (JT/2) cos k``, times a product of two rotations, which
+is one rotation ``cos eps_k - i v.sigma`` by
 
-for every n, odd or even, with no period-by-period evolution.
+    cos eps_k = cos(JT/2) cos(2 theta) + sin(JT/2) sin(2 theta) cos k,
+
+the kicked-Ising dispersion.  The cos k of a sector's pairs add up to 0 for
+even L and to +1/2 (NS) or -1/2 (R) for odd L, so with the ``beta_k`` the
+phases per period close to ``gamma_NS = 0`` and ``gamma_R = -JT/2`` for even
+L, and to ``-theta - JT/4`` and ``theta - JT/4`` for odd L.  H_k's top
+eigenvector has weights ``(1 +- t_k) / 2``, ``t_k = v.n / |v|``, on the
+eigenvectors of ``V_k`` with eigenphases ``beta_k -+ eps_k``, hence
+
+    A_s(n) = exp(i n gamma_s) prod_k (cos(n eps_k) - i t_k sin(n eps_k)):
+
+O(L) numbers at any L, and no 2**L array.
 
 The translations alone split the whole space into L momentum blocks,
 ``k = 2 pi m / L``.  The momentum state of an orbit of size ``N_r``,
@@ -32,9 +50,8 @@ spectra (``spectral.propagator_spectrum``).
 
 Every block comes from one builder, ``orbit_basis(images, characters)``:
 the group enters as one row of basis-index images per element and one
-character per element.  The sector is the 2L dihedral images with every
-character 1; block m is the L rotations with characters ``exp(i k j)``.
-Both are built into operators the same way (``OrbitBasis.propagator``): the
+character per element; block m is the L rotations with characters
+``exp(i k j)``.  ``OrbitBasis.propagator`` builds a block's operator: the
 basis states are kicked in blocks of columns by the structured engine and
 read back at the orbit representatives, so no 2**L x 2**L matrix is formed.
 """
@@ -43,19 +60,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
-from . import blas
 from .engine import _kick, _zz_phase_table
-from .states import DENSE_MAX_SITES, FloquetParams, _require_sites, _require_unitary
+from .states import DENSE_MAX_SITES, FloquetParams, _require_sites
 
 #: Basis states kicked together while a block propagator is built.
 _BLOCK = 8
-#: Periods evaluated per matrix-vector product in ``sector_return_probability``
-#: (the rows of its phase table, rounded up to a power of two).
+#: Periods evaluated per chunk in ``sector_return_probability`` (the rows of its
+#: phase table, rounded up to a power of two).
 _CHUNK = 512
 
 
@@ -110,14 +124,6 @@ class OrbitBasis:
         return lifted
 
 
-def _rotations(L: int) -> np.ndarray:
-    """The L cyclic shifts of every basis index, row j shifted by j sites (row 0 the identity)."""
-    _require_sites(L, DENSE_MAX_SITES, "sector")
-    index = np.arange(1 << L)
-    mask = (1 << L) - 1
-    return np.stack([((index << j) | (index >> (L - j))) & mask for j in range(L)])
-
-
 def orbit_basis(images: np.ndarray, characters: np.ndarray) -> OrbitBasis:
     """The orbit states of a group that permutes the basis, one per orbit that survives.
 
@@ -144,68 +150,64 @@ def orbit_basis(images: np.ndarray, characters: np.ndarray) -> OrbitBasis:
     return OrbitBasis(dim.bit_length() - 1, members, sizes, amplitudes)
 
 
-@lru_cache(maxsize=None)
-def _sector_basis(L: int) -> OrbitBasis:
-    """The orbit-sum basis of the sector: the 2L dihedral images, every character 1."""
-    rotations = _rotations(L)
-    mirrored = np.zeros_like(rotations[0])
-    for site in range(L):
-        mirrored |= ((rotations[0] >> site) & 1) << (L - 1 - site)
-    return orbit_basis(np.concatenate((rotations, rotations[:, mirrored])), np.ones(2 * L))
-
-
-def sector_dimension(L: int) -> int:
-    """Number of dihedral orbits of the 2**L basis states (the binary bracelets)."""
-    return _sector_basis(L).sizes.size
-
-
-def sector_propagator(params: FloquetParams) -> np.ndarray:
-    """One-period propagator on the orbit-sum basis, representatives in ascending order."""
-    return _sector_basis(params.L).propagator(params)
-
-
 def momentum_blocks(L: int):
     """Yield the orbit bases of the L momentum blocks, ``k = 2 pi m / L`` for m = 0 .. L-1.
 
     Block m is the L rotations with characters ``exp(i k j)``; it holds the
     momentum states ``|r,k>`` of the orbits with ``m N_r`` a multiple of L.
     """
-    rotations = _rotations(L)
+    _require_sites(L, DENSE_MAX_SITES, "momentum block")
+    index = np.arange(1 << L)
+    mask = (1 << L) - 1
+    rotations = np.stack([((index << j) | (index >> (L - j))) & mask for j in range(L)])
     for m in range(L):
         yield orbit_basis(rotations, np.exp(2j * np.pi * m / L * np.arange(L)))
 
 
-def sector_eigenphases(params: FloquetParams) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases ``theta_k`` of the sector propagator and the weights ``|<k|up>|**2``.
-
-    An operator that fails ``states._require_unitary`` raises ValueError.
-    The complex Schur vectors stay orthonormal inside degenerate clusters
-    (such as those at JT = pi).  The Schur runs on one OpenBLAS thread, so
-    its last bits do not depend on the process it runs in.
-    """
-    propagator = sector_propagator(params)
-    with blas.one_thread():
-        _require_unitary(propagator, "sector propagator")
-        triangular, vectors = scipy.linalg.schur(propagator, output="complex")
-    # The all-up index 2**L - 1 is the largest representative, so the last row.
-    return np.angle(np.diag(triangular)), np.abs(vectors[-1]) ** 2
+def _parity_sectors(params: FloquetParams) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """Per sector, NS then R: the phase per period ``gamma_s``, and ``eps_k`` and ``t_k``
+    of its pairs (k, -k), 0 < k < pi."""
+    L, jt, theta = params.L, params.jt, params.theta
+    s, c = np.sin(jt / 2), np.cos(jt / 2)
+    s2, c2 = np.sin(2 * theta), np.cos(2 * theta)
+    gammas = (-theta - jt / 4, theta - jt / 4) if L % 2 else (0.0, -jt / 2)
+    sectors = []
+    for first, gamma in zip((1, 2), gammas):
+        k = np.pi * np.arange(first, L, 2) / L
+        cos_k = np.cos(k)
+        v_z = c * s2 - s * c2 * cos_k
+        sin_eps = np.hypot(s * np.sin(k), v_z)  # |v|
+        eps = np.arctan2(sin_eps, c * c2 + s * s2 * cos_k)
+        tilt = np.divide(s * c2 - c * s2 * cos_k, sin_eps, out=np.zeros_like(k),
+                         where=sin_eps > 0)
+        sectors.append((gamma, eps, tilt))
+    return sectors
 
 
 def sector_return_probability(params: FloquetParams):
     """Yield P(nT) of the all-up start for n = 1, 2, ..., indefinitely.
 
-    Nothing is built before the first sample is requested.  Each chunk of
-    ``_CHUNK`` periods from ``n0`` on is one product of the fixed table
-    ``exp(i j theta_k)`` with ``w_k exp(i n0 theta_k)``; no powers are
-    accumulated, so the error does not compound from chunk to chunk.  The
-    table is doubled up from ``exp(i 2**b theta_k)``: each entry is a product
-    of at most log2(_CHUNK) exponentials of exactly scaled phases, which is
-    both cheaper and closer than rounding ``j * theta_k`` before ``exp``.
+    Nothing is computed before the first sample is requested.  Each chunk of
+    ``_CHUNK`` periods from ``n0`` on multiplies the fixed table
+    ``exp(i j phi)``, one row per phase (the two ``gamma_s``, then every
+    ``eps_k``), by ``exp(i n0 phi)``, and then multiplies the factors of each
+    sector; no powers are accumulated, so the error does not compound from
+    chunk to chunk.  The table is doubled up from ``exp(i 2**b phi)``: each
+    entry is a product of at most log2(_CHUNK) exponentials of exactly scaled
+    phases, which is both cheaper and closer than rounding ``j * phi`` before
+    ``exp``.
     """
-    theta, weights = sector_eigenphases(params)
-    table = np.ones((1, theta.size), dtype=np.complex128)
-    while table.shape[0] < _CHUNK:
-        table = np.concatenate((table, table * np.exp(1j * table.shape[0] * theta)))
-    for n0 in itertools.count(1, len(table)):
-        amplitude = table @ (weights * np.exp(1j * n0 * theta))
-        yield from (np.abs(amplitude) ** 2).tolist()
+    (gamma_ns, eps_ns, tilt_ns), (gamma_r, eps_r, tilt_r) = _parity_sectors(params)
+    phases = np.concatenate(([gamma_ns, gamma_r], eps_ns, eps_r))
+    minus_tilt = -np.concatenate((tilt_ns, tilt_r))[:, None]
+    split = 2 + eps_ns.size
+    table = np.ones((phases.size, 1), dtype=np.complex128)
+    while table.shape[1] < _CHUNK:
+        table = np.concatenate((table, table * np.exp(1j * table.shape[1] * phases)[:, None]),
+                               axis=1)
+    for n0 in itertools.count(1, table.shape[1]):
+        rotated = table * np.exp(1j * n0 * phases)[:, None]
+        rotated.imag[2:] *= minus_tilt  # each pair's cos(n eps_k) - i t_k sin(n eps_k)
+        amplitude = (rotated[0] * rotated[2:split].prod(axis=0)
+                     + rotated[1] * rotated[split:].prod(axis=0))
+        yield from (np.abs(amplitude / 2) ** 2).tolist()

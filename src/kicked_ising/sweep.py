@@ -21,26 +21,27 @@ Five sweep modes cover the standard numerical experiments:
     the dominant bin and the subharmonic (half drive frequency) weight.
 
 ``lifetime-scan``, ``phase-diagram`` and ``fourier`` read one stream of
-P(nT) from the all-up start (``_samples``).  Where one diagonalization of
-the translation- and reflection-symmetric sector (``sectors.py``) costs less
-than iterating the chain over a point's horizon, the samples come from that
-sector; short horizons and chains beyond ``DENSE_MAX_SITES`` iterate.
+P(nT) from the all-up start, the closed-form product over the two parity
+sectors of the free-fermion chain (``sectors.sector_return_probability``):
+O(L) numbers per point at any chain length, and no 2**L array.  ``evolve``
+iterates the 2**L state, whose norm drift and site magnetizations it reports.
 
 Every run writes a single summary CSV whose first line is a ``#``-prefixed
 JSON object echoing the sweep configuration and recording provenance
-(tool, version, timestamp, elapsed time, worker count, and the path --
-``sector``, ``momentum`` or ``iterative`` -- that computed each row).  The
-data that follows is a function of the configuration alone: repeated runs
-produce byte-identical files once the provenance object is ignored,
+(tool, version, timestamp, elapsed time, worker count, and the engine --
+``free-fermion``, ``momentum`` or ``iterative`` -- that computed each row).
+The data that follows is a function of the configuration alone: repeated
+runs produce byte-identical files once the provenance object is ignored,
 regardless of ``jobs``.  Floats are written with ``repr`` so values
 round-trip exactly.
 
 Each mode is one entry of the ``_MODES`` table: its summary columns, a point
-function from ``(FloquetParams, SweepConfig)`` to result cells, and the kind
-of auxiliary CSV its points write, if any (one per grid point next to the
-summary, ``<stem>_series_<idx>.csv`` or ``<stem>_spectrum_<idx>.csv``, named
-in the row).  Every file is written under a temporary name and renamed into
-place, so a failed write leaves no partial file.
+function from ``(FloquetParams, SweepConfig)`` to result cells, the engine
+that computes them, and the kind of auxiliary CSV its points write, if any
+(one per grid point next to the summary, ``<stem>_series_<idx>.csv`` or
+``<stem>_spectrum_<idx>.csv``, named in the row).  Every file is written
+under a temporary name and renamed into place, so a failed write leaves no
+partial file.
 
 Grid points are processed independently (optionally in a process pool) and
 rows are emitted in grid order.  A failure at one point is captured in that
@@ -64,9 +65,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import __version__, blas
-from .engine import evolve_stroboscopic, iter_return_probability
+from .engine import evolve_stroboscopic
+# perfbench/tracer.py wraps sweep.iter_return_probability; its install fails without the name.
+from .engine import iter_return_probability  # noqa: F401
 from .observables import average_return, first_crossing, fourier_spectrum, lifetime
-from .sectors import sector_dimension, sector_return_probability
+from .sectors import sector_return_probability
 from .spectral import (check_time_reflection, count_exact_pi_pairs, gap_statistics,
                        propagator_spectrum)
 from .states import (
@@ -81,12 +84,6 @@ _DEFAULT_THRESHOLD = 0.05
 _DEFAULT_WINDOW = 1000
 _DEFAULT_PERIODS = {"lifetime-scan": 100_000}
 _DEFAULT_PERIODS_FALLBACK = 2000
-#: Pairs x 2**L per cubed sector dimension from which building and diagonalizing
-#: the sector costs less than iterating the chain.  The crossovers measured on a
-#: 2-core Intel Xeon were about 950, 1450 and 1900 pairs at L = 12, 13 and 14 on
-#: two BLAS threads (690, 1290 and 2600 on one), ratios 0.10 to 0.35; this is
-#: their geometric middle, at most about 2x from either side of a crossover.
-_SECTOR_BREAK_EVEN = 0.18
 
 
 class ConfigError(ValueError):
@@ -195,43 +192,20 @@ def _evolve_point(params: FloquetParams, config: SweepConfig) -> dict:
 
 
 def _pairs(config: SweepConfig) -> int:
-    """Even-period samples a point needs: its horizon in pairs, for ``_path``'s cost rule."""
+    """Even-period samples a point needs: its horizon in pairs."""
     return config.window if config.mode == "phase-diagram" else config.n_periods // 2
-
-
-def _path(config: SweepConfig, L: int) -> str:
-    """Which engine computes a point: ``sector``, ``momentum`` or ``iterative``.
-
-    A ``lifetime-scan``, ``phase-diagram`` or ``fourier`` point takes the
-    sector when its set-up, which grows as the cube of the sector dimension,
-    costs less than ``_pairs(config)`` iterated pairs of 2**L amplitudes.
-    ``evolve`` reports the norm drift and site magnetizations of the 2**L state.
-    """
-    if config.mode == "spectrum":
-        return "momentum"
-    if config.mode != "evolve" and L <= DENSE_MAX_SITES and \
-            _pairs(config) << L >= _SECTOR_BREAK_EVEN * sector_dimension(L) ** 3:
-        return "sector"
-    return "iterative"
-
-
-def _samples(params: FloquetParams, config: SweepConfig):
-    """Yield P(nT) of the all-up start for n = 1, 2, ..., from the engine ``_path`` picks."""
-    if _path(config, params.L) == "sector":
-        return sector_return_probability(params)
-    return iter_return_probability(polarized_state(params.L), params)
 
 
 def _lifetime_point(params: FloquetParams, config: SweepConfig) -> dict:
     """``n_star`` indexes even periods (pairs); odd periods are never compared."""
-    even = itertools.islice(_samples(params, config), 1, None, 2)
+    even = itertools.islice(sector_return_probability(params), 1, None, 2)
     n_star = first_crossing(itertools.islice(even, _pairs(config)), config.threshold)
     return {"n_star": n_star, "censored": n_star is None}
 
 
 def _phase_point(params: FloquetParams, config: SweepConfig) -> dict:
     total = 0.0
-    for p_even in itertools.islice(_samples(params, config), 1, 2 * _pairs(config), 2):
+    for p_even in itertools.islice(sector_return_probability(params), 1, 2 * _pairs(config), 2):
         total += p_even
     return {"average_return": total / config.window}
 
@@ -254,7 +228,7 @@ def _spectrum_point(params: FloquetParams, config: SweepConfig) -> dict:
 
 
 def _fourier_point(params: FloquetParams, config: SweepConfig) -> dict:
-    samples = np.fromiter(_samples(params, config), float, config.n_periods)
+    samples = np.fromiter(sector_return_probability(params), float, config.n_periods)
     spectrum = fourier_spectrum(samples)
     peak = spectrum.peak_bin()
     half = config.n_periods // 2 if config.n_periods % 2 == 0 else None
@@ -270,19 +244,21 @@ def _fourier_point(params: FloquetParams, config: SweepConfig) -> dict:
 
 _POINT = ("L", "jt_over_pi", "epsilon_over_pi")
 
-#: mode -> (summary columns, point function, aux-file kind or None).
+#: mode -> (summary columns, point function, engine, aux-file kind or None).
 _MODES = {
     "evolve": (_POINT + ("n_periods", "n_star", "censored", "average_return", "window_used",
-                         "norm_drift", "series_file", "error"), _evolve_point, "series"),
+                         "norm_drift", "series_file", "error"), _evolve_point, "iterative",
+               "series"),
     "lifetime-scan": (_POINT + ("threshold", "n_max_pairs", "n_star", "censored", "error"),
-                      _lifetime_point, None),
-    "phase-diagram": (_POINT + ("window", "average_return", "error"), _phase_point, None),
+                      _lifetime_point, "free-fermion", None),
+    "phase-diagram": (_POINT + ("window", "average_return", "error"), _phase_point,
+                      "free-fermion", None),
     "spectrum": (_POINT + ("delta0_mean", "delta_pi_mean", "ratio", "n_zero", "n_pi",
                            "reflection_residual", "spectrum_file", "error"),
-                 _spectrum_point, "spectrum"),
+                 _spectrum_point, "momentum", "spectrum"),
     "fourier": (_POINT + ("n_periods", "peak_bin", "peak_frequency", "peak_magnitude",
                           "subharmonic_magnitude", "spectrum_file", "error"),
-                _fourier_point, "spectrum"),
+                _fourier_point, "free-fermion", "spectrum"),
 }
 MODES = tuple(_MODES)
 
@@ -290,7 +266,7 @@ MODES = tuple(_MODES)
 def _sweep_point(task) -> dict:
     """One grid point as a summary row, a failure recorded in ``error`` (pool-picklable)."""
     L, jt_pi, eps_pi, config = task
-    columns, point, _ = _MODES[config.mode]
+    columns, point, _, _ = _MODES[config.mode]
     cell = dict(L=L, jt_over_pi=jt_pi, epsilon_over_pi=eps_pi, n_periods=config.n_periods,
                 threshold=config.threshold, window=config.window, n_max_pairs=_pairs(config))
     row = {column: cell.get(column) for column in columns}
@@ -365,7 +341,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Run every grid point of ``config.mode``; write aux CSVs, then the summary, or none."""
     config.validate()
     started = time.perf_counter()
-    columns, _, kind = _MODES[config.mode]
+    columns, _, engine, kind = _MODES[config.mode]
     tasks = [(L, jt, eps, config) for L, jt, eps in config.grid()]
     rows = _run_points(_sweep_point, tasks, config.jobs)
     out = Path(config.out)
@@ -384,7 +360,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                           timestamp=datetime.now(timezone.utc).isoformat(),
                           elapsed_seconds=time.perf_counter() - started,
                           jobs=config.jobs, out=config.out,
-                          paths=[_path(config, L) for L, _, _ in config.grid()])
+                          paths=[engine] * len(tasks))
         header = {"config": _config_echo(config), "provenance": provenance}
         _write_csv(out, columns, ([row[column] for column in columns] for row in rows), header)
     except BaseException:  # no aux file outlives a failed summary
@@ -435,19 +411,19 @@ def _parse_float_grid(value, flag: str) -> tuple[float, ...]:
     if isinstance(value, str):
         text = value.strip()
         try:
-            if ":" in text:
-                parts = text.split(":")
-                if len(parts) != 3:
-                    raise ValueError
-                start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-                if count < 2:
-                    raise ValueError
-                return tuple(float(x) for x in np.linspace(start, stop, count))
-            return tuple(float(p) for p in text.split(",") if p.strip())
+            if ":" not in text:
+                return tuple(float(p) for p in text.split(",") if p.strip())
+            start, stop, count = text.split(":")
+            start, stop, count = float(start), float(stop), int(count)
+            if count < 2:
+                raise ValueError
         except ValueError:
             raise ConfigError(
                 f"{flag}: expected a number, a comma list, or start:stop:count, got {value!r}"
             ) from None
+        if not (np.isfinite(start) and np.isfinite(stop)):  # linspace would warn on inf
+            raise ConfigError(f"{flag}: drive parameters must be finite, got {value!r}")
+        return tuple(float(x) for x in np.linspace(start, stop, count))
     raise ConfigError(f"{flag}: expected a number, list, or range string, got {value!r}")
 
 
@@ -553,7 +529,9 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> SweepConfig:
     window = _scalar("window", int, _DEFAULT_WINDOW)
     jobs = _scalar("jobs", int, 1)
     out = str(values.get("out", f"kicked-ising-{mode}.csv"))
-    dump_spectra = bool(values.get("dump_spectra", False))
+    dump_spectra = values.get("dump_spectra", False)
+    if not isinstance(dump_spectra, bool):
+        problems.append(f"dump_spectra: expected true or false, got {dump_spectra!r}")
 
     if problems:
         raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems))

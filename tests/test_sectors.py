@@ -1,6 +1,8 @@
-"""The symmetric sector against the dense propagator and the iterative engine."""
+"""The free-fermion polarized-start stream against the iterative engine and the dense
+propagator, and the momentum-block orbits against brute-force images."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,19 +20,14 @@ from kicked_ising import (
     run_sweep,
 )
 from kicked_ising import sectors
-from kicked_ising.sectors import (
-    momentum_blocks,
-    orbit_basis,
-    sector_dimension,
-    sector_eigenphases,
-    sector_propagator,
-    sector_return_probability,
-)
+from kicked_ising.sectors import momentum_blocks, orbit_basis, sector_return_probability
 
 from conftest import read_result_csv
 
 JT_GRID = (0.0, 0.5, 1.0, 1.3)
 EPS_GRID = (0.0, 0.1, -0.2)
+#: (JT/pi, eps/pi) drives off the grid above, for the per-period agreement.
+OFF_GRID = ((0.9, 0.1), (0.5, 0.2341), (2.0, 0.3))
 #: (JT/pi, eps/pi) points whose even-period series cross 0.05 within 2000 pairs for some L.
 CROSSING_POINTS = ((0.9, 0.1), (0.5, 0.1), (1.3, -0.2))
 
@@ -74,23 +71,6 @@ def _assert_symmetric(basis, images, characters):
 
 class TestOrbits:
     """``orbit_basis`` against the brute-force dihedral images of ``_images``."""
-
-    @given(L=st.integers(2, 14), data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_orbit_properties(self, L, data):
-        """The sector: every index once, in its dihedral orbit, entry N_r**-1/2."""
-        basis = sectors._sector_basis(L)
-        representative, size = _orbit_of_members(basis)
-        assert np.array_equal(np.sort(basis.members), np.arange(2**L))
-        assert basis.sizes.size == sector_dimension(L)
-        assert np.all(np.diff(basis.members[np.cumsum(basis.sizes) - basis.sizes]) > 0)
-        assert np.array_equal(basis.amplitudes, 1.0 / np.sqrt(size[basis.members]))
-        # The all-up state is an orbit of its own, the last one.
-        all_up = 2**L - 1
-        assert (basis.members[-1], basis.sizes[-1]) == (all_up, 1)
-        index = data.draw(st.integers(0, 2**L - 1))
-        images = _images(index, L)
-        assert (representative[index], size[index]) == (min(images), len(set(images)))
 
     @given(L=st.integers(2, 14), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -150,12 +130,11 @@ class TestOrbits:
         assert set(basis.members[np.cumsum(basis.sizes) - basis.sizes]) == kept
         assert len(kept) == {6: 1, 8: 6, 9: 14}[L]
         _assert_symmetric(basis, images, characters)
-        _assert_symmetric(sectors._sector_basis(L), images, np.ones(2 * L))
+        _assert_symmetric(orbit_basis(images, np.ones(2 * L)), images, np.ones(2 * L))
 
     def test_bracelet_numbers(self):
         counts = [len({min(_images(index, L)) for index in range(2**L)}) for L in range(6, 12)]
         assert counts == [13, 18, 30, 46, 78, 126]
-        assert [sector_dimension(L) for L in range(6, 15)] == counts + [224, 380, 687]
         # The k = 0 momentum blocks count the necklaces.
         assert [next(momentum_blocks(L)).sizes.size for L in (6, 8, 10)] == [14, 36, 108]
 
@@ -163,137 +142,71 @@ class TestOrbits:
 class TestSectorOperator:
     @pytest.mark.parametrize("L", range(2, 9))
     def test_unitary_and_inside_the_dense_spectrum(self, L):
+        """Every choice of one eigenphase -+eps_k per pair, plus the sector's phase, is an
+        eigenphase of the dense propagator, and each pair's weights (1 +- t_k) / 2 lie in [0, 1]."""
         for jt, eps in itertools.product(JT_GRID, EPS_GRID):
             params = FloquetParams.from_dimensionless(L, jt, eps)
-            U = sector_propagator(params)
-            assert np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) < 1e-13
             dense = np.linalg.eigvals(build_dense_propagator(params).matrix)
-            theta, weights = sector_eigenphases(params)
-            distance = np.abs(np.exp(1j * theta)[:, None] - dense[None, :]).min(axis=1)
-            assert distance.max() < 1e-12
-            assert weights.sum() == pytest.approx(1.0, abs=1e-13)
-
-    def test_non_normal_operator_is_refused(self, monkeypatch, tmp_path):
-        """A non-normal operator and a normal one that is not unitary (0.5 I) are refused."""
-        for bad in (np.triu(np.ones((3, 3))) * 0.5, 0.5 * np.eye(3)):
-            monkeypatch.setattr(sectors, "sector_propagator", lambda params: bad)
-            with pytest.raises(ValueError, match="sector propagator is not unitary"):
-                sector_eigenphases(FloquetParams.from_dimensionless(2, 0.9, 0.1))
-            config = SweepConfig(mode="lifetime-scan", lengths=(2,), jt_over_pi=(0.9,),
-                                 epsilon_over_pi=(0.1,), n_periods=10, out=str(tmp_path / "s.csv"))
-            row = run_sweep(config).rows[0]
-            assert row["error"].startswith("ValueError: sector propagator is not unitary")
+            for gamma, pair_phases, tilt in sectors._parity_sectors(params):
+                assert np.max(np.abs(tilt), initial=0.0) <= 1.0 + 1e-15
+                for signs in itertools.product((-1, 1), repeat=pair_phases.size):
+                    phase = gamma + np.dot(signs, pair_phases)
+                    assert np.min(np.abs(np.exp(1j * phase) - dense)) < 1e-12
 
 
 class TestSectorReturnProbability:
-    @pytest.mark.parametrize("L", range(2, 10))
+    @pytest.mark.parametrize("L", range(2, 15))
     def test_matches_the_iterative_engine(self, L):
         """Every period, odd ones included, across more than one evaluation chunk."""
         n_periods = sectors._CHUNK + 100
-        for jt, eps in itertools.product(JT_GRID, EPS_GRID):
+        for jt, eps in (*itertools.product(JT_GRID, EPS_GRID), *OFF_GRID):
             params = FloquetParams.from_dimensionless(L, jt, eps)
-            sector = list(itertools.islice(sector_return_probability(params), n_periods))
-            assert np.max(np.abs(sector - _iterative_periods(L, jt, eps, n_periods))) <= 1e-12
+            stream = np.fromiter(sector_return_probability(params), float, n_periods)
+            assert np.max(np.abs(stream - _iterative_periods(L, jt, eps, n_periods))) <= 1e-12
 
     @pytest.mark.parametrize("L", (6, 8, 10))
     def test_drift_within_a_linear_budget_over_4000_periods(self, L):
-        """The rounding of the eigenphases adds up linearly in n: |dP| <= 5e-13 + 2e-15 n.
+        """The rounding of the phases adds up linearly in n: |dP| <= 5e-13 + 2e-15 n.
 
-        Measured over these five points at L = 6, 8, 10: at most 2.6e-12 by n = 4000 and
-        3.5e-13 within the first 612 periods, a third of the budget.
+        Measured over these five points at L = 6, 8, 10: at most 0.26 of the budget.
         """
         n_periods = 4000
         budget = 5e-13 + 2e-15 * np.arange(1, n_periods + 1)
         for jt, eps in CROSSING_POINTS + ((1.0, 0.1), (0.0, 0.1)):
             params = FloquetParams.from_dimensionless(L, jt, eps)
-            sector = np.fromiter(sector_return_probability(params), float, n_periods)
-            assert np.all(np.abs(sector - _iterative_periods(L, jt, eps, n_periods)) <= budget)
+            stream = np.fromiter(sector_return_probability(params), float, n_periods)
+            assert np.all(np.abs(stream - _iterative_periods(L, jt, eps, n_periods)) <= budget)
 
     @pytest.mark.parametrize("L", range(2, 10))
     def test_same_lifetime_over_2000_pairs(self, L):
         for jt, eps in CROSSING_POINTS:
             params = FloquetParams.from_dimensionless(L, jt, eps)
-            sector = itertools.islice(sector_return_probability(params), 1, 4000, 2)
+            stream = itertools.islice(sector_return_probability(params), 1, 4000, 2)
             iterative = _iterative_pairs(L, jt, eps, 2000).tolist()
-            assert first_crossing(sector, 0.05) == first_crossing(iterative, 0.05)
+            assert first_crossing(stream, 0.05) == first_crossing(iterative, 0.05)
 
+    def test_sixteen_sites(self):
+        n_periods = 500
+        params = FloquetParams.from_dimensionless(16, 0.9, 0.1)
+        stream = np.fromiter(sector_return_probability(params), float, n_periods)
+        assert np.max(np.abs(stream - _iterative_periods(16, 0.9, 0.1, n_periods))) <= 1e-12
 
-class TestRouting:
-    def test_beyond_the_dense_cap_the_iterative_engine_runs(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(sectors, "sector_propagator", _refuse)
-        out = tmp_path / "scan.csv"
-        config = SweepConfig(mode="lifetime-scan", lengths=(15,), jt_over_pi=(0.9,),
-                             epsilon_over_pi=(0.1, 0.05), n_periods=6, threshold=0.5, out=str(out))
-        rows = run_sweep(config).rows
-        expected = [first_crossing(_iterative_pairs(15, 0.9, eps, 3).tolist(), 0.5)
-                    for eps in (0.1, 0.05)]
-        assert [row["n_star"] for row in rows] == expected == [2, None]
-        assert [row["error"] for row in rows] == [None, None]
-        header, _ = read_result_csv(out)
-        assert header["provenance"]["paths"] == ["iterative", "iterative"]
-
-    def test_zero_pairs_build_nothing(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(sectors, "sector_propagator", _refuse)
-        out = tmp_path / "scan.csv"
-        config = SweepConfig(mode="lifetime-scan", lengths=(4, 5), jt_over_pi=(0.9,),
-                             epsilon_over_pi=(0.1,), n_periods=1, out=str(out))
-        rows = run_sweep(config).rows
-        assert [(row["n_star"], row["censored"], row["error"]) for row in rows] == \
-            [(None, True, None)] * 2
-        header, _ = read_result_csv(out)
-        assert header["provenance"]["paths"] == ["iterative", "iterative"]
-
-    @pytest.mark.parametrize("n_periods, path", [(100, "iterative"), (2000, "sector")])
-    def test_horizon_decides_the_path(self, monkeypatch, tmp_path, n_periods, path):
-        """At L = 12 one sector set-up costs about 200 iterated pairs."""
-        built = []
-
-        def counted(params):
-            built.append(params.L)
-            return sector_propagator(params)
-
-        monkeypatch.setattr(sectors, "sector_propagator", counted)
-        out = tmp_path / "scan.csv"
-        config = SweepConfig(mode="lifetime-scan", lengths=(12,), jt_over_pi=(0.5,),
-                             epsilon_over_pi=(0.1,), n_periods=n_periods, out=str(out))
-        row = run_sweep(config).rows[0]
-        header, _ = read_result_csv(out)
-        assert header["provenance"]["paths"] == [path]
-        assert built == ([12] if path == "sector" else [])
-        expected = first_crossing(_iterative_pairs(12, 0.5, 0.1, n_periods // 2).tolist(), 0.05)
-        assert (row["n_star"], row["error"]) == (expected, None)
-
-    def test_paths_of_the_other_modes(self, tmp_path):
-        """At L = 4 one sector set-up costs about 2.4 iterated pairs."""
-        for mode, n_periods, window, path in (
-                ("spectrum", 4, 2, "momentum"), ("evolve", 4000, 2000, "iterative"),
-                ("phase-diagram", 4, 2, "iterative"), ("phase-diagram", 200, 100, "sector"),
-                ("fourier", 4, 2, "iterative"), ("fourier", 200, 2, "sector")):
-            out = tmp_path / f"{mode}.csv"
-            rows = run_sweep(SweepConfig(mode=mode, lengths=(4,), jt_over_pi=(1.0,),
-                                         epsilon_over_pi=(0.1,), n_periods=n_periods,
-                                         window=window, out=str(out))).rows
-            header, _ = read_result_csv(out)
-            assert (header["provenance"]["paths"], rows[0]["error"]) == ([path], None)
-
-    @pytest.mark.parametrize("window, path", [(100, "iterative"), (1000, "sector")])
-    def test_phase_cells_route_on_their_window(self, monkeypatch, tmp_path, window, path):
-        """The header names the engine the cell ran on, from the window, not the period count."""
-        if path == "iterative":
-            monkeypatch.setattr(sectors, "sector_propagator", _refuse)
-        out = tmp_path / "map.csv"
-        config = SweepConfig(mode="phase-diagram", lengths=(12,), jt_over_pi=(0.9,),
-                             epsilon_over_pi=(0.1,), n_periods=4000, window=window, out=str(out))
-        row = run_sweep(config).rows[0]
-        header, _ = read_result_csv(out)
-        assert header["provenance"]["paths"] == [path]
-        assert row["error"] is None
-        expected = _iterative_pairs(12, 0.9, 0.1, window).mean()
-        assert abs(row["average_return"] - expected) <= 1e-12
+    def test_no_state_vector_at_the_evolution_cap(self, tmp_path):
+        """A lifetime point at L = 24 holds under 4 MB; one 2**24 state would take 268 MB."""
+        config = SweepConfig(mode="lifetime-scan", lengths=(24,), jt_over_pi=(0.9,),
+                             epsilon_over_pi=(0.1,), n_periods=2000, out=str(tmp_path / "s.csv"))
+        tracemalloc.start()
+        try:
+            row = run_sweep(config).rows[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (row["censored"], row["error"]) == (True, None)
+        assert peak < 4 << 20
 
 
 class TestModesOnTheSector:
-    """``phase-diagram`` and ``fourier`` rows from the sector against the iterative engine."""
+    """``phase-diagram`` and ``fourier`` rows from the stream against the iterative engine."""
 
     @pytest.mark.parametrize("L", range(2, 11))
     def test_phase_cells(self, tmp_path, L):
@@ -302,7 +215,7 @@ class TestModesOnTheSector:
                              epsilon_over_pi=EPS_GRID, n_periods=200, window=100, out=str(out))
         rows = run_sweep(config).rows
         header, _ = read_result_csv(out)
-        assert header["provenance"]["paths"] == ["sector"] * len(rows)
+        assert header["provenance"]["paths"] == ["free-fermion"] * len(rows)
         for row in rows:
             expected = _iterative_pairs(L, row["jt_over_pi"], row["epsilon_over_pi"], 100).mean()
             assert row["error"] is None
@@ -315,7 +228,7 @@ class TestModesOnTheSector:
                              epsilon_over_pi=(0.0, 0.07), n_periods=2000, out=str(out))
         result = run_sweep(config)
         header, _ = read_result_csv(out)
-        assert header["provenance"]["paths"] == ["sector"] * len(result.rows)
+        assert header["provenance"]["paths"] == ["free-fermion"] * len(result.rows)
         for row, dumped in zip(result.rows, result.aux_files):
             expected = fourier_spectrum(_iterative_periods(L, row["jt_over_pi"],
                                                            row["epsilon_over_pi"], 2000))
@@ -327,6 +240,3 @@ class TestModesOnTheSector:
             magnitudes = np.array([float(line["magnitude"]) for line in curve])
             assert np.max(np.abs(magnitudes - expected.magnitudes)) <= 1e-12
 
-
-def _refuse(params):
-    raise AssertionError("the sector operator must not be built here")

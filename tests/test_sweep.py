@@ -90,6 +90,19 @@ class TestParseConfig:
         assert config.n_periods == 777  # explicit flag wins over the file
         assert config.out == str(tmp_path / "file.csv")
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_dump_spectra_takes_only_a_json_boolean(self, tmp_path, value):
+        config_file = tmp_path / "run.json"
+        config_file.write_text(json.dumps({"dump_spectra": value}))
+        argv = ["spectrum", "-L", "4", "--jt-over-pi", "1.0", "--epsilon-over-pi", "0.1",
+                "--config", str(config_file), "--out", str(tmp_path / "s.csv")]
+        with pytest.raises(ConfigError, match="dump_spectra: expected true or false"):
+            parse_config(argv)
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "s.csv").exists()
+        config_file.write_text(json.dumps({"dump_spectra": False}))
+        assert parse_config(argv).dump_spectra is False
+
     def test_unknown_config_key_rejected(self, tmp_path):
         config_file = tmp_path / "run.json"
         config_file.write_text(json.dumps({"lengths": [4]}))  # should be "length"
@@ -203,21 +216,28 @@ class TestLifetimeScan:
         assert [row["n_star"] for row in rows] == [16760, None, None, None, None, 16760]
         assert [row["censored"] for row in rows] == [False, True, True, True, True, False]
 
+    def test_frozen_lifetimes_at_ten_and_eleven_sites(self, tmp_path):
+        """Horizons too long to iterate here; a Schur decomposition of the translation- and
+        reflection-symmetric sector gave the same n*."""
+        config = make_config(lengths=(10, 11), n_periods=400_000, out=str(tmp_path / "scan.csv"))
+        rows = run_sweep(config).rows
+        assert [row["n_star"] for row in rows] == [80265, 191478]
 
-#: case -> (mode, config fields, engine of each grid point); each stream mode has both engines.
+
+#: case -> (mode, config fields, engine of each grid point); one engine per mode.
 JOBS_CASES = {
     "evolve": ("evolve", dict(lengths=(3, 4), jt_over_pi=(0.9, 1.0), n_periods=16, window=4),
                ["iterative"] * 4),
     "lifetime-scan": ("lifetime-scan", dict(lengths=(4, 12), jt_over_pi=(0.9, 1.0),
-                                            n_periods=400), ["sector"] * 2 + ["iterative"] * 2),
+                                            n_periods=400), ["free-fermion"] * 4),
     "phase-diagram": ("phase-diagram", dict(lengths=(4,), jt_over_pi=(0.5, 1.0),
-                                            n_periods=80, window=40), ["sector"] * 2),
+                                            n_periods=80, window=40), ["free-fermion"] * 2),
     "phase-diagram-iterative": ("phase-diagram", dict(lengths=(4,), jt_over_pi=(0.5, 1.0),
-                                                      n_periods=4, window=2), ["iterative"] * 2),
+                                                      n_periods=4, window=2), ["free-fermion"] * 2),
     "spectrum": ("spectrum", dict(lengths=(4, 6), jt_over_pi=(1.0,), dump_spectra=True),
                  ["momentum"] * 2),
     "fourier": ("fourier", dict(lengths=(4, 10), jt_over_pi=(1.0, 0.9), epsilon_over_pi=(0.05,),
-                                n_periods=64), ["sector"] * 2 + ["iterative"] * 2),
+                                n_periods=64), ["free-fermion"] * 4),
 }
 
 
@@ -299,7 +319,7 @@ def test_jobs_do_not_change_the_spectrum_bytes(tmp_path):
 
 
 def test_jobs_do_not_change_the_sector_bytes(tmp_path):
-    """The sector's Schur runs on one OpenBLAS thread in the parent and in pool workers alike."""
+    """The polarized-start stream gives the same bytes in the parent and in pool workers."""
     written = _cli_files_by_jobs(tmp_path, ["phase-diagram", "-L", "10",
                                             "--jt-over-pi", "0.5,0.9,1.0",
                                             "--epsilon-over-pi", "0.1,0.2341",
