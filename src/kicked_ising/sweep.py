@@ -35,13 +35,14 @@ runs produce byte-identical files once the provenance object is ignored,
 regardless of ``jobs``.  Floats are written with ``repr`` so values
 round-trip exactly.
 
-Each mode is one entry of the ``_MODES`` table: its summary columns, a point
-function from ``(FloquetParams, SweepConfig)`` to result cells, the engine
-that computes them, and the kind of auxiliary CSV its points write, if any
-(one per grid point next to the summary, ``<stem>_series_<idx>.csv`` or
-``<stem>_spectrum_<idx>.csv``, named in the row).  Every file is written
-under a temporary name and renamed into place, so a failed write leaves no
-partial file.
+Each mode is one ``_Mode`` row of the ``_MODES`` table: among its columns the
+point function from ``(FloquetParams, SweepConfig)`` to result cells and the
+kind of auxiliary CSV its points write, if any (one per grid point next to
+the summary, ``<stem>_series_<idx>.csv`` or ``<stem>_spectrum_<idx>.csv``,
+named in the row).  Each setting is one entry of ``_SETTINGS``, which the
+subcommand parsers, the config-file check and the value conversion all read.
+Every file is written under a temporary name and renamed into place, so a
+failed write leaves no partial file.
 
 Grid points are processed independently (optionally in a process pool) and
 rows are emitted in grid order.  A failure at one point is captured in that
@@ -60,7 +61,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -80,11 +81,6 @@ from .states import (
     polarized_state,
 )
 
-_DEFAULT_THRESHOLD = 0.05
-_DEFAULT_WINDOW = 1000
-_DEFAULT_PERIODS = {"lifetime-scan": 100_000}
-_DEFAULT_PERIODS_FALLBACK = 2000
-
 
 class ConfigError(ValueError):
     """Invalid sweep configuration (bad values, bad grids, unknown keys)."""
@@ -99,15 +95,15 @@ class SweepConfig:
     jt_over_pi: tuple[float, ...]
     epsilon_over_pi: tuple[float, ...]
     n_periods: int
-    threshold: float = _DEFAULT_THRESHOLD
-    window: int = _DEFAULT_WINDOW
+    threshold: float = 0.05
+    window: int = 1000
     out: str = ""
     jobs: int = 1
     dump_spectra: bool = False
 
-    def validate(self) -> None:
-        """Raise ConfigError (all problems at once) or CapacityError."""
-        problems = []
+    def validate(self, problems: Iterable[str] = ()) -> None:
+        """Raise ConfigError (all problems, ``problems`` from parsing first) or CapacityError."""
+        problems = list(problems)
         if self.mode not in MODES:
             problems.append(f"unknown mode {self.mode!r}; choose from {', '.join(MODES)}")
         if not self.lengths:
@@ -124,14 +120,14 @@ class SweepConfig:
         non_finite = [x for x in self.jt_over_pi + self.epsilon_over_pi if not np.isfinite(x)]
         if non_finite:
             problems.append(f"drive parameters must be finite, got {non_finite}")
-        if self.n_periods < 1:
-            problems.append(f"periods must be positive, got {self.n_periods}")
+        for key, value in (("periods", self.n_periods), ("window", self.window),
+                           ("jobs", self.jobs)):
+            if value < 1:
+                problems.append(f"{key} must be positive, got {value}")
+        if self.mode == "fourier" and self.n_periods == 1:
+            problems.append("fourier needs at least 2 periods (DFT samples), got 1")
         if not 0.0 < self.threshold < 1.0:
             problems.append(f"threshold must lie strictly between 0 and 1, got {self.threshold}")
-        if self.window < 1:
-            problems.append(f"window must be positive, got {self.window}")
-        if self.jobs < 1:
-            problems.append(f"jobs must be positive, got {self.jobs}")
         if not self.out:
             problems.append("no output path given (--out)")
         if self.mode == "phase-diagram":
@@ -244,21 +240,38 @@ def _fourier_point(params: FloquetParams, config: SweepConfig) -> dict:
 
 _POINT = ("L", "jt_over_pi", "epsilon_over_pi")
 
-#: mode -> (summary columns, point function, engine, aux-file kind or None).
+
+class _Mode(NamedTuple):
+    """A row of ``_MODES``."""
+
+    columns: tuple[str, ...]  # summary columns
+    point: Callable           # (FloquetParams, SweepConfig) -> result cells
+    engine: str               # what computes every row (``provenance.paths``)
+    aux: Optional[str]        # kind of the per-point CSV, if the points write one
+    periods: int              # default horizon (``--periods``)
+    help: str                 # the subcommand's help
+
+
 _MODES = {
-    "evolve": (_POINT + ("n_periods", "n_star", "censored", "average_return", "window_used",
-                         "norm_drift", "series_file", "error"), _evolve_point, "iterative",
-               "series"),
-    "lifetime-scan": (_POINT + ("threshold", "n_max_pairs", "n_star", "censored", "error"),
-                      _lifetime_point, "free-fermion", None),
-    "phase-diagram": (_POINT + ("window", "average_return", "error"), _phase_point,
-                      "free-fermion", None),
-    "spectrum": (_POINT + ("delta0_mean", "delta_pi_mean", "ratio", "n_zero", "n_pi",
-                           "reflection_residual", "spectrum_file", "error"),
-                 _spectrum_point, "momentum", "spectrum"),
-    "fourier": (_POINT + ("n_periods", "peak_bin", "peak_frequency", "peak_magnitude",
-                          "subharmonic_magnitude", "spectrum_file", "error"),
-                _fourier_point, "free-fermion", "spectrum"),
+    "evolve": _Mode(_POINT + ("n_periods", "n_star", "censored", "average_return",
+                              "window_used", "norm_drift", "series_file", "error"),
+                    _evolve_point, "iterative", "series", 2000,
+                    "record return probability and magnetization time series"),
+    "lifetime-scan": _Mode(_POINT + ("threshold", "n_max_pairs", "n_star", "censored", "error"),
+                           _lifetime_point, "free-fermion", None, 100_000,
+                           "scan the threshold-crossing time of the even-period return "
+                           "probability"),
+    "phase-diagram": _Mode(_POINT + ("window", "average_return", "error"), _phase_point,
+                           "free-fermion", None, 2000, "map the early-time averaged return "
+                           "probability over drive parameters"),
+    "spectrum": _Mode(_POINT + ("delta0_mean", "delta_pi_mean", "ratio", "n_zero", "n_pi",
+                                "reflection_residual", "spectrum_file", "error"),
+                      _spectrum_point, "momentum", "spectrum", 2000,
+                      "report quasi-energy pairing statistics and symmetry residuals"),
+    "fourier": _Mode(_POINT + ("n_periods", "peak_bin", "peak_frequency", "peak_magnitude",
+                               "subharmonic_magnitude", "spectrum_file", "error"),
+                     _fourier_point, "free-fermion", "spectrum", 2000,
+                     "Fourier-analyze the return-probability series"),
 }
 MODES = tuple(_MODES)
 
@@ -266,7 +279,7 @@ MODES = tuple(_MODES)
 def _sweep_point(task) -> dict:
     """One grid point as a summary row, a failure recorded in ``error`` (pool-picklable)."""
     L, jt_pi, eps_pi, config = task
-    columns, point, _, _ = _MODES[config.mode]
+    columns, point, *_ = _MODES[config.mode]
     cell = dict(L=L, jt_over_pi=jt_pi, epsilon_over_pi=eps_pi, n_periods=config.n_periods,
                 threshold=config.threshold, window=config.window, n_max_pairs=_pairs(config))
     row = {column: cell.get(column) for column in columns}
@@ -341,7 +354,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Run every grid point of ``config.mode``; write aux CSVs, then the summary, or none."""
     config.validate()
     started = time.perf_counter()
-    columns, _, engine, kind = _MODES[config.mode]
+    columns, _, engine, kind, *_ = _MODES[config.mode]
     tasks = [(L, jt, eps, config) for L, jt, eps in config.grid()]
     rows = _run_points(_sweep_point, tasks, config.jobs)
     out = Path(config.out)
@@ -373,64 +386,64 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 # --------------------------------------------------------------------------
 # configuration parsing
 
-def _parse_int_grid(value, flag: str) -> tuple[int, ...]:
-    """Accept 8 | [6, 8] | "6,8,10" | "6:12" (inclusive) | "6:12:2" (step)."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{flag}: expected an integer, got {value!r}")
-    if isinstance(value, int):
-        return (value,)
-    if isinstance(value, (list, tuple)):
-        return tuple(itertools.chain.from_iterable(_parse_int_grid(v, flag) for v in value))
-    if isinstance(value, str):
-        text = value.strip()
-        try:
-            if ":" in text:
-                parts = [int(p) for p in text.split(":")]
-                if len(parts) not in (2, 3):
-                    raise ValueError
-                start, stop, step = (*parts, 1)[:3]
-                if step < 1 or stop < start:
-                    raise ValueError
-                return tuple(range(start, stop + 1, step))
-            return tuple(int(p) for p in text.split(",") if p.strip())
-        except ValueError:
-            raise ConfigError(
-                f"{flag}: expected an integer, a comma list, or start:stop[:step], got {value!r}"
-            ) from None
-    raise ConfigError(f"{flag}: expected an integer, list, or range string, got {value!r}")
-
-
-def _parse_float_grid(value, flag: str) -> tuple[float, ...]:
-    """Accept 0.9 | [0.75, 1.25] | "0.9,1.0" | "0.5:1.5:11" (linspace, inclusive)."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{flag}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    if isinstance(value, (list, tuple)):
-        return tuple(itertools.chain.from_iterable(_parse_float_grid(v, flag) for v in value))
-    if isinstance(value, str):
-        text = value.strip()
-        try:
-            if ":" not in text:
-                return tuple(float(p) for p in text.split(",") if p.strip())
-            start, stop, count = text.split(":")
-            start, stop, count = float(start), float(stop), int(count)
-            if count < 2:
-                raise ValueError
-        except ValueError:
-            raise ConfigError(
-                f"{flag}: expected a number, a comma list, or start:stop:count, got {value!r}"
-            ) from None
-        if not (np.isfinite(start) and np.isfinite(stop)):  # linspace would warn on inf
-            raise ConfigError(f"{flag}: drive parameters must be finite, got {value!r}")
-        return tuple(float(x) for x in np.linspace(start, stop, count))
-    raise ConfigError(f"{flag}: expected a number, list, or range string, got {value!r}")
-
-
-_CONFIG_KEYS = {
-    "mode", "length", "jt_over_pi", "epsilon_over_pi", "periods",
-    "threshold", "window", "out", "jobs", "dump_spectra",
+#: config key -> (SweepConfig field, JSON type of the value or of each grid value, whether
+#: it is a grid, help).  The flag is the key with "-" for "_", and a config file may spell
+#: the key either way.  A setting not given takes the field's default, or the mode's.
+_SETTINGS = {
+    "length": ("lengths", int, True, "chain length(s): 8 | 6,8,10 | 6:12 | 6:12:2"),
+    "jt_over_pi": ("jt_over_pi", float, True,
+                   "interaction phase JT in units of pi: 0.9 | 0.5,1.0 | 0.5:1.5:11"),
+    "epsilon_over_pi": ("epsilon_over_pi", float, True,
+                        "kick imperfection in units of pi (same grid syntax)"),
+    "periods": ("n_periods", int, False, "number of drive periods per point"),
+    "threshold": ("threshold", float, False, "return-probability threshold for lifetime detection"),
+    "window": ("window", int, False, "even-period samples averaged for phase-diagram cells"),
+    "out": ("out", str, False, "summary CSV path"),
+    "jobs": ("jobs", int, False, "worker processes (results identical for any value)"),
+    "dump_spectra": ("dump_spectra", bool, False, "write one quasi-energy CSV per grid point"),
 }
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def _convert(key: str, value):
+    """A flag's or config file's ``value`` of setting ``key``, as its SweepConfig field holds it.
+
+    A grid takes 8 | [6, 8] | "6,8,10" | a range: "6:12" (inclusive) or "6:12:2" (step) for
+    integers, "0.5:1.5:11" (linspace, inclusive) for floats.
+    """
+    _, kind, grid, _ = _SETTINGS[key]
+    # JSON types: an integer is also a number, a boolean neither
+    if isinstance(value, bool) == (kind is bool) and isinstance(
+            value, (int, float) if kind is float else kind):
+        return (kind(value),) if grid else kind(value)
+    if not grid:
+        raise ConfigError(f"{key}: expected {_JSON_TYPES[kind]}, got {value!r}")
+    flag = "--" + key.replace("_", "-")
+    if isinstance(value, (list, tuple)):
+        return tuple(itertools.chain.from_iterable(_convert(key, v) for v in value))
+    if not isinstance(value, str):
+        raise ConfigError(f"{flag}: expected {_JSON_TYPES[kind]}, list, or range string, "
+                          f"got {value!r}")
+    text, span = value.strip(), "start:stop[:step]" if kind is int else "start:stop:count"
+    try:
+        if ":" not in text:
+            return tuple(kind(p) for p in text.split(",") if p.strip())
+        parts = text.split(":")
+        if kind is int:
+            start, stop, step = (*map(int, parts), 1)[:3]
+            if len(parts) > 3 or step < 1 or stop < start:
+                raise ValueError
+            return tuple(range(start, stop + 1, step))
+        start, stop, count = parts
+        start, stop, count = float(start), float(stop), int(count)
+        if count < 2:
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"{flag}: expected {_JSON_TYPES[kind]}, a comma list, or {span}, "
+                          f"got {value!r}") from None
+    if not (np.isfinite(start) and np.isfinite(stop)):  # linspace would warn on inf
+        raise ConfigError(f"{flag}: drive parameters must be finite, got {value!r}")
+    return tuple(float(x) for x in np.linspace(start, stop, count))
 
 
 def _load_config_file(path: str) -> dict:
@@ -444,7 +457,7 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     values = {key.replace("-", "_"): value for key, value in raw.items()}
-    unknown = sorted(set(values) - _CONFIG_KEYS)
+    unknown = sorted(set(values) - set(_SETTINGS) - {"mode"})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     return values
@@ -457,35 +470,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "transverse-kicked Ising chain.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    descriptions = {
-        "evolve": "record return probability and magnetization time series",
-        "lifetime-scan": "scan the threshold-crossing time of the even-period return probability",
-        "phase-diagram": "map the early-time averaged return probability over drive parameters",
-        "spectrum": "report quasi-energy pairing statistics and symmetry residuals",
-        "fourier": "Fourier-analyze the return-probability series",
-    }
-    for mode in MODES:
-        sp = sub.add_parser(mode, help=descriptions[mode])
-        sp.add_argument("-L", "--length", default=None,
-                        help="chain length(s): 8 | 6,8,10 | 6:12 | 6:12:2")
-        sp.add_argument("--jt-over-pi", default=None,
-                        help="interaction phase JT in units of pi: 0.9 | 0.5,1.0 | 0.5:1.5:11")
-        sp.add_argument("--epsilon-over-pi", default=None,
-                        help="kick imperfection in units of pi (same grid syntax)")
-        sp.add_argument("--periods", type=int, default=None,
-                        help="number of drive periods per point")
-        sp.add_argument("--threshold", type=float, default=None,
-                        help="return-probability threshold for lifetime detection")
-        sp.add_argument("--window", type=int, default=None,
-                        help="even-period samples averaged for phase-diagram cells")
-        sp.add_argument("--out", default=None, help="summary CSV path")
-        sp.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (results identical for any value)")
-        sp.add_argument("--config", default=None,
+    for mode, row in _MODES.items():
+        sp = sub.add_parser(mode, help=row.help)
+        for key, (_, kind, grid, help_text) in _SETTINGS.items():
+            flag = "--" + key.replace("_", "-")
+            if kind is not bool:
+                sp.add_argument(*(["-L"] if key == "length" else []), flag,
+                                type=None if grid else kind, help=help_text)
+            elif mode == "spectrum":  # the one switch; only spectrum points dump
+                sp.add_argument(flag, action="store_const", const=True, help=help_text)
+        sp.add_argument("--config",
                         help="JSON file with the same keys as the flags; flags override")
-        if mode == "spectrum":
-            sp.add_argument("--dump-spectra", action="store_const", const=True,
-                            default=None, help="write one quasi-energy CSV per grid point")
     return parser
 
 
@@ -498,49 +493,18 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> SweepConfig:
     """
     namespace = _build_parser().parse_args(argv)
     mode = namespace.mode
-
-    values: dict = {}
-    if namespace.config is not None:
-        values.update(_load_config_file(namespace.config))
-    # Explicit flags win; the subcommand wins over any "mode" key in the file.
-    values.update((key, value) for key, value in vars(namespace).items()
-                  if value is not None and key != "config")
-
+    values = {} if namespace.config is None else _load_config_file(namespace.config)
+    values.update((key, getattr(namespace, key)) for key in _SETTINGS
+                  if getattr(namespace, key, None) is not None)
+    fields = dict(lengths=(), jt_over_pi=(), epsilon_over_pi=(), n_periods=_MODES[mode].periods,
+                  out=f"kicked-ising-{mode}.csv")
     problems = []
-    grids = {}
-    for key, parse in (("length", _parse_int_grid), ("jt_over_pi", _parse_float_grid),
-                       ("epsilon_over_pi", _parse_float_grid)):
+    for key, (name, *_) in _SETTINGS.items():  # the subcommand names the mode, not the file
         try:
-            grids[key] = parse(values[key], "--" + key.replace("_", "-")) if key in values else ()
+            if key in values:
+                fields[name] = _convert(key, values[key])
         except ConfigError as exc:
             problems.append(str(exc))
-            grids[key] = ()
-
-    def _scalar(key, kind, default):
-        value = values.get(key, default)
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            problems.append(f"{key}: expected {kind.__name__}, got {value!r}")
-            return default
-
-    n_periods = _scalar("periods", int, _DEFAULT_PERIODS.get(mode, _DEFAULT_PERIODS_FALLBACK))
-    threshold = _scalar("threshold", float, _DEFAULT_THRESHOLD)
-    window = _scalar("window", int, _DEFAULT_WINDOW)
-    jobs = _scalar("jobs", int, 1)
-    out = str(values.get("out", f"kicked-ising-{mode}.csv"))
-    dump_spectra = values.get("dump_spectra", False)
-    if not isinstance(dump_spectra, bool):
-        problems.append(f"dump_spectra: expected true or false, got {dump_spectra!r}")
-
-    if problems:
-        raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems))
-
-    config = SweepConfig(
-        mode=mode, lengths=grids["length"], jt_over_pi=grids["jt_over_pi"],
-        epsilon_over_pi=grids["epsilon_over_pi"],
-        n_periods=n_periods, threshold=threshold, window=window, out=out,
-        jobs=jobs, dump_spectra=dump_spectra,
-    )
-    config.validate()
+    config = SweepConfig(mode=mode, **fields)
+    config.validate(problems)
     return config

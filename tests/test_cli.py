@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -104,6 +105,31 @@ def test_failed_summary_write_removes_aux_files(tmp_path, monkeypatch, capsys):
     assert code == 4
     assert "No space left" in capsys.readouterr().err
     assert list(tmp_path.glob("e_series_*.csv")) == []
+    assert list(tmp_path.iterdir()) == []
+
+
+_TEST_PID = os.getpid()
+
+
+def _die_in_worker(params, config):
+    if os.getpid() == _TEST_PID:  # never take the test run down with it
+        raise RuntimeError("expected to run in a pool worker")
+    os._exit(1)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched mode table reaches pool workers only by fork")
+def test_crashed_worker_returns_five(tmp_path, monkeypatch, capsys):
+    """A pool worker that dies gives exit 5, a one-line message and no CSV."""
+    row = sweep._MODES["lifetime-scan"]
+    monkeypatch.setitem(sweep._MODES, "lifetime-scan", row._replace(point=_die_in_worker))
+    code = main(
+        ["lifetime-scan", "-L", "4", "--jt-over-pi", "0.9,1.0", "--epsilon-over-pi", "0.1",
+         "--periods", "40", "--jobs", "2", "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process died") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -103,6 +103,46 @@ class TestParseConfig:
         config_file.write_text(json.dumps({"dump_spectra": False}))
         assert parse_config(argv).dump_spectra is False
 
+    @pytest.mark.parametrize("key, value, expected", [
+        ("periods", True, "an integer"), ("periods", 40.0, "an integer"),
+        ("window", "12", "an integer"), ("jobs", 2.7, "an integer"),
+        ("threshold", "0.3", "a number"), ("threshold", False, "a number"),
+        ("out", 5, "a string"),
+    ])
+    def test_scalar_keys_take_only_their_json_type(self, tmp_path, key, value, expected):
+        config_file = tmp_path / "run.json"
+        values = {"length": 4, "jt_over_pi": 0.9, "epsilon_over_pi": 0.1, "periods": 40,
+                  "out": str(tmp_path / "x.csv"), key: value}
+        config_file.write_text(json.dumps(values))
+        argv = ["lifetime-scan", "--config", str(config_file)]
+        with pytest.raises(ConfigError, match=f"{key}: expected {expected}, got"):
+            parse_config(argv)
+        assert cli.main(argv) == 2
+        assert list(tmp_path.iterdir()) == [config_file]
+
+    @pytest.mark.parametrize("mode", sweep.MODES)
+    def test_config_file_and_flags_give_the_same_config(self, tmp_path, mode):
+        """Every key the mode has a flag for, once from a config file and once as flags."""
+        out = str(tmp_path / "x.csv")
+        values = {"mode": mode, "length": [4], "jt-over-pi": "0.5:1.5:3",
+                  "epsilon_over_pi": [0.1, 0.2], "periods": 400, "threshold": 0.3,
+                  "window": 100, "out": out, "jobs": 2}
+        flags = ["-L", "4", "--jt-over-pi", "0.5,1.0,1.5", "--epsilon-over-pi", "0.1,0.2",
+                 "--periods", "400", "--threshold", "0.3", "--window", "100", "--out", out,
+                 "--jobs", "2"]
+        if mode == "spectrum":
+            values["dump_spectra"] = True
+            flags.append("--dump-spectra")
+        assert {key.replace("-", "_") for key in values} - {"mode"} == (
+            set(sweep._SETTINGS) - ({"dump_spectra"} if mode != "spectrum" else set()))
+        expected = SweepConfig(mode=mode, lengths=(4,), jt_over_pi=(0.5, 1.0, 1.5),
+                               epsilon_over_pi=(0.1, 0.2), n_periods=400, threshold=0.3,
+                               window=100, out=out, jobs=2, dump_spectra=mode == "spectrum")
+        config_file = tmp_path / "run.json"
+        config_file.write_text(json.dumps(values))
+        assert parse_config([mode, "--config", str(config_file)]) == expected
+        assert parse_config([mode, *flags]) == expected
+
     def test_unknown_config_key_rejected(self, tmp_path):
         config_file = tmp_path / "run.json"
         config_file.write_text(json.dumps({"lengths": [4]}))  # should be "length"
@@ -161,6 +201,18 @@ class TestSweepConfigValidation:
         config = make_config(mode="phase-diagram", window=400, n_periods=400)
         with pytest.raises(ConfigError, match="2\\*window"):
             config.validate()
+
+    def test_fourier_needs_two_periods(self, tmp_path):
+        """One sample has no DFT: refused up front, not written as an error row."""
+        argv = ["fourier", "-L", "4", "--jt-over-pi", "1.0", "--epsilon-over-pi", "0.05",
+                "--periods", "1", "--out", str(tmp_path / "f.csv")]
+        with pytest.raises(ConfigError, match="fourier needs at least 2 periods"):
+            parse_config(argv)
+        assert cli.main(argv) == 2
+        assert list(tmp_path.iterdir()) == []
+        argv[argv.index("--periods") + 1] = "2"
+        assert cli.main(argv) == 0
+        assert read_result_csv(tmp_path / "f.csv")[1][0]["error"] == ""
 
     def test_grid_order_is_row_major(self):
         config = make_config(lengths=(4, 6), jt_over_pi=(0.5, 1.0), epsilon_over_pi=(0.1,))
@@ -457,10 +509,14 @@ class TestFourier:
         _, dumped = read_result_csv(tmp_path / row["spectrum_file"])
         assert len(dumped) == 64
 
-    def test_worker_error_is_recorded_not_raised(self, tmp_path):
+    def test_worker_error_is_recorded_not_raised(self, tmp_path, monkeypatch):
+        def refuse(samples):
+            raise ValueError("the DFT refuses")
+
+        monkeypatch.setattr(sweep, "fourier_spectrum", refuse)
         config = make_config(
             mode="fourier", lengths=(4,), jt_over_pi=(1.0,), epsilon_over_pi=(0.05,),
-            n_periods=1, out=str(tmp_path / "fft.csv"),  # one sample: DFT refuses
+            n_periods=64, out=str(tmp_path / "fft.csv"),
         )
         result = run_sweep(config)
         row = result.rows[0]
