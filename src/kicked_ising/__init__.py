@@ -5,11 +5,13 @@ spins-1/2: a global x rotation by pi/2 - epsilon on every site, followed by
 a nearest-neighbour Ising phase accumulated for one period.  Everything is
 exact: states are dense vectors over the 2**L computational basis, one
 drive period is a few matrix products with Kronecker factors of the kick
-(at most five sites each) plus a diagonal phase, and quasi-energy spectra up
-to 14 sites come from the translation-momentum blocks.  The return
-probability of the all-up start, behind the lifetime, phase-diagram and
-Fourier sweeps, is a closed-form product over the two parity sectors of the
-chain's free fermions, with no 2**L array at any size.
+(at most five sites each) plus a diagonal phase, and quasi-energy spectra
+come from the translation-momentum blocks.  The return probability of the
+all-up start, behind the lifetime, phase-diagram and Fourier sweeps, is a
+closed-form product over the two parity sectors of the chain's free
+fermions, with no 2**L array.  No array may exceed ``MAX_ARRAY_BYTES``
+(256 MiB), which allows states up to 24 sites, spectra up to 15 and the
+closed-form stream up to 32767.
 
 Quick start::
 
@@ -23,8 +25,7 @@ Quick start::
 __version__ = "0.1.0"
 
 from .states import (
-    DENSE_MAX_SITES,
-    EVOLVE_MAX_SITES,
+    MAX_ARRAY_BYTES,
     CapacityError,
     FloquetParams,
     StateVector,
@@ -67,7 +68,6 @@ from .spectral import (
     paired_superposition,
     propagator_spectrum,
     quasi_energies,
-    reflection_operator,
 )
 from .magnon import (
     MagnonPrediction,
@@ -87,7 +87,7 @@ from .sweep import (
 __all__ = [
     "__version__",
     # states
-    "DENSE_MAX_SITES", "EVOLVE_MAX_SITES", "CapacityError", "FloquetParams",
+    "MAX_ARRAY_BYTES", "CapacityError", "FloquetParams",
     "StateVector", "bond_sum", "bond_sum_table", "overlap", "polarized_state",
     "product_state",
     # engine
@@ -101,7 +101,7 @@ __all__ = [
     "EXACT_PAIR_TOL", "GapStatistics", "PairCounts", "QuasiEnergySpectrum",
     "check_time_reflection", "count_exact_pi_pairs", "fold_to_branch",
     "gap_statistics", "overlap_with_pair_manifold", "paired_superposition",
-    "propagator_spectrum", "quasi_energies", "reflection_operator",
+    "propagator_spectrum", "quasi_energies",
     # magnon
     "MagnonPrediction", "c1_magnitude", "predicted_P2T",
     "predicted_P2T_unexpanded", "predicted_return",

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 configuration error (including argparse failures),
-3 capacity error (requested chain length above the mode's cap), 4 I/O error
-while writing results, 5 a pool worker process died (``--jobs`` > 1); no CSV
-is written then.
+3 capacity error (the largest array of the mode's engine would exceed
+``states.MAX_ARRAY_BYTES`` at a requested chain length), 4 I/O error while
+writing results, 5 a pool worker process died (``--jobs`` > 1); no CSV is
+written then.
 """
 
 from __future__ import annotations

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _kick, _zz_phase_table
-from .states import DENSE_MAX_SITES, FloquetParams, _require_sites
+from .states import FloquetParams, _pow2, _require_bytes
 
 #: Basis states kicked together while a block propagator is built.
 _BLOCK = 8
@@ -150,13 +150,20 @@ def orbit_basis(images: np.ndarray, characters: np.ndarray) -> OrbitBasis:
     return OrbitBasis(dim.bit_length() - 1, members, sizes, amplitudes)
 
 
+def _block_bytes(L: int) -> float:
+    """Bytes of the largest block propagator, ``16 M**2``: ``M`` bounds block 0, the largest,
+    whose size is the necklace count ``(1/L) sum_{d | L} phi(d) 2**(L/d)``."""
+    M = _pow2(L) // L + _pow2(L // 2)
+    return 16 * M * M
+
+
 def momentum_blocks(L: int):
     """Yield the orbit bases of the L momentum blocks, ``k = 2 pi m / L`` for m = 0 .. L-1.
 
     Block m is the L rotations with characters ``exp(i k j)``; it holds the
     momentum states ``|r,k>`` of the orbits with ``m N_r`` a multiple of L.
     """
-    _require_sites(L, DENSE_MAX_SITES, "momentum block")
+    _require_bytes(L, _block_bytes(L), "a momentum block")
     index = np.arange(1 << L)
     mask = (1 << L) - 1
     rotations = np.stack([((index << j) | (index >> (L - j))) & mask for j in range(L)])
@@ -184,6 +191,11 @@ def _parity_sectors(params: FloquetParams) -> list[tuple[float, np.ndarray, np.n
     return sectors
 
 
+def _stream_bytes(L: int) -> int:
+    """Bytes of the phase table of ``sector_return_probability``: L + 1 rows of ``_CHUNK``."""
+    return 16 * _CHUNK * (L + 1)
+
+
 def sector_return_probability(params: FloquetParams):
     """Yield P(nT) of the all-up start for n = 1, 2, ..., indefinitely.
 
@@ -197,6 +209,7 @@ def sector_return_probability(params: FloquetParams):
     phases, which is both cheaper and closer than rounding ``j * phi`` before
     ``exp``.
     """
+    _require_bytes(params.L, _stream_bytes(params.L), "the phase table")
     (gamma_ns, eps_ns, tilt_ns), (gamma_r, eps_r, tilt_r) = _parity_sectors(params)
     phases = np.concatenate(([gamma_ns, gamma_r], eps_ns, eps_r))
     minus_tilt = -np.concatenate((tilt_ns, tilt_r))[:, None]

@@ -13,9 +13,9 @@ depend on a phase convention.  ``propagator_spectrum`` therefore divides out
 the Ising phase of the fully aligned spin configuration (a global factor
 ``exp(-i J T L / 4)``).  With that origin, the exactly paired states of an
 even-length chain at ``JT = pi`` anchor at 0 and ``pi/T`` for every even L;
-with the raw propagator they sit at 0/pi only for L divisible by 4 and at
-``+-pi/2T`` for L = 6, 10, ....  Pair *separations* and gap statistics are
-unaffected by the choice.
+with the raw propagator (``quasi_energies`` of the dense matrix) they sit at
+0/pi only for L divisible by 4 and at ``+-pi/2T`` for L = 6, 10, ....  Pair
+*separations* and gap statistics are unaffected by the choice.
 
 Momentum blocks
 ---------------
@@ -34,25 +34,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import functools
 import math
 
 import numpy as np
 import scipy.linalg
 
 from . import blas
-from .engine import DensePropagator, _zz_phase_table
+from .engine import DensePropagator
 # perfbench/tracer.py wraps spectral.build_dense_propagator; its install fails without the name.
 from .engine import build_dense_propagator  # noqa: F401
 from .sectors import momentum_blocks
-from .states import (
-    DENSE_MAX_SITES,
-    CapacityError,
-    FloquetParams,
-    StateVector,
-    _require_sites,
-    _require_unitary,
-)
+from .states import FloquetParams, StateVector, _require_unitary
 
 #: Quasi-energies closer than this to an anchor count as exactly degenerate.
 EXACT_PAIR_TOL = 1e-10
@@ -109,15 +101,6 @@ class PairCounts:
     n_pi: int
 
 
-def _as_matrix(U: Union[DensePropagator, np.ndarray]) -> np.ndarray:
-    if isinstance(U, DensePropagator):
-        return U.matrix
-    m = np.asarray(U, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def quasi_energies(
     U: Union[DensePropagator, np.ndarray],
     T: float = 1.0,
@@ -132,7 +115,9 @@ def quasi_energies(
     that of ``phase * U`` for a unit ``phase``; it multiplies the eigenvalues,
     so no scaled copy of ``U`` is made.
     """
-    m = _as_matrix(U)
+    m = U.matrix if isinstance(U, DensePropagator) else np.asarray(U, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dim = m.shape[0]
     if not T > 0:
         raise ValueError(f"period must be positive, got T={T}")
@@ -158,32 +143,20 @@ def quasi_energies(
     return QuasiEnergySpectrum(L=L, T=T, energies=energies, eigenvectors=vectors)
 
 
-def propagator_spectrum(
-    params: FloquetParams,
-    keep_vectors: bool = False,
-    phase_reference: str = "aligned",
-) -> QuasiEnergySpectrum:
-    """Spectrum of the one-period propagator with a fixed quasi-energy origin.
+def propagator_spectrum(params: FloquetParams, keep_vectors: bool = False) -> QuasiEnergySpectrum:
+    """Spectrum of the one-period propagator with the aligned quasi-energy origin.
 
-    ``phase_reference="aligned"`` (default) measures quasi-energies relative
-    to the Ising phase of the fully aligned configuration, i.e. diagonalizes
-    ``exp(+i J T L / 4) U``; see the module docstring.  ``"raw"`` uses the
-    propagator as built.  The levels are those of the momentum blocks,
-    merged and sorted; with ``keep_vectors`` column j of the eigenvectors is
-    the lifted Schur vector of level j.
+    Quasi-energies are measured relative to the Ising phase of the fully
+    aligned configuration, i.e. of ``exp(+i J T L / 4) U``; see the module
+    docstring.  The levels are those of the momentum blocks, merged and
+    sorted; with ``keep_vectors`` column j of the eigenvectors is the lifted
+    Schur vector of level j.
     """
-    _require_sites(params.L, DENSE_MAX_SITES, "momentum-block diagonalization")
-    if phase_reference == "aligned":
-        phase = np.exp(0.25j * params.jt * params.L)
-    elif phase_reference == "raw":
-        phase = 1.0
-    else:
-        raise ValueError(f"phase_reference must be 'aligned' or 'raw', got {phase_reference!r}")
     energies, vectors = [], []
     with blas.one_thread():
         for basis in momentum_blocks(params.L):
-            block = quasi_energies(basis.propagator(params), T=params.T,
-                                   keep_vectors=keep_vectors, phase=phase)
+            block = quasi_energies(basis.propagator(params), T=params.T, keep_vectors=keep_vectors,
+                                   phase=np.exp(0.25j * params.jt * params.L))
             energies.append(block.energies)
             if keep_vectors:
                 vectors.append(basis.lift(block.eigenvectors))
@@ -215,31 +188,13 @@ def gap_statistics(spec: QuasiEnergySpectrum) -> GapStatistics:
     return GapStatistics(delta0_mean=delta0, delta_pi_mean=delta_pi, ratio=ratio)
 
 
-def reflection_operator(L: int) -> np.ndarray:
-    """Matrix of (prod_i sigma^x_i) (prod_j sigma^z_j) in the spin basis.
-
-    Flips every spin and attaches the sign (-1)^(number of up spins) of the
-    source state (for one site: [[0, -1], [1, 0]]); R is unitary with
-    R^2 = (-1)^L I.  A global sign never matters where R is used twice, as in
-    ``check_time_reflection``.
-    """
-    if not isinstance(L, (int, np.integer)) or L < 1:
-        raise ValueError(f"need at least one site, got L={L!r}")
-    if L > DENSE_MAX_SITES:
-        raise CapacityError(f"L={L} exceeds the dense operator cap of {DENSE_MAX_SITES} sites")
-    dim = 1 << L
-    cols = np.arange(dim)
-    R = np.zeros((dim, dim))
-    R[cols ^ (dim - 1), cols] = functools.reduce(np.kron, [np.array([1.0, -1.0])] * L, np.ones(1))
-    return R
-
-
 def check_time_reflection(params: FloquetParams) -> float:
     """Residual of the time-reflection symmetry of the one-period propagator.
 
-    The symmetry combines the spin-flip/parity product R (see
-    ``reflection_operator``) with complex conjugation in the spin basis — an
-    antiunitary operation, as time reflection must be.  The identity tested is
+    The symmetry combines R = (prod_i sigma^x_i)(prod_j sigma^z_j), which flips
+    every spin with the sign (-1)**(number of up spins) of the source state,
+    with complex conjugation in the spin basis — an antiunitary operation, as
+    time reflection must be.  The identity tested is
 
         R conj(U) R^T = i**L U,    U = D K,
 
@@ -250,8 +205,10 @@ def check_time_reflection(params: FloquetParams) -> float:
     R conj(K) R^T = K; D is diagonal with flip-invariant bond sums, so
     R conj(D) R^T = conj(D).  The residual is (conj(D) - i**L D) K; the largest
     entries of every row of K have modulus max(|cos theta|, |sin theta|)**L.
+    A periodic chain has an even number f of anti-aligned bonds, so D takes
+    only the L // 2 + 1 values of ``exp(-i (JT/4) (L - 2f))``.
     """
-    d = _zz_phase_table(params.L, params.jt)
+    d = np.exp(-0.25j * params.jt * (params.L - 2 * np.arange(0, params.L + 1, 2)))
     kick = max(abs(math.cos(params.theta)), abs(math.sin(params.theta))) ** params.L
     return float(np.max(np.abs(d.conj() - 1j ** (params.L % 4) * d))) * kick
 

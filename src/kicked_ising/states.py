@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Largest chain for which state vectors may be evolved (2**L amplitudes).
-EVOLVE_MAX_SITES = 24
-#: Largest chain for which dense propagators / spectra may be built (4**L entries).
-DENSE_MAX_SITES = 14
+#: Largest array a computation may allocate: 256 MiB, one complex state of 24 sites.
+#: Every path checks the bytes of its largest array, estimated from L, against it.
+MAX_ARRAY_BYTES = 16 << 24
 
 #: Tolerance on the 2-norm of a state vector.
 NORM_TOL = 1e-12
@@ -29,7 +28,7 @@ UNITARITY_TOL = 1e-10
 
 
 class CapacityError(ValueError):
-    """A requested chain size exceeds the configured capacity cap."""
+    """A requested chain size needs an array larger than ``MAX_ARRAY_BYTES``."""
 
 
 def _norm(amps: np.ndarray) -> float:
@@ -41,13 +40,33 @@ def _norm(amps: np.ndarray) -> float:
     return math.sqrt(sum(np.sum(np.square(x[i:i + 65536])) for i in range(0, x.size, 65536)))
 
 
-def _require_sites(L: int, cap: int, what: str) -> None:
+def _require_sites(L: int) -> None:
     if not isinstance(L, (int, np.integer)):
         raise TypeError(f"site count must be an integer, got {L!r}")
     if L < 2:
         raise ValueError(f"a periodic chain needs at least 2 sites, got L={L}")
-    if L > cap:
-        raise CapacityError(f"L={L} exceeds the {what} cap of {cap} sites")
+
+
+def _pow2(n: int) -> float:
+    """2.0**n, saturating at 2.0**1023: an estimate past that overflows to inf, builds nothing."""
+    return 2.0 ** min(n, 1023)
+
+
+def _state_bytes(L: int) -> float:
+    """Bytes of one complex state of L sites."""
+    return 16 * _pow2(L)
+
+
+def _require_bytes(L: int, nbytes: float, what: str) -> None:
+    """Raise CapacityError when ``what``, estimated at ``nbytes`` for L sites, exceeds the budget."""
+    if nbytes > MAX_ARRAY_BYTES:
+        raise CapacityError(f"L={L}: {what} needs {nbytes / 2**20:.6g} MiB, over the "
+                            f"{MAX_ARRAY_BYTES >> 20} MiB array capacity")
+
+
+def _require_state(L: int) -> None:
+    _require_sites(L)
+    _require_bytes(L, _state_bytes(L), "a state vector")
 
 
 def _require_unitary(matrix: np.ndarray, what: str) -> None:
@@ -74,7 +93,7 @@ class FloquetParams:
     T: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_sites(self.L, EVOLVE_MAX_SITES, "evolution")
+        _require_sites(self.L)
         if not self.T > 0:
             raise ValueError(f"drive period must be positive, got T={self.T}")
 
@@ -104,7 +123,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        _require_sites(self.L, EVOLVE_MAX_SITES, "evolution")
+        _require_state(self.L)
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.L,):
             raise ValueError(
@@ -126,7 +145,7 @@ class StateVector:
 
 def polarized_state(L: int, direction: str = "up") -> StateVector:
     """All spins up (basis index 2**L - 1) or all spins down (index 0)."""
-    _require_sites(L, EVOLVE_MAX_SITES, "evolution")
+    _require_state(L)
     amps = np.zeros(1 << L, dtype=np.complex128)
     if direction == "up":
         amps[-1] = 1.0
@@ -144,7 +163,7 @@ def product_state(L: int, orientations) -> StateVector:
     in ``cos(theta/2)|up> + exp(i*phi) sin(theta/2)|down>``.  ``theta = 0`` is
     spin up, ``theta = pi`` spin down.
     """
-    _require_sites(L, EVOLVE_MAX_SITES, "evolution")
+    _require_state(L)
     pairs = [(float(t), float(p)) for (t, p) in orientations]
     if len(pairs) != L:
         raise ValueError(f"need exactly {L} (theta, phi) pairs, got {len(pairs)}")
@@ -176,9 +195,9 @@ def bond_sum(index: int, L: int) -> int:
     neighbours contribute +1, anti-aligned -1; the wrap-around bond is
     included, so for L=2 the one physical bond appears twice.
     """
-    _require_sites(L, EVOLVE_MAX_SITES, "evolution")
+    _require_sites(L)
     index = int(index)
-    if not 0 <= index < (1 << L):
+    if index < 0 or index >> L:
         raise ValueError(f"basis index {index} out of range for L={L}")
     flipped = int(index ^ _cyclic_shift_down(index, L)).bit_count()
     return L - 2 * flipped
@@ -186,7 +205,7 @@ def bond_sum(index: int, L: int) -> int:
 
 def bond_sum_table(L: int) -> np.ndarray:
     """``bond_sum`` for every basis index, as an int64 array of length 2**L."""
-    _require_sites(L, EVOLVE_MAX_SITES, "evolution")
+    _require_state(L)
     k = np.arange(1 << L, dtype=np.uint64)
     diff = k ^ _cyclic_shift_down(k, L)
     flipped = np.zeros(diff.shape, dtype=np.int64)

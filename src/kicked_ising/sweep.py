@@ -70,16 +70,10 @@ from .engine import evolve_stroboscopic
 # perfbench/tracer.py wraps sweep.iter_return_probability; its install fails without the name.
 from .engine import iter_return_probability  # noqa: F401
 from .observables import average_return, first_crossing, fourier_spectrum, lifetime
-from .sectors import sector_return_probability
+from .sectors import _block_bytes, _stream_bytes, sector_return_probability
 from .spectral import (check_time_reflection, count_exact_pi_pairs, gap_statistics,
                        propagator_spectrum)
-from .states import (
-    DENSE_MAX_SITES,
-    EVOLVE_MAX_SITES,
-    CapacityError,
-    FloquetParams,
-    polarized_state,
-)
+from .states import FloquetParams, _require_bytes, _state_bytes, polarized_state
 
 
 class ConfigError(ValueError):
@@ -102,16 +96,20 @@ class SweepConfig:
     dump_spectra: bool = False
 
     def validate(self, problems: Iterable[str] = ()) -> None:
-        """Raise ConfigError (all problems, ``problems`` from parsing first) or CapacityError."""
+        """Raise ConfigError (wrong types, else all problems; ``problems`` from parsing first)
+        or CapacityError."""
         problems = list(problems)
+        mistyped = [f"{name}: expected {'a tuple, each ' if grid else ''}{_JSON_TYPES[kind]}, "
+                    f"got {getattr(self, name)!r}" for name, kind, grid, _ in _SETTINGS.values()
+                    if not _is_json(getattr(self, name), kind, grid)]
+        if mistyped:
+            raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems + mistyped))
         if self.mode not in MODES:
             problems.append(f"unknown mode {self.mode!r}; choose from {', '.join(MODES)}")
         if not self.lengths:
             problems.append("no chain length given (--length)")
         for L in self.lengths:
-            if not isinstance(L, int) or isinstance(L, bool):
-                problems.append(f"chain length must be an integer, got {L!r}")
-            elif L < 2:
+            if L < 2:
                 problems.append(f"chain length must be at least 2, got {L}")
         if not self.jt_over_pi:
             problems.append("no interaction phase given (--jt-over-pi)")
@@ -138,12 +136,9 @@ class SweepConfig:
                                 f"{self.window} even-period samples), got {self.n_periods}")
         if problems:
             raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems))
-        cap = DENSE_MAX_SITES if self.mode == "spectrum" else EVOLVE_MAX_SITES
+        what, estimate = _ENGINE_ARRAYS[_MODES[self.mode].engine]
         for L in self.lengths:
-            if L > cap:
-                raise CapacityError(
-                    f"chain length {L} exceeds the {cap}-site cap for mode {self.mode!r}"
-                )
+            _require_bytes(L, estimate(L), what)
 
     def grid(self) -> list[tuple[int, float, float]]:
         """All (L, JT/pi, epsilon/pi) points, in deterministic grid order."""
@@ -274,6 +269,10 @@ _MODES = {
                      "Fourier-analyze the return-probability series"),
 }
 MODES = tuple(_MODES)
+#: engine -> its largest array and that array's bytes at L, checked before any point runs
+_ENGINE_ARRAYS = {"iterative": ("a state vector", _state_bytes),
+                  "free-fermion": ("the phase table", _stream_bytes),
+                  "momentum": ("a momentum block", _block_bytes)}
 
 
 def _sweep_point(task) -> dict:
@@ -405,6 +404,17 @@ _SETTINGS = {
 _JSON_TYPES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
 
+def _is_json(value, kind, grid: bool = False) -> bool:
+    """Whether ``value`` has JSON type ``kind``: an integer is also a number, a boolean neither.
+
+    With ``grid``, whether it is a tuple of such values, as a grid field holds them.
+    """
+    if grid:
+        return isinstance(value, tuple) and all(_is_json(v, kind) for v in value)
+    return isinstance(value, bool) == (kind is bool) and isinstance(
+        value, (int, float) if kind is float else kind)
+
+
 def _convert(key: str, value):
     """A flag's or config file's ``value`` of setting ``key``, as its SweepConfig field holds it.
 
@@ -412,9 +422,7 @@ def _convert(key: str, value):
     integers, "0.5:1.5:11" (linspace, inclusive) for floats.
     """
     _, kind, grid, _ = _SETTINGS[key]
-    # JSON types: an integer is also a number, a boolean neither
-    if isinstance(value, bool) == (kind is bool) and isinstance(
-            value, (int, float) if kind is float else kind):
+    if _is_json(value, kind):
         return (kind(value),) if grid else kind(value)
     if not grid:
         raise ConfigError(f"{key}: expected {_JSON_TYPES[kind]}, got {value!r}")
@@ -488,8 +496,10 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> SweepConfig:
     """Build and validate a SweepConfig from CLI arguments.
 
     Precedence: built-in defaults, then the ``--config`` JSON file, then
-    explicit flags.  Raises ConfigError for bad values and CapacityError
-    when a requested chain length exceeds the mode's cap.
+    explicit flags.  Raises ConfigError for bad values, among them a file's
+    ``mode`` other than the subcommand, and CapacityError when the largest
+    array of the mode's engine would exceed ``MAX_ARRAY_BYTES`` at some
+    chain length.
     """
     namespace = _build_parser().parse_args(argv)
     mode = namespace.mode
@@ -499,7 +509,9 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> SweepConfig:
     fields = dict(lengths=(), jt_over_pi=(), epsilon_over_pi=(), n_periods=_MODES[mode].periods,
                   out=f"kicked-ising-{mode}.csv")
     problems = []
-    for key, (name, *_) in _SETTINGS.items():  # the subcommand names the mode, not the file
+    if values.get("mode", mode) != mode:  # the subcommand names the mode
+        problems.append(f"config file mode {values['mode']!r} is not the subcommand {mode!r}")
+    for key, (name, *_) in _SETTINGS.items():
         try:
             if key in values:
                 fields[name] = _convert(key, values[key])

@@ -3,9 +3,12 @@
 The oracle builds the one-period propagator from explicit Pauli Kronecker
 products and ``scipy.linalg.expm`` — no phase tables, no bit tricks — so the
 structured engine and the oracle share no code paths beyond numpy itself.
+Beside it, ``reflection_operator`` is the dense matrix of the time-reflection
+check's spin flip.
 """
 
 import csv
+import functools
 import io
 import json
 from pathlib import Path
@@ -61,6 +64,23 @@ def oracle_kick(L: int, theta: float, states: np.ndarray) -> np.ndarray:
         )
         out = embedded @ out
     return out
+
+
+def reflection_operator(L: int) -> np.ndarray:
+    """Matrix of (prod_i sigma^x_i) (prod_j sigma^z_j) in the spin basis.
+
+    Flips every spin and attaches the sign (-1)^(number of up spins) of the
+    source state (for one site: [[0, -1], [1, 0]]); R is unitary with
+    R^2 = (-1)^L I.  A global sign never matters where R is used twice, as in
+    the time-reflection identity ``R conj(U) R^T = i^L U``.
+    """
+    if not isinstance(L, (int, np.integer)) or L < 1:
+        raise ValueError(f"need at least one site, got L={L!r}")
+    dim = 1 << L
+    cols = np.arange(dim)
+    R = np.zeros((dim, dim))
+    R[cols ^ (dim - 1), cols] = functools.reduce(np.kron, [np.array([1.0, -1.0])] * L, np.ones(1))
+    return R
 
 
 def random_state(L: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -47,7 +48,19 @@ def test_capacity_error_returns_three(tmp_path, capsys):
          "--epsilon-over-pi", "0.1", "--out", str(tmp_path / "x.csv")]
     )
     assert code == 3
-    assert "cap" in capsys.readouterr().err
+    assert "capacity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", sweep.MODES)
+def test_a_huge_chain_is_refused_at_once(tmp_path, capsys, mode):
+    """The estimates build no 2**L array or integer, so any L is refused in milliseconds."""
+    started = time.perf_counter()
+    code = main([mode, "-L", "1000000000000", "--jt-over-pi", "1.0", "--epsilon-over-pi", "0.1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert "L=1000000000000: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_io_error_returns_four(tmp_path, capsys):

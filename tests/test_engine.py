@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kicked_ising import (
+    CapacityError,
     FloquetParams,
     StateVector,
     apply_global_x_rotation,
@@ -20,6 +21,7 @@ from kicked_ising import (
     polarized_state,
 )
 
+from kicked_ising import engine
 from kicked_ising.engine import _factor_sites, _kick, _periods
 
 from conftest import oracle_kick, oracle_propagator, random_state
@@ -228,3 +230,17 @@ def test_dense_propagator_columns_are_floquet_steps(L):
         basis[index] = 1.0
         column = floquet_step(StateVector(L, basis), params).amplitudes
         assert np.array_equal(U[:, index], column)
+
+
+def test_dense_propagator_capacity(monkeypatch):
+    """16 * 4**L bytes: 12 sites fit the budget exactly, 13 do not."""
+    with pytest.raises(CapacityError, match="L=13: a dense propagator needs 1024 MiB, over the "
+                                            "256 MiB array capacity"):
+        build_dense_propagator(FloquetParams.from_dimensionless(13, 1.0, 0.1))
+
+    def past_the_check(n, theta):
+        raise LookupError("the capacity check passed")
+
+    monkeypatch.setattr(engine, "_kick_factor", past_the_check)
+    with pytest.raises(LookupError, match="capacity check passed"):
+        build_dense_propagator(FloquetParams.from_dimensionless(12, 1.0, 0.1))

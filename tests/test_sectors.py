@@ -138,6 +138,11 @@ class TestOrbits:
         # The k = 0 momentum blocks count the necklaces.
         assert [next(momentum_blocks(L)).sizes.size for L in (6, 8, 10)] == [14, 36, 108]
 
+    @pytest.mark.parametrize("L", range(2, 15))
+    def test_block_estimate_bounds_the_largest_block(self, L):
+        M = max(basis.sizes.size for basis in momentum_blocks(L))
+        assert sectors._block_bytes(L) == 16 * (2**L // L + 2 ** (L // 2)) ** 2 >= 16 * M * M
+
 
 class TestSectorOperator:
     @pytest.mark.parametrize("L", range(2, 9))
@@ -203,6 +208,15 @@ class TestSectorReturnProbability:
             tracemalloc.stop()
         assert (row["censored"], row["error"]) == (True, None)
         assert peak < 4 << 20
+
+    def test_lifetime_ends_at_thirty_two_sites(self, tmp_path):
+        """The early minimum of P(2nT) falls with L and dips below 0.05 at L = 32, while n* is
+        censored over 1e7 pairs for L = 20-30: the lifetime's growth with L is a finite-size
+        regime."""
+        config = SweepConfig(mode="lifetime-scan", lengths=(32,), jt_over_pi=(0.9,),
+                             epsilon_over_pi=(0.1,), n_periods=500_000,
+                             out=str(tmp_path / "s.csv"))
+        assert run_sweep(config).rows[0]["n_star"] == 203_323
 
 
 class TestModesOnTheSector:

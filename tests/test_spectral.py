@@ -22,12 +22,12 @@ from kicked_ising import (
     polarized_state,
     propagator_spectrum,
     quasi_energies,
-    reflection_operator,
 )
 
+from kicked_ising import engine, states
 from kicked_ising.engine import _kick_factor
 
-from conftest import random_state
+from conftest import random_state, reflection_operator
 
 #: (JT/pi, epsilon/pi) drive points of the time-reflection comparisons.
 DRIVES = ((1.0, 0.1), (0.5, 0.1), (1.0, 0.0), (0.2, 0.35), (0.0, 0.0), (1.3, 0.2341))
@@ -241,6 +241,26 @@ class TestTimeReflection:
             dense = float(np.max(np.abs(R @ U.conj() @ R.T - 1j ** (L % 4) * U)))
             assert abs(check_time_reflection(params) - dense) <= 1e-15
 
+    @pytest.mark.parametrize("L", range(2, 17))
+    def test_bond_sum_values_equal_the_phase_table(self, L):
+        """The L // 2 + 1 bond sums give the residual of the whole 2**L phase table, bit for bit."""
+        for jt_over_pi, eps_over_pi in DRIVES:
+            params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
+            d = engine._zz_phase_table(L, params.jt)
+            kick = max(abs(math.cos(params.theta)), abs(math.sin(params.theta))) ** L
+            table = float(np.max(np.abs(d.conj() - 1j ** (L % 4) * d))) * kick
+            assert check_time_reflection(params) == table
+
+    def test_a_thousand_sites_without_a_table(self, monkeypatch):
+        def refuse(L):
+            raise AssertionError(f"bond_sum_table({L}) was called")
+
+        monkeypatch.setattr(states, "bond_sum_table", refuse)
+        monkeypatch.setattr(engine, "bond_sum_table", refuse)
+        engine._zz_phase_table.cache_clear()
+        assert check_time_reflection(FloquetParams.from_dimensionless(1000, 1.0, 0.0)) < 1e-12
+        assert check_time_reflection(FloquetParams.from_dimensionless(1000, 0.5, 0.0)) > 1e-2
+
 
 class TestPairCounting:
     def test_tolerance_drives_the_count(self):
@@ -264,14 +284,8 @@ class TestPairCounting:
     def test_raw_reference_swaps_the_anchors_for_this_size(self):
         # exp(+i JT L / 4) = -1 at L = 4, JT = pi: a rigid half-period shift.
         params = FloquetParams.from_dimensionless(4, 1.0, 0.1)
-        raw = count_exact_pi_pairs(propagator_spectrum(params, phase_reference="raw"))
+        raw = count_exact_pi_pairs(quasi_energies(build_dense_propagator(params).matrix))
         assert (raw.n_zero, raw.n_pi) == (6, 4)
-
-    def test_phase_reference_validation(self):
-        with pytest.raises(ValueError):
-            propagator_spectrum(
-                FloquetParams.from_dimensionless(4, 1.0, 0.1), phase_reference="x"
-            )
 
 
 class TestPairedStates:

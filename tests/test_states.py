@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kicked_ising import (
-    DENSE_MAX_SITES,
-    EVOLVE_MAX_SITES,
+    MAX_ARRAY_BYTES,
     CapacityError,
     FloquetParams,
     StateVector,
@@ -43,8 +42,6 @@ class TestFloquetParams:
             FloquetParams(L=1, J=1.0, epsilon=0.0)
         with pytest.raises(TypeError):
             FloquetParams(L=4.0, J=1.0, epsilon=0.0)
-        with pytest.raises(CapacityError):
-            FloquetParams(L=EVOLVE_MAX_SITES + 1, J=1.0, epsilon=0.0)
         with pytest.raises(ValueError):
             FloquetParams(L=4, J=1.0, epsilon=0.0, T=0.0)
         with pytest.raises(TypeError):
@@ -52,7 +49,34 @@ class TestFloquetParams:
 
     def test_capacity_error_is_a_value_error(self):
         assert issubclass(CapacityError, ValueError)
-        assert DENSE_MAX_SITES < EVOLVE_MAX_SITES
+
+    def test_any_length_is_a_drive(self):
+        """A drive allocates nothing, so no array budget limits L."""
+        assert FloquetParams(L=32, J=1.0, epsilon=0.1).L == 32
+        assert FloquetParams(L=10**12, J=1.0, epsilon=0.1).L == 10**12
+
+
+class TestStateCapacity:
+    """Every 2**L state allocation checks 16 * 2**L bytes against the budget: 24 sites fit."""
+
+    def test_the_budget_is_one_state_of_24_sites(self):
+        assert MAX_ARRAY_BYTES == 16 * 2**24
+
+    @pytest.mark.parametrize("build", [
+        polarized_state,
+        lambda L: product_state(L, [(0.0, 0.0)] * L),
+        lambda L: StateVector(L, np.zeros(1, dtype=complex)),
+        bond_sum_table,
+    ], ids=["polarized_state", "product_state", "StateVector", "bond_sum_table"])
+    def test_25_sites_are_refused(self, build):
+        with pytest.raises(CapacityError, match=r"L=25: .*512 MiB, over the 256 MiB array capacity"):
+            build(25)
+
+    def test_scalar_bond_sum_has_no_budget(self):
+        assert bond_sum(0, 10**12) == 10**12
+        assert bond_sum(1, 100) == 96
+        with pytest.raises(ValueError, match="out of range"):
+            bond_sum(1 << 100, 100)
 
 
 class TestStateVector:

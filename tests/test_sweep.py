@@ -168,11 +168,41 @@ class TestParseConfig:
             parse_config(["evolve", "-L", "4", "--epsilon-over-pi", "0.1", "--out", "x.csv"])
 
     def test_capacity_is_a_distinct_error(self):
-        with pytest.raises(CapacityError, match="14-site cap"):
+        with pytest.raises(CapacityError, match="L=30: a momentum block needs .* MiB, over the "
+                                                "256 MiB array capacity"):
             parse_config(
                 ["spectrum", "-L", "30", "--jt-over-pi", "1.0",
                  "--epsilon-over-pi", "0.1", "--out", "x.csv"]
             )
+
+    @pytest.mark.parametrize("mode, last, needs", [
+        ("evolve", 24, "a state vector needs 512 MiB"),
+        ("lifetime-scan", 32767, "the phase table needs 256.008 MiB"),
+        ("phase-diagram", 32767, "the phase table needs 256.008 MiB"),
+        ("fourier", 32767, "the phase table needs 256.008 MiB"),
+        ("spectrum", 15, "a momentum block needs 289 MiB"),
+    ])
+    def test_capacity_limit_of_each_mode(self, mode, last, needs):
+        """The last chain length whose largest array fits the budget, and the first that does not."""
+        argv = [mode, "-L", str(last), "--jt-over-pi", "1.0", "--epsilon-over-pi", "0.1",
+                "--out", "x.csv"]
+        assert parse_config(argv).lengths == (last,)
+        argv[2] = str(last + 1)
+        with pytest.raises(CapacityError, match=f"L={last + 1}: {needs}, over the 256 MiB "
+                                                "array capacity"):
+            parse_config(argv)
+
+    def test_config_file_mode_must_be_the_subcommand(self, tmp_path):
+        config_file = tmp_path / "run.json"
+        argv = ["fourier", "-L", "4", "--jt-over-pi", "1.0", "--epsilon-over-pi", "0.1",
+                "--periods", "8", "--config", str(config_file), "--out", str(tmp_path / "f.csv")]
+        config_file.write_text(json.dumps({"mode": 5}))
+        with pytest.raises(ConfigError, match="config file mode 5 is not the subcommand"):
+            parse_config(argv)
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "f.csv").exists()
+        config_file.write_text(json.dumps({"mode": "fourier"}))
+        assert parse_config(argv).mode == "fourier"
 
     def test_bad_grid_string(self):
         with pytest.raises(ConfigError, match="--length"):
@@ -221,6 +251,19 @@ class TestSweepConfigValidation:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="unknown mode"):
             run_sweep(make_config(mode="anneal"))
+
+    @pytest.mark.parametrize("field, value, expected", [
+        ("threshold", "0.3", "threshold: expected a number, got '0.3'"),
+        ("n_periods", 40.5, "n_periods: expected an integer, got 40.5"),
+        ("lengths", (4.0,), r"lengths: expected a tuple, each an integer, got \(4.0,\)"),
+        ("jt_over_pi", 0.9, "jt_over_pi: expected a tuple, each a number, got 0.9"),
+    ])
+    def test_fields_of_the_wrong_type(self, tmp_path, field, value, expected):
+        """A library caller's mistyped field is a ConfigError, not a TypeError or an error row."""
+        out = tmp_path / "x.csv"
+        with pytest.raises(ConfigError, match=expected):
+            run_sweep(make_config(out=str(out), **{field: value}))
+        assert not out.exists()
 
 
 class TestLifetimeScan:
