@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .observables import _sz_from_weights
-from .states import FloquetParams, StateVector, _norm, _pow2, _require_bytes, bond_sum_table
+from .states import FloquetParams, StateVector, _norm, _require_matrix, bond_sum_table
 
 OBSERVABLE_CHOICES = ("return_probability", "sz")
 
@@ -213,7 +213,7 @@ def build_dense_propagator(params: FloquetParams) -> DensePropagator:
     applies, multiplied in the same order, so the columns equal
     ``floquet_step`` applied to the basis states.
     """
-    _require_bytes(params.L, 16 * _pow2(2 * params.L), "a dense propagator")
+    _require_matrix(params.L, "a dense propagator")
     U = np.ones((1, 1), dtype=np.complex128)
     for n in reversed(_factor_sites(params.L)):
         U = np.kron(_kick_factor(n, params.theta), U)

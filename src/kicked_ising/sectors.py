@@ -157,13 +157,17 @@ def _block_bytes(L: int) -> float:
     return 16 * M * M
 
 
+def _require_blocks(L: int) -> None:
+    _require_bytes(L, _block_bytes(L), "a momentum block")
+
+
 def momentum_blocks(L: int):
     """Yield the orbit bases of the L momentum blocks, ``k = 2 pi m / L`` for m = 0 .. L-1.
 
     Block m is the L rotations with characters ``exp(i k j)``; it holds the
     momentum states ``|r,k>`` of the orbits with ``m N_r`` a multiple of L.
     """
-    _require_bytes(L, _block_bytes(L), "a momentum block")
+    _require_blocks(L)
     index = np.arange(1 << L)
     mask = (1 << L) - 1
     rotations = np.stack([((index << j) | (index >> (L - j))) & mask for j in range(L)])
@@ -191,9 +195,9 @@ def _parity_sectors(params: FloquetParams) -> list[tuple[float, np.ndarray, np.n
     return sectors
 
 
-def _stream_bytes(L: int) -> int:
-    """Bytes of the phase table of ``sector_return_probability``: L + 1 rows of ``_CHUNK``."""
-    return 16 * _CHUNK * (L + 1)
+def _require_stream(L: int) -> None:
+    """Check the phase table of ``sector_return_probability``, L + 1 rows of ``_CHUNK``."""
+    _require_bytes(L, 16 * _CHUNK * (L + 1), "the phase table")
 
 
 def sector_return_probability(params: FloquetParams):
@@ -209,7 +213,7 @@ def sector_return_probability(params: FloquetParams):
     phases, which is both cheaper and closer than rounding ``j * phi`` before
     ``exp``.
     """
-    _require_bytes(params.L, _stream_bytes(params.L), "the phase table")
+    _require_stream(params.L)
     (gamma_ns, eps_ns, tilt_ns), (gamma_r, eps_r, tilt_r) = _parity_sectors(params)
     phases = np.concatenate(([gamma_ns, gamma_r], eps_ns, eps_r))
     minus_tilt = -np.concatenate((tilt_ns, tilt_r))[:, None]

@@ -44,7 +44,7 @@ from .engine import DensePropagator
 # perfbench/tracer.py wraps spectral.build_dense_propagator; its install fails without the name.
 from .engine import build_dense_propagator  # noqa: F401
 from .sectors import momentum_blocks
-from .states import FloquetParams, StateVector, _require_unitary
+from .states import FloquetParams, StateVector, _require_matrix, _require_unitary
 
 #: Quasi-energies closer than this to an anchor count as exactly degenerate.
 EXACT_PAIR_TOL = 1e-10
@@ -150,8 +150,11 @@ def propagator_spectrum(params: FloquetParams, keep_vectors: bool = False) -> Qu
     aligned configuration, i.e. of ``exp(+i J T L / 4) U``; see the module
     docstring.  The levels are those of the momentum blocks, merged and
     sorted; with ``keep_vectors`` column j of the eigenvectors is the lifted
-    Schur vector of level j.
+    Schur vector of level j; they form a dense ``2**L x 2**L`` matrix, checked
+    against the array budget before any block is built.
     """
+    if keep_vectors:
+        _require_matrix(params.L, "the matrix of lifted eigenvectors")
     energies, vectors = [], []
     with blas.one_thread():
         for basis in momentum_blocks(params.L):

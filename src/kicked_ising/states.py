@@ -52,11 +52,6 @@ def _pow2(n: int) -> float:
     return 2.0 ** min(n, 1023)
 
 
-def _state_bytes(L: int) -> float:
-    """Bytes of one complex state of L sites."""
-    return 16 * _pow2(L)
-
-
 def _require_bytes(L: int, nbytes: float, what: str) -> None:
     """Raise CapacityError when ``what``, estimated at ``nbytes`` for L sites, exceeds the budget."""
     if nbytes > MAX_ARRAY_BYTES:
@@ -65,8 +60,14 @@ def _require_bytes(L: int, nbytes: float, what: str) -> None:
 
 
 def _require_state(L: int) -> None:
+    """Check L and one complex state of L sites, ``16 * 2**L`` bytes, against the budget."""
     _require_sites(L)
-    _require_bytes(L, _state_bytes(L), "a state vector")
+    _require_bytes(L, 16 * _pow2(L), "a state vector")
+
+
+def _require_matrix(L: int, what: str) -> None:
+    """Check a dense ``2**L x 2**L`` complex matrix, ``16 * 4**L`` bytes, against the budget."""
+    _require_bytes(L, 16 * _pow2(2 * L), what)
 
 
 def _require_unitary(matrix: np.ndarray, what: str) -> None:
@@ -183,11 +184,6 @@ def overlap(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def _cyclic_shift_down(k, L: int):
-    """Rotate the low ``L`` bits of ``k`` right by one (bit i of result = bit i+1 of k)."""
-    return (k >> 1) | ((k & 1) << (L - 1))
-
-
 def bond_sum(index: int, L: int) -> int:
     """Eigenvalue of the nearest-neighbour Ising sum on basis state ``index``.
 
@@ -199,7 +195,8 @@ def bond_sum(index: int, L: int) -> int:
     index = int(index)
     if index < 0 or index >> L:
         raise ValueError(f"basis index {index} out of range for L={L}")
-    flipped = int(index ^ _cyclic_shift_down(index, L)).bit_count()
+    top = (index >> (L - 1)) & 1  # single bits: no integer of L bits is built for the wrap bond
+    flipped = (index ^ (index >> 1)).bit_count() - top + (top ^ (index & 1))
     return L - 2 * flipped
 
 
@@ -207,7 +204,7 @@ def bond_sum_table(L: int) -> np.ndarray:
     """``bond_sum`` for every basis index, as an int64 array of length 2**L."""
     _require_state(L)
     k = np.arange(1 << L, dtype=np.uint64)
-    diff = k ^ _cyclic_shift_down(k, L)
+    diff = k ^ ((k >> 1) | ((k & 1) << (L - 1)))  # bit i: spin i against spin i+1 mod L
     flipped = np.zeros(diff.shape, dtype=np.int64)
     for i in range(L):
         flipped += ((diff >> np.uint64(i)) & np.uint64(1)).astype(np.int64)

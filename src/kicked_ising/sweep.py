@@ -70,10 +70,10 @@ from .engine import evolve_stroboscopic
 # perfbench/tracer.py wraps sweep.iter_return_probability; its install fails without the name.
 from .engine import iter_return_probability  # noqa: F401
 from .observables import average_return, first_crossing, fourier_spectrum, lifetime
-from .sectors import _block_bytes, _stream_bytes, sector_return_probability
+from .sectors import _require_blocks, _require_stream, sector_return_probability
 from .spectral import (check_time_reflection, count_exact_pi_pairs, gap_statistics,
                        propagator_spectrum)
-from .states import FloquetParams, _require_bytes, _state_bytes, polarized_state
+from .states import FloquetParams, _require_state, polarized_state
 
 
 class ConfigError(ValueError):
@@ -136,9 +136,9 @@ class SweepConfig:
                                 f"{self.window} even-period samples), got {self.n_periods}")
         if problems:
             raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems))
-        what, estimate = _ENGINE_ARRAYS[_MODES[self.mode].engine]
+        require = _ENGINE_ARRAYS[_MODES[self.mode].engine]
         for L in self.lengths:
-            _require_bytes(L, estimate(L), what)
+            require(L)
 
     def grid(self) -> list[tuple[int, float, float]]:
         """All (L, JT/pi, epsilon/pi) points, in deterministic grid order."""
@@ -269,10 +269,9 @@ _MODES = {
                      "Fourier-analyze the return-probability series"),
 }
 MODES = tuple(_MODES)
-#: engine -> its largest array and that array's bytes at L, checked before any point runs
-_ENGINE_ARRAYS = {"iterative": ("a state vector", _state_bytes),
-                  "free-fermion": ("the phase table", _stream_bytes),
-                  "momentum": ("a momentum block", _block_bytes)}
+#: engine -> the check of its largest array at L, the one its path makes, run before any point
+_ENGINE_ARRAYS = {"iterative": _require_state, "free-fermion": _require_stream,
+                  "momentum": _require_blocks}
 
 
 def _sweep_point(task) -> dict:

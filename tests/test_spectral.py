@@ -7,6 +7,7 @@ import pytest
 
 from kicked_ising import (
     EXACT_PAIR_TOL,
+    CapacityError,
     FloquetParams,
     QuasiEnergySpectrum,
     StateVector,
@@ -24,7 +25,7 @@ from kicked_ising import (
     quasi_energies,
 )
 
-from kicked_ising import engine, states
+from kicked_ising import engine, spectral, states
 from kicked_ising.engine import _kick_factor
 
 from conftest import random_state, reflection_operator
@@ -172,6 +173,22 @@ class TestMomentumBlocks:
             eigenvalues = np.exp(-1j * spec.energies * spec.T) / phase
             U = build_dense_propagator(params).matrix
             assert np.max(np.linalg.norm(U @ V - V * eigenvalues, axis=0)) <= 1e-12
+
+    def test_lifted_vectors_capacity(self, monkeypatch):
+        """The lifted vectors are one 2**L x 2**L matrix, 16 * 4**L bytes: 12 sites fit, 13 do not,
+        though 13 sites of levels alone fit."""
+        params = FloquetParams.from_dimensionless(13, 1.0, 0.1)
+        with pytest.raises(CapacityError, match="L=13: the matrix of lifted eigenvectors needs "
+                                                "1024 MiB, over the 256 MiB array capacity"):
+            propagator_spectrum(params, keep_vectors=True)
+
+        def past_the_check(L):
+            raise LookupError("the capacity check passed")
+
+        monkeypatch.setattr(spectral, "momentum_blocks", past_the_check)
+        for L, keep_vectors in ((12, True), (13, False)):
+            with pytest.raises(LookupError, match="capacity check passed"):
+                propagator_spectrum(FloquetParams.from_dimensionless(L, 1.0, 0.1), keep_vectors)
 
 
 class TestReflectionOperator:

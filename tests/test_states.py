@@ -74,6 +74,8 @@ class TestStateCapacity:
 
     def test_scalar_bond_sum_has_no_budget(self):
         assert bond_sum(0, 10**12) == 10**12
+        assert bond_sum(1, 10**12) == 10**12 - 4
+        assert bond_sum(1 << (10**6 - 1), 10**6) == 10**6 - 4
         assert bond_sum(1, 100) == 96
         with pytest.raises(ValueError, match="out of range"):
             bond_sum(1 << 100, 100)
