@@ -4,8 +4,9 @@ The package builds around a two-part drive on a periodic chain of L
 spins-1/2: a global x rotation by pi/2 - epsilon on every site, followed by
 a nearest-neighbour Ising phase accumulated for one period.  Everything is
 exact: states are dense vectors over the 2**L computational basis, one
-drive period is a few matrix products with Kronecker factors of the kick
-(at most five sites each) plus a diagonal phase, and quasi-energy spectra
+drive period is a few real matrix products with Kronecker factors of the
+kick (at most five sites each, in the frame where the kick is real) plus a
+diagonal phase, and quasi-energy spectra
 come from the translation-momentum blocks.  The return probability of the
 all-up start, behind the lifetime, phase-diagram and Fourier sweeps, is a
 closed-form product over the two parity sectors of the chain's free

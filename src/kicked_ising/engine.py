@@ -3,14 +3,30 @@
 A period consists of the global x kick ``K = prod_i exp(-i theta sigma^x_i)``
 with ``theta = pi/2 - epsilon`` acting first, followed by the Ising phase
 ``D = diag(exp(-i (JT/4) * bond_sum))``.  The kick is the tensor power
-``k^{(x)L}`` of one symmetric 2x2 rotation ``k``, so it factorizes into a few
-site factors ``k^{(x)n}`` of at most five sites each (Van Loan, "The
-ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 85 (2000)).  The
-structured path applies each factor as one matrix product over a reshaped
-view of the state, plus one diagonal multiply, and never materializes a
-2**L x 2**L matrix: a period costs about ``2**n * L/n`` complex
-multiply-adds per amplitude, done by BLAS.  The dense propagator is the
-Kronecker product of the same factors times the phase table.
+``k^{(x)L}`` of one 2x2 rotation ``k = cos(theta) I - i sin(theta) sigma^x``.
+
+The engine works in the frame ``S = diag(1, i)`` on every site, that is
+``S = diag(i**popcount(b))``, where the kick is real: ``S k S^-1`` is the
+rotation ``r = [[cos theta, -sin theta], [sin theta, cos theta]]``.  S is
+diagonal, so it commutes with D, and it leaves every |amplitude|**2,
+overlap and norm unchanged.  ``r^{(x)L}`` factorizes into a few real site
+factors ``r^{(x)n}`` of at most five sites each (Van Loan, "The ubiquitous
+Kronecker product", J. Comput. Appl. Math. 123, 85 (2000)).  Each factor is
+one float64 matrix product over the real view of the complex state, whose
+real and imaginary parts ride along as columns; that halves the
+multiply-adds of a complex product for every factor but the lowest, which
+is one product with ``kron(F^T, I_2)``.  No 2**L x 2**L matrix is formed.
+
+The period loop, ``_periods``, moves the start state into the frame once
+and never moves it back.  It alternates between two preallocated 2**L
+buffers (``np.matmul(..., out=)``) and multiplies the phase in place, so a
+period allocates nothing.  It yields the frame amplitudes ``S psi_n`` in a
+buffer that the next period overwrites: a caller keeps nothing it has not
+copied.  The other entry points apply S only at their edges:
+``floquet_step`` and ``apply_global_x_rotation`` on their state, the dense
+propagator (the Kronecker product of the same real factors times the phase
+table) on its rows and columns, and ``sectors.OrbitBasis.propagator`` in its
+orbit-state amplitudes and row scale.
 """
 
 from __future__ import annotations
@@ -21,8 +37,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .observables import _sz_from_weights
-from .states import FloquetParams, StateVector, _norm, _require_matrix, bond_sum_table
+from .observables import _sz_profile
+from .states import (FloquetParams, StateVector, _norm, _popcount, _require_matrix,
+                     bond_sum_table)
 
 OBSERVABLE_CHOICES = ("return_probability", "sz")
 
@@ -80,20 +97,107 @@ def _factor_sites(L: int) -> tuple[int, ...]:
     return (size + 1,) * larger + (size,) * (count - larger)
 
 
+#: ``i**m`` for m = 0, 1, 2, 3.
+_UNITS = np.array([1, 1j, -1, -1j])
+
+
+def _frame_phases(indices: np.ndarray) -> np.ndarray:
+    """The diagonal of the frame ``S = diag(i**popcount(b))`` at the basis indices ``indices``."""
+    return _UNITS[_popcount(indices) & np.uint64(3)]
+
+
+def _frame(amps: np.ndarray, L: int, width: int = 1, inverse: bool = False) -> None:
+    """Multiply the 2**L rows of ``amps`` by S (or S^-1) in place.
+
+    ``amps`` is contiguous and ends in 2**L rows of ``width`` entries; any
+    leading axis rides along.  ``S = kron(S_high, S_low)`` over the high
+    ``ceil(L/2)`` and the low ``floor(L/2)`` sites, so two multiplies by one
+    table of ``2**ceil(L/2)`` unit phases apply it.  The phases are +-1 and
+    +-i, so the multiplies are exact.
+    """
+    low = L // 2
+    table = _frame_phases(np.arange(1 << (L - low)))
+    if inverse:
+        table = table.conj()
+    rows = amps.reshape(-1, 1 << (L - low), 1 << low, width)
+    rows *= table[:, None, None]
+    rows *= table[:1 << low, None]
+
+
 @lru_cache(maxsize=128)
 def _kick_factor(n: int, theta: float) -> np.ndarray:
-    """``k^{(x)n}`` with ``k = cos(theta) I - i sin(theta) sigma^x``, a symmetric 2**n matrix.
+    """``r^{(x)n}`` with ``r = [[cos theta, -sin theta], [sin theta, cos theta]]``, a real 2**n matrix.
 
-    Each entry is the product of its site entries taken from site 0 upwards.
+    ``r = S k S^-1`` is the kick ``k = cos(theta) I - i sin(theta) sigma^x``
+    of one site in the frame.  Each entry is the product of its site entries
+    taken from site 0 upwards.
     """
     c = np.cos(theta)
     s = np.sin(theta)
-    k = np.array([[c, -1j * s], [-1j * s, c]])
-    factor = k
+    r = np.array([[c, -s], [s, c]])
+    factor = r
     for _ in range(n - 1):
-        factor = np.kron(k, factor)
+        factor = np.kron(r, factor)
     factor.setflags(write=False)
     return factor
+
+
+@lru_cache(maxsize=128)
+def _lowest_factor(n: int, theta: float) -> np.ndarray:
+    """``kron(F^T, I_2)`` for ``F = r^{(x)n}``: F on the lowest n sites of a real view.
+
+    A state's real view holds the real and imaginary part of an amplitude side
+    by side, so one product on the right applies F to both.
+    """
+    factor = np.kron(_kick_factor(n, theta).T, np.eye(2))
+    factor.setflags(write=False)
+    return factor
+
+
+def _kick_products(amps: np.ndarray, spare: np.ndarray, L: int, theta: float,
+                   width: int = 1) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The products that apply ``r^{(x)L}`` to the 2**L rows of ``amps`` (``width`` complex entries each).
+
+    One float64 matrix product per site factor, lowest sites first, as
+    ``(a, b, out)`` for ``np.matmul(a, b, out=out)`` over the real views of
+    the two buffers, whose last axis carries real and imaginary parts (and
+    the lower sites and columns) along.  The products write alternately into
+    ``spare`` and ``amps``: the result lands in ``amps`` after an even
+    number of factors, else in ``spare``.
+    """
+    buffers = (amps.view(np.float64), spare.view(np.float64))
+    products = []
+    low = 0
+    for step, n in enumerate(reversed(_factor_sites(L))):
+        src, dst = buffers[step % 2], buffers[1 - step % 2]
+        if low == 0 and width == 1:
+            shape = (-1, 2 << n)
+            products.append((src.reshape(shape), _lowest_factor(n, theta), dst.reshape(shape)))
+        else:
+            # Middle axis is the factor's sites; lower sites and columns ride along in the last.
+            shape = (-1, 1 << n, (2 << low) * width)
+            products.append((_kick_factor(n, theta), src.reshape(shape), dst.reshape(shape)))
+        low += n
+    return products
+
+
+def _frame_kick(amps: np.ndarray, spare: np.ndarray, L: int, theta: float,
+                width: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Apply ``r^{(x)L}`` to the rows of ``amps``, overwriting both buffers.
+
+    Returns the buffer that holds the result, then the other one.
+    """
+    products = _kick_products(amps, spare, L, theta, width)
+    for a, b, out in products:
+        np.matmul(a, b, out=out)
+    return (spare, amps) if len(products) % 2 else (amps, spare)
+
+
+def _in_frame(amps: np.ndarray, L: int, width: int = 1) -> np.ndarray:
+    """``S amps`` as a new flat array."""
+    moved = np.array(amps, dtype=np.complex128).reshape(-1)
+    _frame(moved, L, width)
+    return moved
 
 
 def _kick(amps: np.ndarray, L: int, theta: float, width: int = 1) -> np.ndarray:
@@ -101,19 +205,12 @@ def _kick(amps: np.ndarray, L: int, theta: float, width: int = 1) -> np.ndarray:
 
     ``amps`` holds 2**L rows of ``width`` entries each (row-major); the kick
     acts on the row index, so a flattened matrix has all its columns kicked.
-    Each site factor, lowest sites first, is one (batched) matrix product.
+    The rows move into the frame, take the real kick there and move back.
     """
-    low = 0
-    for n in reversed(_factor_sites(L)):
-        factor = _kick_factor(n, theta)
-        if low == 0 and width == 1:
-            # The lowest sites of a vector: one GEMM on the right, as the factor is symmetric.
-            amps = amps.reshape(-1, 1 << n) @ factor
-        else:
-            # Middle axis is the factor's sites; lower sites and columns ride along in the last.
-            amps = np.matmul(factor, amps.reshape(-1, 1 << n, (1 << low) * width))
-        low += n
-    return amps.reshape(-1)
+    moved = _in_frame(amps, L, width)
+    kicked, _ = _frame_kick(moved, np.empty_like(moved), L, theta, width)
+    _frame(kicked, L, width, inverse=True)
+    return kicked
 
 
 def _require_same_sites(state: StateVector, params: FloquetParams) -> None:
@@ -122,17 +219,29 @@ def _require_same_sites(state: StateVector, params: FloquetParams) -> None:
 
 
 def _periods(initial: StateVector, params: FloquetParams):
-    """Yield the amplitudes after each drive period, indefinitely (the one period loop).
+    """Yield the frame amplitudes ``S psi_n`` after each period n = 1, 2, ..., indefinitely.
 
-    Every yielded array is fresh and never written again, so callers may keep it.
+    This is the one period loop.  The start state moves into the frame once;
+    the loop then alternates between two buffers, so every yielded array is
+    overwritten by the period after it.  A caller that keeps amplitudes
+    copies them, and ``_frame(..., inverse=True)`` maps them back to the spin
+    basis.  |amplitude|**2, the norm and overlaps with other frame states are
+    those of ``psi_n``.
     """
     _require_same_sites(initial, params)
     L = params.L
     theta = params.theta
     phases = _zz_phase_table(L, params.jt)
-    amps = initial.amplitudes
+    buffers = (_in_frame(initial.amplitudes, L), np.empty(1 << L, dtype=np.complex128))
+    # The products of either direction are built once; a period only runs them.
+    plans = (_kick_products(*buffers, L, theta), _kick_products(*buffers[::-1], L, theta))
+    flips = len(plans[0]) % 2
+    current = 0
     while True:
-        amps = _kick(amps, L, theta)
+        for a, b, out in plans[current]:
+            np.matmul(a, b, out=out)
+        current ^= flips
+        amps = buffers[current]
         amps *= phases
         yield amps
 
@@ -150,7 +259,9 @@ def apply_zz_phase(state: StateVector, params: FloquetParams) -> StateVector:
 
 def floquet_step(state: StateVector, params: FloquetParams) -> StateVector:
     """Advance one drive period: kick first, then the Ising phase."""
-    return StateVector(state.L, next(_periods(state, params)))
+    amps = next(_periods(state, params))
+    _frame(amps, state.L, inverse=True)
+    return StateVector(state.L, amps)
 
 
 def evolve_stroboscopic(
@@ -174,15 +285,16 @@ def evolve_stroboscopic(
     want_sz = "sz" in wanted
 
     L = params.L
-    psi0 = initial.amplitudes
+    psi0 = _in_frame(initial.amplitudes, L)
     p_out = np.empty(n_periods)
     sz_out = np.empty((n_periods, L)) if want_sz else None
+    weights = np.empty(1 << L) if want_sz else None
     for j, amps in zip(range(n_periods), _periods(initial, params)):
         p_out[j] = abs(np.vdot(psi0, amps)) ** 2
         if want_sz:
-            w = np.abs(amps) ** 2
-            total = w.sum()
-            sz_out[j] = [_sz_from_weights(w, L, site, total) for site in range(L)]
+            np.abs(amps, out=weights)
+            np.square(weights, out=weights)
+            sz_out[j] = _sz_profile(weights, L)
 
     drift = abs(_norm(amps) - 1.0)
     return StroboscopicSeries(
@@ -201,7 +313,7 @@ def iter_return_probability(initial: StateVector, params: FloquetParams):
     stop early (for instance once the return probability crosses a threshold):
     nothing is stored, the caller bounds the horizon.
     """
-    psi0 = initial.amplitudes
+    psi0 = _in_frame(initial.amplitudes, initial.L)
     for amps in _periods(initial, params):
         yield float(abs(np.vdot(psi0, amps)) ** 2)
 
@@ -209,13 +321,17 @@ def iter_return_probability(initial: StateVector, params: FloquetParams):
 def build_dense_propagator(params: FloquetParams) -> DensePropagator:
     """Materialize the one-period propagator D*K as an explicit matrix.
 
-    The kick is the Kronecker product of the site factors that ``_kick``
-    applies, multiplied in the same order, so the columns equal
+    The kick is the Kronecker product of the real site factors that the
+    period loop applies, multiplied in the same order, and S^-1 on the rows
+    and S on the columns take it out of the frame, so the columns equal
     ``floquet_step`` applied to the basis states.
     """
-    _require_matrix(params.L, "a dense propagator")
-    U = np.ones((1, 1), dtype=np.complex128)
-    for n in reversed(_factor_sites(params.L)):
+    L = params.L
+    _require_matrix(L, "a dense propagator")
+    U = np.ones((1, 1))
+    for n in reversed(_factor_sites(L)):
         U = np.kron(_kick_factor(n, params.theta), U)
-    U *= _zz_phase_table(params.L, params.jt)[:, None]
-    return DensePropagator(params.L, U)
+    U = U * _zz_phase_table(L, params.jt)[:, None]
+    _frame(U, L, 1 << L, inverse=True)  # rows back to the spin basis
+    _frame(U, L)  # columns: the basis states enter the frame
+    return DensePropagator(L, U)

@@ -66,10 +66,21 @@ def return_probability(current: StateVector, initial: StateVector) -> float:
     return float(abs(np.vdot(initial.amplitudes, current.amplitudes)) ** 2)
 
 
-def _sz_from_weights(weights: np.ndarray, L: int, site: int, total: float) -> float:
-    """sigma^z on ``site`` from the basis weights |amp|^2 and their sum (shared with the engine)."""
-    up = weights.reshape(1 << (L - 1 - site), 2, 1 << site)[:, 1, :].sum()
-    return float(2.0 * up - total)
+def _sz_profile(weights: np.ndarray, L: int) -> np.ndarray:
+    """sigma^z on every site from the basis weights |amp|^2, in one pass; overwrites ``weights``.
+
+    A marginal tree: the upper half of the weights is the up weight of the
+    highest site left, and the two halves added are the weights of the sites
+    below it.  Halving down to one entry leaves the total.
+    """
+    up = np.empty(L)
+    size = weights.size
+    for site in reversed(range(L)):
+        size //= 2
+        upper = weights[size:2 * size]
+        up[site] = upper.sum()
+        np.add(weights[:size], upper, out=weights[:size])
+    return 2.0 * up - weights[0]
 
 
 def local_sz(state: StateVector, site: int) -> float:
@@ -77,7 +88,8 @@ def local_sz(state: StateVector, site: int) -> float:
     if not 0 <= site < state.L:
         raise ValueError(f"site {site} out of range for L={state.L}")
     weights = np.abs(state.amplitudes) ** 2
-    return _sz_from_weights(weights, state.L, site, weights.sum())
+    up = weights.reshape(1 << (state.L - 1 - site), 2, 1 << site)[:, 1, :].sum()
+    return float(2.0 * up - weights.sum())
 
 
 def fourier_spectrum(samples) -> FourierSpectrum:

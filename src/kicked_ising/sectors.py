@@ -63,14 +63,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _kick, _zz_phase_table
+from .engine import _frame_kick, _frame_phases, _zz_phase_table
 from .states import FloquetParams, _pow2, _require_bytes
 
 #: Basis states kicked together while a block propagator is built.
 _BLOCK = 8
-#: Periods evaluated per chunk in ``sector_return_probability`` (the rows of its
-#: phase table, rounded up to a power of two).
+#: Periods evaluated per chunk in ``sector_return_probability`` (the columns of
+#: its phase table, a power of two).
 _CHUNK = 512
+#: Rows of that table rotated at once.
+_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -99,21 +101,25 @@ class OrbitBasis:
         Entry ``[r', r] = sqrt(N_r') * (U|r>)[r']``, since ``U|r>`` lies in
         the span and each state's entry at its representative is
         ``N_r'**-1/2``.  Blocks of states are kicked by the structured
-        engine and only the representative rows get the Ising phase.
+        engine in its frame S (``engine._frame_kick``): S enters with the
+        states' amplitudes and S^-1 leaves with ``row_scale``, and only the
+        representative rows get the Ising phase.
         """
         L = params.L
         bounds = np.concatenate(([0], np.cumsum(self.sizes)))
         reps = self.members[bounds[:-1]]
         column = self._columns()
-        row_scale = np.sqrt(self.sizes) * _zz_phase_table(L, params.jt)[reps]
+        amplitudes = self.amplitudes * _frame_phases(self.members)
+        row_scale = (np.sqrt(self.sizes) * _zz_phase_table(L, params.jt)[reps]
+                     * _frame_phases(reps).conj())
         M = self.sizes.size
         U = np.empty((M, M), dtype=np.complex128)
         for start in range(0, M, _BLOCK):
             stop = min(start + _BLOCK, M)
             part = slice(bounds[start], bounds[stop])
             states = np.zeros((1 << L, stop - start), dtype=np.complex128)
-            states[self.members[part], column[part] - start] = self.amplitudes[part]
-            kicked = _kick(states.reshape(-1), L, params.theta, stop - start).reshape(1 << L, -1)
+            states[self.members[part], column[part] - start] = amplitudes[part]
+            kicked, _ = _frame_kick(states, np.empty_like(states), L, params.theta, stop - start)
             U[:, start:stop] = kicked[reps] * row_scale[:, None]
         return U
 
@@ -207,24 +213,41 @@ def sector_return_probability(params: FloquetParams):
     ``_CHUNK`` periods from ``n0`` on multiplies the fixed table
     ``exp(i j phi)``, one row per phase (the two ``gamma_s``, then every
     ``eps_k``), by ``exp(i n0 phi)``, and then multiplies the factors of each
-    sector; no powers are accumulated, so the error does not compound from
-    chunk to chunk.  The table is doubled up from ``exp(i 2**b phi)``: each
-    entry is a product of at most log2(_CHUNK) exponentials of exactly scaled
-    phases, which is both cheaper and closer than rounding ``j * phi`` before
-    ``exp``.
+    sector in row order, ``_ROWS`` rows at a time, so no rotated copy of the
+    whole table is held; no powers are accumulated, so the error does not
+    compound from chunk to chunk.  The table is doubled up in place from
+    ``exp(i 2**b phi)``: each entry is a product of at most log2(_CHUNK)
+    exponentials of exactly scaled phases, which is both cheaper and closer
+    than rounding ``j * phi`` before ``exp``.
     """
     _require_stream(params.L)
     (gamma_ns, eps_ns, tilt_ns), (gamma_r, eps_r, tilt_r) = _parity_sectors(params)
     phases = np.concatenate(([gamma_ns, gamma_r], eps_ns, eps_r))
-    minus_tilt = -np.concatenate((tilt_ns, tilt_r))[:, None]
+    minus_tilt = -np.concatenate(([0.0, 0.0], tilt_ns, tilt_r))[:, None]  # by table row
     split = 2 + eps_ns.size
-    table = np.ones((phases.size, 1), dtype=np.complex128)
-    while table.shape[1] < _CHUNK:
-        table = np.concatenate((table, table * np.exp(1j * table.shape[1] * phases)[:, None]),
-                               axis=1)
-    for n0 in itertools.count(1, table.shape[1]):
-        rotated = table * np.exp(1j * n0 * phases)[:, None]
-        rotated.imag[2:] *= minus_tilt  # each pair's cos(n eps_k) - i t_k sin(n eps_k)
-        amplitude = (rotated[0] * rotated[2:split].prod(axis=0)
-                     + rotated[1] * rotated[split:].prod(axis=0))
+    table = np.empty((phases.size, _CHUNK), dtype=np.complex128)
+    table[:, 0] = 1.0
+    width = 1
+    while width < _CHUNK:
+        np.multiply(table[:, :width], np.exp(1j * width * phases)[:, None],
+                    out=table[:, width:2 * width])
+        width *= 2
+    block = np.empty((_ROWS + 1, _CHUNK), dtype=np.complex128)
+
+    def pair_product(first: int, stop: int, start: np.ndarray) -> np.ndarray:
+        """Product of rows ``first .. stop-1`` of ``table * start``, each row
+        ``cos(n eps_k) - i t_k sin(n eps_k)``; row 0 of ``block`` carries it."""
+        block[0] = 1.0
+        for lo in range(first, stop, _ROWS):
+            hi = min(lo + _ROWS, stop)
+            rows = block[1:1 + hi - lo]
+            np.multiply(table[lo:hi], start[lo:hi, None], out=rows)
+            rows.imag *= minus_tilt[lo:hi]
+            block[0] = block[:1 + hi - lo].prod(axis=0)
+        return block[0]
+
+    for n0 in itertools.count(1, _CHUNK):
+        start = np.exp(1j * n0 * phases)
+        amplitude = (table[0] * start[0] * pair_product(2, split, start)
+                     + table[1] * start[1] * pair_product(split, phases.size, start))
         yield from (np.abs(amplitude / 2) ** 2).tolist()

@@ -18,11 +18,13 @@ from kicked_ising import (
     evolve_stroboscopic,
     floquet_step,
     iter_return_probability,
+    local_sz,
     polarized_state,
+    return_probability,
 )
 
 from kicked_ising import engine
-from kicked_ising.engine import _factor_sites, _kick, _periods
+from kicked_ising.engine import _factor_sites, _frame, _kick, _periods
 
 from conftest import oracle_kick, oracle_propagator, random_state
 
@@ -207,7 +209,10 @@ def test_factor_split_is_fewest_near_equal():
 
 @pytest.mark.parametrize("L", [6, 8])
 def test_long_run_against_extended_precision(L):
-    """Over 1e4 periods the engine stays within 2e-12 of a clongdouble per-site sweep."""
+    """Over 1e4 periods the engine stays within 2e-12 of a clongdouble per-site sweep.
+
+    ``_periods`` yields frame amplitudes; S^-1 maps them back to the spin basis.
+    """
     params = FloquetParams.from_dimensionless(L, 0.9, 0.1)
     theta = np.longdouble(params.theta)
     phases = np.exp(np.clongdouble(-0.25j) * np.longdouble(params.jt) *
@@ -216,8 +221,36 @@ def test_long_run_against_extended_precision(L):
     worst = 0.0
     for _, amps in zip(range(10_000), _periods(polarized_state(L), params)):
         reference = sweep_kick(reference, L, theta) * phases
-        worst = max(worst, float(np.max(np.abs(amps - reference))))
+        spins = amps.copy()
+        _frame(spins, L, inverse=True)
+        worst = max(worst, float(np.max(np.abs(spins - reference))))
     assert worst <= 2e-12
+
+
+def test_evolve_matches_repeated_steps_over_200_periods(rng):
+    """evolve_stroboscopic reads each period's buffer before the next period overwrites it."""
+    L = 10
+    params = FloquetParams.from_dimensionless(L, 0.9, 0.1)
+    initial = StateVector(L, random_state(L, rng))
+    series = evolve_stroboscopic(initial, params, 200, ("return_probability", "sz"))
+    state = initial
+    for j in range(200):
+        state = floquet_step(state, params)
+        assert abs(series.return_probability[j] - return_probability(state, initial)) <= 1e-12
+        assert np.max(np.abs(series.sz[j] - [local_sz(state, site) for site in range(L)])) <= 1e-12
+
+
+@pytest.mark.parametrize("L", range(2, 10))
+def test_frame_is_i_to_the_number_of_up_spins(L, rng):
+    """S = diag(i**popcount(b)) on the rows, for any row width; S^-1 undoes it exactly."""
+    diagonal = np.array([1j ** bin(b).count("1") for b in range(1 << L)])
+    for width in (1, 3):
+        rows = rng.normal(size=(1 << L, width)) + 1j * rng.normal(size=(1 << L, width))
+        moved = rows.copy()
+        _frame(moved, L, width)
+        assert np.array_equal(moved, diagonal[:, None] * rows)
+        _frame(moved, L, width, inverse=True)
+        assert np.array_equal(moved, rows)
 
 
 @pytest.mark.parametrize("L", [2, 5, 6, 8, 11])

@@ -16,6 +16,8 @@ from kicked_ising import (
     return_probability,
 )
 
+from kicked_ising.observables import _sz_profile
+
 from conftest import random_state
 
 
@@ -140,6 +142,15 @@ class TestStateDiagnostics:
                 w[k] * (1.0 if (k >> site) & 1 else -1.0) for k in range(16)
             )
             assert local_sz(state, site) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("L", range(2, 13))
+    def test_sz_profile_matches_local_sz(self, L, rng):
+        """The one-pass marginal tree gives every site's sigma^z of a random state."""
+        for _ in range(3):
+            state = StateVector(L, random_state(L, rng))
+            profile = _sz_profile(np.abs(state.amplitudes) ** 2, L)
+            expected = [local_sz(state, site) for site in range(L)]
+            assert np.max(np.abs(profile - expected)) <= 1e-14
 
     def test_local_sz_site_range(self):
         with pytest.raises(ValueError):

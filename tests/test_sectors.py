@@ -209,6 +209,27 @@ class TestSectorReturnProbability:
         assert (row["censored"], row["error"]) == (True, None)
         assert peak < 4 << 20
 
+    def test_row_blocks_give_the_same_samples(self, monkeypatch):
+        """The sector products run over row blocks in row order, so the block size moves no bit."""
+        params = FloquetParams.from_dimensionless(40, 0.9, 0.1)
+        whole = np.fromiter(sector_return_probability(params), float, 2 * sectors._CHUNK)
+        monkeypatch.setattr(sectors, "_ROWS", 3)
+        blocks = np.fromiter(sector_return_probability(params), float, 2 * sectors._CHUNK)
+        assert np.array_equal(blocks, whole)
+
+    def test_peak_memory_is_one_phase_table(self):
+        """At L = 2001 the table takes 16.4 MB; no second table-sized array is held."""
+        params = FloquetParams.from_dimensionless(2001, 0.9, 0.1)
+        table_bytes = 16 * sectors._CHUNK * (params.L + 1)
+        tracemalloc.start()
+        try:
+            samples = list(itertools.islice(sector_return_probability(params), 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 2
+        assert peak < 1.2 * table_bytes
+
     def test_lifetime_ends_at_thirty_two_sites(self, tmp_path):
         """The early minimum of P(2nT) falls with L and dips below 0.05 at L = 32, while n* is
         censored over 1e7 pairs for L = 20-30: the lifetime's growth with L is a finite-size
