@@ -11,7 +11,7 @@ last value wins (``--periods 20000 --jobs 2`` overrides the table); then
   JT = pi; away from it the even-period envelope decays, at JT = pi it stays near one.
 * ``lifetime``: the first-crossing time of the even-period return probability
   peaks at JT = pi, symmetric about it (L = 11), and grows roughly exponentially
-  with L until the 1e5-period horizon censors it (JT = 0.9 pi); a few minutes.
+  with L until the 1e5-period horizon censors it (JT = 0.9 pi); about a second.
 * ``phase_map``: window-averaged even-period return on a (JT, eps) grid at L = 8;
   near one close to JT = pi at small eps, toward the ergodic floor elsewhere.
 * ``spectrum``: gap statistics, exact anchor-pair counts, the time-reflection
@@ -25,7 +25,7 @@ from pathlib import Path
 
 from kicked_ising import cli
 
-_SPECTRUM = "spectrum -L 4,6,8,10 --periods 1 --dump-spectra --jobs 2"
+_SPECTRUM = "spectrum -L 4,6,8,10 --dump-spectra --jobs 2"
 
 FIGURES = {
     "dynamics": {

@@ -37,15 +37,14 @@ from .states import (
     product_state,
 )
 from .engine import (
-    DensePropagator,
     StroboscopicSeries,
     apply_global_x_rotation,
     apply_zz_phase,
-    build_dense_propagator,
     evolve_stroboscopic,
     floquet_step,
     iter_return_probability,
 )
+from .sectors import DensePropagator, build_dense_propagator
 from .observables import (
     FourierSpectrum,
     LifetimeResult,
@@ -92,9 +91,10 @@ __all__ = [
     "StateVector", "bond_sum", "bond_sum_table", "overlap", "polarized_state",
     "product_state",
     # engine
-    "DensePropagator", "StroboscopicSeries", "apply_global_x_rotation",
-    "apply_zz_phase", "build_dense_propagator", "evolve_stroboscopic",
-    "floquet_step", "iter_return_probability",
+    "StroboscopicSeries", "apply_global_x_rotation", "apply_zz_phase",
+    "evolve_stroboscopic", "floquet_step", "iter_return_probability",
+    # sectors
+    "DensePropagator", "build_dense_propagator",
     # observables
     "FourierSpectrum", "LifetimeResult", "average_return", "first_crossing",
     "fourier_spectrum", "lifetime", "local_sz", "return_probability",

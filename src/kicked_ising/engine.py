@@ -1,4 +1,4 @@
-"""One-period propagator of the kicked Ising chain, structured and dense.
+"""One-period evolution of the kicked Ising chain.
 
 A period consists of the global x kick ``K = prod_i exp(-i theta sigma^x_i)``
 with ``theta = pi/2 - epsilon`` acting first, followed by the Ising phase
@@ -15,7 +15,10 @@ Kronecker product", J. Comput. Appl. Math. 123, 85 (2000)).  Each factor is
 one float64 matrix product over the real view of the complex state, whose
 real and imaginary parts ride along as columns; that halves the
 multiply-adds of a complex product for every factor but the lowest, which
-is one product with ``kron(F^T, I_2)``.  No 2**L x 2**L matrix is formed.
+is one product with ``kron(F^T, I_2)``.  ``_kick_products`` is the only
+code that knows the factors and their order.  The engine only evolves
+states: every propagator matrix, the dense one included (the block of the
+trivial group), is built by ``sectors.OrbitBasis.propagator``.
 
 The period loop, ``_periods``, moves the start state into the frame once
 and never moves it back.  It alternates between two preallocated 2**L
@@ -23,10 +26,9 @@ buffers (``np.matmul(..., out=)``) and multiplies the phase in place, so a
 period allocates nothing.  It yields the frame amplitudes ``S psi_n`` in a
 buffer that the next period overwrites: a caller keeps nothing it has not
 copied.  The other entry points apply S only at their edges:
-``floquet_step`` and ``apply_global_x_rotation`` on their state, the dense
-propagator (the Kronecker product of the same real factors times the phase
-table) on its rows and columns, and ``sectors.OrbitBasis.propagator`` in its
-orbit-state amplitudes and row scale.
+``floquet_step`` and ``apply_global_x_rotation`` on their state, and
+``sectors.OrbitBasis.propagator`` in its orbit-state amplitudes and row
+scale.
 """
 
 from __future__ import annotations
@@ -38,25 +40,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .observables import _sz_profile
-from .states import (FloquetParams, StateVector, _norm, _popcount, _require_matrix,
-                     bond_sum_table)
+from .states import FloquetParams, StateVector, _norm, _popcount, bond_sum_table
 
 OBSERVABLE_CHOICES = ("return_probability", "sz")
-
-
-@dataclass(frozen=True)
-class DensePropagator:
-    """Explicit 2**L x 2**L one-period propagator matrix."""
-
-    L: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        if m.shape != (1 << self.L, 1 << self.L):
-            raise ValueError(f"expected a {1 << self.L}x{1 << self.L} matrix, got {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
@@ -76,8 +62,9 @@ class StroboscopicSeries:
     norm_drift: float
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1)
 def _zz_phase_table(L: int, jt: float) -> np.ndarray:
+    """``exp(-i (JT/4) bond_sum)``; one table is cached, as every reuse repeats the last (L, JT)."""
     table = np.exp(-0.25j * jt * bond_sum_table(L))
     table.setflags(write=False)
     return table
@@ -106,22 +93,21 @@ def _frame_phases(indices: np.ndarray) -> np.ndarray:
     return _UNITS[_popcount(indices) & np.uint64(3)]
 
 
-def _frame(amps: np.ndarray, L: int, width: int = 1, inverse: bool = False) -> None:
-    """Multiply the 2**L rows of ``amps`` by S (or S^-1) in place.
+def _frame(amps: np.ndarray, L: int, inverse: bool = False) -> None:
+    """Multiply the contiguous 2**L amplitudes ``amps`` by S (or S^-1) in place.
 
-    ``amps`` is contiguous and ends in 2**L rows of ``width`` entries; any
-    leading axis rides along.  ``S = kron(S_high, S_low)`` over the high
-    ``ceil(L/2)`` and the low ``floor(L/2)`` sites, so two multiplies by one
-    table of ``2**ceil(L/2)`` unit phases apply it.  The phases are +-1 and
-    +-i, so the multiplies are exact.
+    ``S = kron(S_high, S_low)`` over the high ``ceil(L/2)`` and the low
+    ``floor(L/2)`` sites, so two multiplies by one table of ``2**ceil(L/2)``
+    unit phases apply it.  The phases are +-1 and +-i, so the multiplies
+    are exact.
     """
     low = L // 2
     table = _frame_phases(np.arange(1 << (L - low)))
     if inverse:
         table = table.conj()
-    rows = amps.reshape(-1, 1 << (L - low), 1 << low, width)
-    rows *= table[:, None, None]
-    rows *= table[:1 << low, None]
+    rows = amps.reshape(1 << (L - low), 1 << low)
+    rows *= table[:, None]
+    rows *= table[:1 << low]
 
 
 @lru_cache(maxsize=128)
@@ -193,24 +179,11 @@ def _frame_kick(amps: np.ndarray, spare: np.ndarray, L: int, theta: float,
     return (spare, amps) if len(products) % 2 else (amps, spare)
 
 
-def _in_frame(amps: np.ndarray, L: int, width: int = 1) -> np.ndarray:
-    """``S amps`` as a new flat array."""
-    moved = np.array(amps, dtype=np.complex128).reshape(-1)
-    _frame(moved, L, width)
+def _in_frame(amps: np.ndarray, L: int) -> np.ndarray:
+    """``S amps`` as a new array."""
+    moved = np.array(amps, dtype=np.complex128)
+    _frame(moved, L)
     return moved
-
-
-def _kick(amps: np.ndarray, L: int, theta: float, width: int = 1) -> np.ndarray:
-    """Apply exp(-i theta sigma^x) on every site; pure, returns a new flat array.
-
-    ``amps`` holds 2**L rows of ``width`` entries each (row-major); the kick
-    acts on the row index, so a flattened matrix has all its columns kicked.
-    The rows move into the frame, take the real kick there and move back.
-    """
-    moved = _in_frame(amps, L, width)
-    kicked, _ = _frame_kick(moved, np.empty_like(moved), L, theta, width)
-    _frame(kicked, L, width, inverse=True)
-    return kicked
 
 
 def _require_same_sites(state: StateVector, params: FloquetParams) -> None:
@@ -247,8 +220,14 @@ def _periods(initial: StateVector, params: FloquetParams):
 
 
 def apply_global_x_rotation(state: StateVector, theta: float) -> StateVector:
-    """Rotate every spin about x by ``theta``: cos(theta) I - i sin(theta) sigma^x per site."""
-    return StateVector(state.L, _kick(state.amplitudes, state.L, float(theta)))
+    """Rotate every spin about x by ``theta``: cos(theta) I - i sin(theta) sigma^x per site.
+
+    The state moves into the frame, takes the real kick there and moves back.
+    """
+    moved = _in_frame(state.amplitudes, state.L)
+    kicked, _ = _frame_kick(moved, np.empty_like(moved), state.L, float(theta))
+    _frame(kicked, state.L, inverse=True)
+    return StateVector(state.L, kicked)
 
 
 def apply_zz_phase(state: StateVector, params: FloquetParams) -> StateVector:
@@ -316,22 +295,3 @@ def iter_return_probability(initial: StateVector, params: FloquetParams):
     psi0 = _in_frame(initial.amplitudes, initial.L)
     for amps in _periods(initial, params):
         yield float(abs(np.vdot(psi0, amps)) ** 2)
-
-
-def build_dense_propagator(params: FloquetParams) -> DensePropagator:
-    """Materialize the one-period propagator D*K as an explicit matrix.
-
-    The kick is the Kronecker product of the real site factors that the
-    period loop applies, multiplied in the same order, and S^-1 on the rows
-    and S on the columns take it out of the frame, so the columns equal
-    ``floquet_step`` applied to the basis states.
-    """
-    L = params.L
-    _require_matrix(L, "a dense propagator")
-    U = np.ones((1, 1))
-    for n in reversed(_factor_sites(L)):
-        U = np.kron(_kick_factor(n, params.theta), U)
-    U = U * _zz_phase_table(L, params.jt)[:, None]
-    _frame(U, L, 1 << L, inverse=True)  # rows back to the spin basis
-    _frame(U, L)  # columns: the basis states enter the frame
-    return DensePropagator(L, U)

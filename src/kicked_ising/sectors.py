@@ -53,7 +53,9 @@ the group enters as one row of basis-index images per element and one
 character per element; block m is the L rotations with characters
 ``exp(i k j)``.  ``OrbitBasis.propagator`` builds a block's operator: the
 basis states are kicked in blocks of columns by the structured engine and
-read back at the orbit representatives, so no 2**L x 2**L matrix is formed.
+read back at the orbit representatives.  It is the one propagator builder:
+the dense 2**L x 2**L oracle, ``build_dense_propagator``, is the block of
+the trivial group, one orbit per basis state.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _frame_kick, _frame_phases, _zz_phase_table
-from .states import FloquetParams, _pow2, _require_bytes
+from .states import FloquetParams, _pow2, _require_bytes, _require_matrix
 
 #: Basis states kicked together while a block propagator is built.
 _BLOCK = 8
@@ -151,9 +153,37 @@ def orbit_basis(images: np.ndarray, characters: np.ndarray) -> OrbitBasis:
     members = members[kept[members]]
     sizes = size[members[representative[members] == members]]
     amplitudes = characters[first[members]] / np.sqrt(size[members])
-    for shared in (members, sizes, amplitudes):  # a cached basis hands these to every caller
+    for shared in (members, sizes, amplitudes):  # the basis is frozen, and so are its arrays
         shared.flags.writeable = False
     return OrbitBasis(dim.bit_length() - 1, members, sizes, amplitudes)
+
+
+@dataclass(frozen=True)
+class DensePropagator:
+    """Explicit 2**L x 2**L one-period propagator matrix."""
+
+    L: int
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
+        if m.shape != (1 << self.L, 1 << self.L):
+            raise ValueError(f"expected a {1 << self.L}x{1 << self.L} matrix, got {m.shape}")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+
+def build_dense_propagator(params: FloquetParams) -> DensePropagator:
+    """Materialize the one-period propagator D*K as an explicit matrix.
+
+    It is the block of the trivial group: every basis state is its own
+    orbit, so the block's columns are the propagated basis states, bit for
+    bit those of ``engine.floquet_step``.
+    """
+    L = params.L
+    _require_matrix(L, "a dense propagator")
+    trivial = orbit_basis(np.arange(1 << L)[None, :], np.ones(1))
+    return DensePropagator(L, trivial.propagator(params))
 
 
 def _block_bytes(L: int) -> float:

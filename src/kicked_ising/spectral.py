@@ -25,8 +25,9 @@ blocks of ``sectors.momentum_blocks`` (about 2**L / L states each) and
 merges the block spectra; no 2**L x 2**L matrix is diagonalized.  Kept
 eigenvectors are the blocks' Schur vectors lifted to the spin basis.  All
 block work runs on one OpenBLAS thread, so the levels do not depend on the
-process they are computed in.  ``quasi_energies`` of a full matrix is the
-dense oracle.
+process they are computed in.  ``quasi_energies`` of the full matrix of
+``build_dense_propagator``, the trivial group's block in ``sectors``, is
+the dense oracle.
 """
 
 from __future__ import annotations
@@ -37,13 +38,10 @@ from typing import Optional, Union
 import math
 
 import numpy as np
-import scipy.linalg
 
 from . import blas
-from .engine import DensePropagator
 # perfbench/tracer.py wraps spectral.build_dense_propagator; its install fails without the name.
-from .engine import build_dense_propagator  # noqa: F401
-from .sectors import momentum_blocks
+from .sectors import DensePropagator, build_dense_propagator, momentum_blocks  # noqa: F401
 from .states import FloquetParams, StateVector, _require_matrix, _require_unitary
 
 #: Quasi-energies closer than this to an anchor count as exactly degenerate.
@@ -124,6 +122,9 @@ def quasi_energies(
     _require_unitary(m, "matrix")
 
     if keep_vectors:
+        # Imported here only: no sweep mode needs it, and it more than doubles the CLI's import time.
+        import scipy.linalg
+
         triangular, vectors = scipy.linalg.schur(m, output="complex")
         eigenvalues = np.diag(triangular)
     else:

@@ -189,7 +189,7 @@ def product_state(L: int, orientations) -> StateVector:
     for theta, phi in pairs:
         # Index 0 of a site block is spin down, index 1 spin up (bit convention).
         site = np.array([np.exp(1j * phi) * np.sin(theta / 2), np.cos(theta / 2)])
-        vec = np.kron(site, vec)
+        vec = np.outer(site, vec).reshape(-1)  # site i above the lower sites
     vec /= np.linalg.norm(vec)
     return StateVector(L, vec)
 

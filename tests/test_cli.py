@@ -194,16 +194,29 @@ def test_console_script_entry_point(tmp_path):
     assert rows[0]["n_zero"] == "4"
 
 
-def test_module_invocation(tmp_path):
-    # The child imports the package this test imported, installed or not.
+def _child_env() -> dict:
+    """The environment of a child that imports the package this test imported, installed or not."""
     package_root = str(Path(kicked_ising.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_invocation(tmp_path):
     completed = subprocess.run(
         [sys.executable, "-m", "kicked_ising.cli", "evolve", "-L", "3",
          "--jt-over-pi", "0.9", "--epsilon-over-pi", "0.1", "--periods", "8",
          "--out", str(tmp_path / "e.csv")],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=_child_env(),
     )
     assert completed.returncode == 0, completed.stderr
     assert (tmp_path / "e_series_000.csv").exists()
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    """Only the Schur of ``quasi_energies(keep_vectors=True)`` imports scipy.linalg; no mode runs it."""
+    completed = subprocess.run(
+        [sys.executable, "-c", "import sys, kicked_ising.cli; "
+                               "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'"],
+        capture_output=True, text=True, timeout=120, env=_child_env(),
+    )
+    assert completed.returncode == 0, completed.stderr

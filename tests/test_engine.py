@@ -23,8 +23,8 @@ from kicked_ising import (
     return_probability,
 )
 
-from kicked_ising import engine
-from kicked_ising.engine import _factor_sites, _frame, _kick, _periods
+from kicked_ising import engine, sectors
+from kicked_ising.engine import _factor_sites, _frame, _periods
 
 from conftest import oracle_kick, oracle_propagator, random_state
 
@@ -63,6 +63,14 @@ def test_zz_phase_on_basis_states():
         phased = apply_zz_phase(StateVector(4, amps), params)
         expected = np.exp(-0.25j * params.jt * bond_sum(index, 4))
         assert phased.amplitudes[index] == pytest.approx(expected)
+
+
+def test_one_phase_table_is_cached():
+    """Only the last (L, JT) keeps its 2**L phase table."""
+    engine._zz_phase_table.cache_clear()
+    for jt_over_pi in (0.7, 0.9):
+        apply_zz_phase(polarized_state(6), FloquetParams.from_dimensionless(6, jt_over_pi, 0.0))
+    assert engine._zz_phase_table.cache_info().currsize == 1
 
 
 def test_perfect_kick_is_a_global_spin_flip():
@@ -191,15 +199,17 @@ def sweep_kick(amps: np.ndarray, L: int, theta, width: int = 1) -> np.ndarray:
 
 @pytest.mark.parametrize("L", range(2, 13))
 def test_kick_matches_the_oracle(L, rng):
-    """Every factor split of L = 2..12, on one random state and on a block of three."""
+    """Every factor split of L = 2..12, on one random state.
+
+    The blocks kick eight columns at a time; ``test_dense_propagator_matches_oracle``
+    holds that path to the same oracle.
+    """
     assert sum(_factor_sites(L)) == L
     assert max(_factor_sites(L)) <= 5
     for theta in (math.pi / 2 - 0.1 * math.pi, 0.37, -1.2):
         amps = random_state(L, rng)
-        assert np.max(np.abs(_kick(amps, L, theta) - oracle_kick(L, theta, amps))) < 1e-13
-        block = np.stack([random_state(L, rng) for _ in range(3)], axis=1)
-        kicked = _kick(block.reshape(-1), L, theta, 3).reshape(1 << L, 3)
-        assert np.max(np.abs(kicked - oracle_kick(L, theta, block))) < 1e-13
+        kicked = apply_global_x_rotation(StateVector(L, amps), theta).amplitudes
+        assert np.max(np.abs(kicked - oracle_kick(L, theta, amps))) < 1e-13
 
 
 def test_factor_split_is_fewest_near_equal():
@@ -242,27 +252,28 @@ def test_evolve_matches_repeated_steps_over_200_periods(rng):
 
 @pytest.mark.parametrize("L", range(2, 10))
 def test_frame_is_i_to_the_number_of_up_spins(L, rng):
-    """S = diag(i**popcount(b)) on the rows, for any row width; S^-1 undoes it exactly."""
+    """S = diag(i**popcount(b)); S^-1 undoes it exactly."""
     diagonal = np.array([1j ** bin(b).count("1") for b in range(1 << L)])
-    for width in (1, 3):
-        rows = rng.normal(size=(1 << L, width)) + 1j * rng.normal(size=(1 << L, width))
-        moved = rows.copy()
-        _frame(moved, L, width)
-        assert np.array_equal(moved, diagonal[:, None] * rows)
-        _frame(moved, L, width, inverse=True)
-        assert np.array_equal(moved, rows)
+    amps = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
+    moved = amps.copy()
+    _frame(moved, L)
+    assert np.array_equal(moved, diagonal * amps)
+    _frame(moved, L, inverse=True)
+    assert np.array_equal(moved, amps)
 
 
 @pytest.mark.parametrize("L", [2, 5, 6, 8, 11])
 def test_dense_propagator_columns_are_floquet_steps(L):
-    """One, two and three site factors: the Kronecker build equals the kicked basis states."""
-    params = FloquetParams.from_dimensionless(L, 0.9, 0.1)
-    U = build_dense_propagator(params).matrix
-    for index in range(1 << L):
-        basis = np.zeros(1 << L, dtype=complex)
-        basis[index] = 1.0
-        column = floquet_step(StateVector(L, basis), params).amplitudes
-        assert np.array_equal(U[:, index], column)
+    """One, two and three site factors: the trivial group's block, kicked eight columns
+    at a time, equals the basis states stepped one by one, bit for bit."""
+    for eps_over_pi in (0.1, 0.0, -0.23):
+        params = FloquetParams.from_dimensionless(L, 0.9, eps_over_pi)
+        U = build_dense_propagator(params).matrix
+        for index in range(1 << L):
+            basis = np.zeros(1 << L, dtype=complex)
+            basis[index] = 1.0
+            column = floquet_step(StateVector(L, basis), params).amplitudes
+            assert np.array_equal(U[:, index], column)
 
 
 def test_dense_propagator_capacity(monkeypatch):
@@ -271,9 +282,9 @@ def test_dense_propagator_capacity(monkeypatch):
                                             "256 MiB array capacity"):
         build_dense_propagator(FloquetParams.from_dimensionless(13, 1.0, 0.1))
 
-    def past_the_check(n, theta):
+    def past_the_check(images, characters):
         raise LookupError("the capacity check passed")
 
-    monkeypatch.setattr(engine, "_kick_factor", past_the_check)
+    monkeypatch.setattr(sectors, "orbit_basis", past_the_check)
     with pytest.raises(LookupError, match="capacity check passed"):
         build_dense_propagator(FloquetParams.from_dimensionless(12, 1.0, 0.1))
