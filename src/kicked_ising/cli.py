@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 configuration error (including argparse failures),
-3 capacity error (the largest array of the mode's engine would exceed
+3 capacity error (the largest array of the mode's path would exceed
 ``states.MAX_ARRAY_BYTES`` at a requested chain length), 4 I/O error while
 writing results, 5 a pool worker process died (``--jobs`` > 1); no CSV is
 written then.

@@ -1,4 +1,4 @@
-"""Symmetry blocks: the all-up return amplitude in closed form, and momentum blocks.
+"""Symmetry blocks: the all-up return amplitude and the levels in closed form; momentum blocks.
 
 The drive has no longitudinal field, so the Jordan-Wigner transformation with
 ``X_j = 1 - 2 n_j`` makes both of its factors quadratic in fermions (Lieb,
@@ -36,7 +36,8 @@ eigenvectors of ``V_k`` with eigenphases ``beta_k -+ eps_k``, hence
 
     A_s(n) = exp(i n gamma_s) prod_k (cos(n eps_k) - i t_k sin(n eps_k)):
 
-O(L) numbers at any L, and no 2**L array.
+O(L) numbers at any L, and no 2**L array.  The same modes give all 2**L
+levels of one period (``free_fermion_levels``) as sums of mode phases.
 
 The translations alone split the whole space into L momentum blocks,
 ``k = 2 pi m / L``.  The momentum state of an orbit of size ``N_r``,
@@ -45,8 +46,8 @@ The translations alone split the whole space into L momentum blocks,
 
 exists when ``m N_r`` is a multiple of L, and block m holds exactly those
 orbits, so the block sizes add up to 2**L (about 2**L / L each; 108 states
-at most for L = 10).  The quasi-energy spectrum is the union of the block
-spectra (``spectral.propagator_spectrum``).
+at most for L = 10).  Their Schur vectors, lifted, are the eigenvectors of
+``spectral.propagator_spectrum(keep_vectors=True)``.
 
 Every block comes from one builder, ``orbit_basis(images, characters)``:
 the group enters as one row of basis-index images per element and one
@@ -186,24 +187,12 @@ def build_dense_propagator(params: FloquetParams) -> DensePropagator:
     return DensePropagator(L, trivial.propagator(params))
 
 
-def _block_bytes(L: int) -> float:
-    """Bytes of the largest block propagator, ``16 M**2``: ``M`` bounds block 0, the largest,
-    whose size is the necklace count ``(1/L) sum_{d | L} phi(d) 2**(L/d)``."""
-    M = _pow2(L) // L + _pow2(L // 2)
-    return 16 * M * M
-
-
-def _require_blocks(L: int) -> None:
-    _require_bytes(L, _block_bytes(L), "a momentum block")
-
-
 def momentum_blocks(L: int):
     """Yield the orbit bases of the L momentum blocks, ``k = 2 pi m / L`` for m = 0 .. L-1.
 
     Block m is the L rotations with characters ``exp(i k j)``; it holds the
     momentum states ``|r,k>`` of the orbits with ``m N_r`` a multiple of L.
     """
-    _require_blocks(L)
     index = np.arange(1 << L)
     mask = (1 << L) - 1
     rotations = np.stack([((index << j) | (index >> (L - j))) & mask for j in range(L)])
@@ -229,6 +218,41 @@ def _parity_sectors(params: FloquetParams) -> list[tuple[float, np.ndarray, np.n
                          where=sin_eps > 0)
         sectors.append((gamma, eps, tilt))
     return sectors
+
+
+def _require_levels(L: int) -> None:
+    """Check the ``2**L`` float eigenphases of ``free_fermion_levels``, ``8 * 2**L`` bytes."""
+    _require_bytes(L, 8 * _pow2(L), "the quasi-energy levels")
+
+
+def free_fermion_levels(params: FloquetParams) -> np.ndarray:
+    """The 2**L eigenphases ``phi`` of one period, ``U |phi> = exp(i phi) |phi>``: NS's, then R's.
+
+    A sector's modes are ``k = pi m / L``, m odd (NS) or even (R), 0 <= m <= L;
+    with all of them empty its phase is ``-theta L``.  A pair (k, -k) adds
+    ``beta_k -+ eps_k`` and keeps the fermion parity, or adds ``beta_k`` with
+    one of its modes filled and flips it: ``beta_k - eps_k`` plus 0, ``eps_k``
+    twice or ``2 eps_k``.  An unpaired mode (k = 0 or pi) adds 0, or ``beta_k``
+    and flips it.  NS keeps the states of even parity, R those of odd.  So the
+    levels are subset sums of L mode phases, built up in place mode by mode:
+    one parity in the sector's half of the result, the other in a scratch half.
+    """
+    L, jt, theta = params.L, params.jt, params.theta
+    _require_levels(L)
+    half = 1 << (L - 1)
+    levels, scratch = np.empty(2 * half), np.empty(half)
+    for parity, (_, eps, _) in enumerate(_parity_sectors(params)):
+        m = np.arange(1 - parity, L + 1, 2)
+        paired = (m > 0) & (m < L)
+        beta = 2 * theta - jt / 2 * np.cos(np.pi * m / L)
+        modes = np.concatenate((np.repeat(eps, 2), beta[~paired]))
+        even, odd = (levels[:half], scratch) if parity == 0 else (scratch, levels[half:])
+        even[0] = np.sum(beta[paired] - eps) - theta * L
+        odd[0] = even[0] + modes[0]
+        for n, phase in zip(2 ** np.arange(L - 1), modes[1:]):
+            np.add(odd[:n], phase, out=even[n:2 * n])
+            np.add(even[:n], phase, out=odd[n:2 * n])
+    return levels
 
 
 def _require_stream(L: int) -> None:

@@ -17,17 +17,15 @@ with the raw propagator (``quasi_energies`` of the dense matrix) they sit at
 0/pi only for L divisible by 4 and at ``+-pi/2T`` for L = 6, 10, ....  Pair
 *separations* and gap statistics are unaffected by the choice.
 
-Momentum blocks
----------------
-The propagator commutes with the L translations of the periodic chain, so
-``propagator_spectrum`` diagonalizes it block by block on the L momentum
-blocks of ``sectors.momentum_blocks`` (about 2**L / L states each) and
-merges the block spectra; no 2**L x 2**L matrix is diagonalized.  Kept
-eigenvectors are the blocks' Schur vectors lifted to the spin basis.  All
-block work runs on one OpenBLAS thread, so the levels do not depend on the
-process they are computed in.  ``quasi_energies`` of the full matrix of
-``build_dense_propagator``, the trivial group's block in ``sectors``, is
-the dense oracle.
+Free-fermion levels
+-------------------
+The drive is quadratic in Jordan-Wigner fermions, so ``propagator_spectrum``
+takes every level from ``sectors.free_fermion_levels`` as a sum of mode
+phases, with no matrix and no eigensolver.  Kept eigenvectors come from the
+L momentum blocks of ``sectors.momentum_blocks`` (about 2**L / L states
+each): each block's Schur vectors, lifted to the spin basis.
+``quasi_energies`` of the full matrix of ``build_dense_propagator``, the
+trivial group's block in ``sectors``, is the dense oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +39,8 @@ import numpy as np
 
 from . import blas
 # perfbench/tracer.py wraps spectral.build_dense_propagator; its install fails without the name.
-from .sectors import DensePropagator, build_dense_propagator, momentum_blocks  # noqa: F401
+from .sectors import (DensePropagator, build_dense_propagator,  # noqa: F401
+                      free_fermion_levels, momentum_blocks)
 from .states import FloquetParams, StateVector, _require_matrix, _require_unitary
 
 #: Quasi-energies closer than this to an anchor count as exactly degenerate.
@@ -99,19 +98,13 @@ class PairCounts:
     n_pi: int
 
 
-def quasi_energies(
-    U: Union[DensePropagator, np.ndarray],
-    T: float = 1.0,
-    keep_vectors: bool = False,
-    phase: complex = 1.0,
-) -> QuasiEnergySpectrum:
+def quasi_energies(U: Union[DensePropagator, np.ndarray], T: float = 1.0,
+                   keep_vectors: bool = False) -> QuasiEnergySpectrum:
     """Diagonalize a unitary and return quasi-energies e = -arg(lambda)/T, sorted.
 
     With ``keep_vectors`` the (complex) Schur decomposition is used, so the
     returned eigenvector columns are orthonormal even inside degenerate
-    clusters — exactly what pair-manifold projections need.  The spectrum is
-    that of ``phase * U`` for a unit ``phase``; it multiplies the eigenvalues,
-    so no scaled copy of ``U`` is made.
+    clusters — exactly what pair-manifold projections need.
     """
     m = U.matrix if isinstance(U, DensePropagator) else np.asarray(U, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -130,8 +123,6 @@ def quasi_energies(
     else:
         vectors = None
         eigenvalues = np.linalg.eigvals(m)
-    if phase != 1.0:
-        eigenvalues = phase * eigenvalues
 
     energies = fold_to_branch(-np.angle(eigenvalues) / T, period=T)
     order = np.argsort(energies, kind="stable")
@@ -149,28 +140,31 @@ def propagator_spectrum(params: FloquetParams, keep_vectors: bool = False) -> Qu
 
     Quasi-energies are measured relative to the Ising phase of the fully
     aligned configuration, i.e. of ``exp(+i J T L / 4) U``; see the module
-    docstring.  The levels are those of the momentum blocks, merged and
-    sorted; with ``keep_vectors`` column j of the eigenvectors is the lifted
-    Schur vector of level j; they form a dense ``2**L x 2**L`` matrix, checked
-    against the array budget before any block is built.
+    docstring.  The levels are the free-fermion eigenphases of
+    ``sectors.free_fermion_levels``.  With ``keep_vectors`` they are the
+    momentum blocks' Schur spectra instead, and column j of the eigenvectors
+    is the lifted Schur vector of level j; the vectors form a dense
+    ``2**L x 2**L`` matrix, checked against the array budget before any
+    block is built.
     """
+    eigenvectors = None
     if keep_vectors:
         _require_matrix(params.L, "the matrix of lifted eigenvectors")
-    energies, vectors = [], []
-    with blas.one_thread():
-        for basis in momentum_blocks(params.L):
-            block = quasi_energies(basis.propagator(params), T=params.T, keep_vectors=keep_vectors,
-                                   phase=np.exp(0.25j * params.jt * params.L))
-            energies.append(block.energies)
-            if keep_vectors:
+        energies, vectors = [], []
+        with blas.one_thread():  # blocks this small diagonalize faster on one thread
+            for basis in momentum_blocks(params.L):
+                block = quasi_energies(basis.propagator(params), T=params.T, keep_vectors=True)
+                energies.append(block.energies)
                 vectors.append(basis.lift(block.eigenvectors))
-    energies = np.concatenate(energies)
+        energies, eigenvectors = np.concatenate(energies), np.hstack(vectors)
+    else:
+        energies = free_fermion_levels(params) / -params.T
+    energies = fold_to_branch(energies - 0.25 * params.jt * params.L / params.T, period=params.T)
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
     energies.setflags(write=False)
-    eigenvectors = None
     if keep_vectors:
-        eigenvectors = np.hstack(vectors)[:, order]
+        eigenvectors = eigenvectors[:, order]
         eigenvectors.setflags(write=False)
     return QuasiEnergySpectrum(L=params.L, T=params.T, energies=energies, eigenvectors=eigenvectors)
 

@@ -14,8 +14,7 @@ Five sweep modes cover the standard numerical experiments:
     drive parameters at a single chain length.
 ``spectrum``
     Quasi-energy pairing statistics, exact pair counts at the two anchor
-    phases, and the time-reflection residual, per grid point.  The spectrum
-    is the union of the L translation-momentum blocks (``sectors.py``).
+    phases, and the time-reflection residual, per grid point.
 ``fourier``
     Discrete Fourier transform of the full return-probability series, with
     the dominant bin and the subharmonic (half drive frequency) weight.
@@ -23,13 +22,15 @@ Five sweep modes cover the standard numerical experiments:
 ``lifetime-scan``, ``phase-diagram`` and ``fourier`` read one stream of
 P(nT) from the all-up start, the closed-form product over the two parity
 sectors of the free-fermion chain (``sectors.sector_return_probability``):
-O(L) numbers per point at any chain length, and no 2**L array.  ``evolve``
-iterates the 2**L state, whose norm drift and site magnetizations it reports.
+O(L) numbers per point at any chain length, and no 2**L array.  ``spectrum``
+sums their mode phases into the 2**L levels (``sectors.free_fermion_levels``)
+and runs no eigensolver.  ``evolve`` iterates the 2**L state, whose norm
+drift and site magnetizations it reports.
 
 Every run writes a single summary CSV whose first line is a ``#``-prefixed
 JSON object echoing the sweep configuration and recording provenance
 (tool, version, timestamp, elapsed time, worker count, and the engine --
-``free-fermion``, ``momentum`` or ``iterative`` -- that computed each row).
+``free-fermion`` or ``iterative`` -- that computed each row).
 The data that follows is a function of the configuration alone: repeated
 runs produce byte-identical files once the provenance object is ignored,
 regardless of ``jobs``.  Floats are written with ``repr`` so values
@@ -70,7 +71,7 @@ from .engine import evolve_stroboscopic
 # perfbench/tracer.py wraps sweep.iter_return_probability; its install fails without the name.
 from .engine import iter_return_probability  # noqa: F401
 from .observables import average_return, first_crossing, fourier_spectrum, lifetime
-from .sectors import _require_blocks, _require_stream, sector_return_probability
+from .sectors import _require_levels, _require_stream, sector_return_probability
 from .spectral import (check_time_reflection, count_exact_pi_pairs, gap_statistics,
                        propagator_spectrum)
 from .states import FloquetParams, _require_state, polarized_state
@@ -136,9 +137,8 @@ class SweepConfig:
                                 f"{self.window} even-period samples), got {self.n_periods}")
         if problems:
             raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems))
-        require = _ENGINE_ARRAYS[_MODES[self.mode].engine]
         for L in self.lengths:
-            require(L)
+            _MODES[self.mode].require(L)
 
     def grid(self) -> list[tuple[int, float, float]]:
         """All (L, JT/pi, epsilon/pi) points, in deterministic grid order."""
@@ -203,16 +203,8 @@ def _phase_point(params: FloquetParams, config: SweepConfig) -> dict:
 
 def _spectrum_point(params: FloquetParams, config: SweepConfig) -> dict:
     spec = propagator_spectrum(params)
-    stats = gap_statistics(spec)
-    counts = count_exact_pi_pairs(spec)
-    cells = dict(
-        delta0_mean=stats.delta0_mean,
-        delta_pi_mean=stats.delta_pi_mean,
-        ratio=stats.ratio,
-        n_zero=counts.n_zero,
-        n_pi=counts.n_pi,
-        reflection_residual=check_time_reflection(params),
-    )
+    cells = dict(**asdict(gap_statistics(spec)), **asdict(count_exact_pi_pairs(spec)),
+                 reflection_residual=check_time_reflection(params))
     if config.dump_spectra:
         cells["_aux"] = (("index", "quasi_energy"), (np.arange(spec.dim), spec.energies))
     return cells
@@ -242,6 +234,7 @@ class _Mode(NamedTuple):
     columns: tuple[str, ...]  # summary columns
     point: Callable           # (FloquetParams, SweepConfig) -> result cells
     engine: str               # what computes every row (``provenance.paths``)
+    require: Callable         # L -> None: checks the path's largest array, before any point
     aux: Optional[str]        # kind of the per-point CSV, if the points write one
     periods: int              # default horizon (``--periods``)
     help: str                 # the subcommand's help
@@ -250,28 +243,25 @@ class _Mode(NamedTuple):
 _MODES = {
     "evolve": _Mode(_POINT + ("n_periods", "n_star", "censored", "average_return",
                               "window_used", "norm_drift", "series_file", "error"),
-                    _evolve_point, "iterative", "series", 2000,
+                    _evolve_point, "iterative", _require_state, "series", 2000,
                     "record return probability and magnetization time series"),
     "lifetime-scan": _Mode(_POINT + ("threshold", "n_max_pairs", "n_star", "censored", "error"),
-                           _lifetime_point, "free-fermion", None, 100_000,
+                           _lifetime_point, "free-fermion", _require_stream, None, 100_000,
                            "scan the threshold-crossing time of the even-period return "
                            "probability"),
     "phase-diagram": _Mode(_POINT + ("window", "average_return", "error"), _phase_point,
-                           "free-fermion", None, 2000, "map the early-time averaged return "
-                           "probability over drive parameters"),
+                           "free-fermion", _require_stream, None, 2000, "map the early-time "
+                           "averaged return probability over drive parameters"),
     "spectrum": _Mode(_POINT + ("delta0_mean", "delta_pi_mean", "ratio", "n_zero", "n_pi",
                                 "reflection_residual", "spectrum_file", "error"),
-                      _spectrum_point, "momentum", "spectrum", 2000,
+                      _spectrum_point, "free-fermion", _require_levels, "spectrum", 2000,
                       "report quasi-energy pairing statistics and symmetry residuals"),
     "fourier": _Mode(_POINT + ("n_periods", "peak_bin", "peak_frequency", "peak_magnitude",
                                "subharmonic_magnitude", "spectrum_file", "error"),
-                     _fourier_point, "free-fermion", "spectrum", 2000,
+                     _fourier_point, "free-fermion", _require_stream, "spectrum", 2000,
                      "Fourier-analyze the return-probability series"),
 }
 MODES = tuple(_MODES)
-#: engine -> the check of its largest array at L, the one its path makes, run before any point
-_ENGINE_ARRAYS = {"iterative": _require_state, "free-fermion": _require_stream,
-                  "momentum": _require_blocks}
 
 
 def _sweep_point(task) -> dict:
@@ -293,7 +283,7 @@ def _run_points(worker, tasks: list[tuple], jobs: int) -> list[dict]:
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
     # A forked worker keeps the OpenBLAS thread count chosen for the whole machine, so
-    # workers diagonalizing at once would oversubscribe the cores: one thread apiece.
+    # workers multiplying at once would oversubscribe the cores: one thread apiece.
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=blas.set_threads,
                              initargs=(1,)) as pool:
         return list(pool.map(worker, tasks))
@@ -352,7 +342,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Run every grid point of ``config.mode``; write aux CSVs, then the summary, or none."""
     config.validate()
     started = time.perf_counter()
-    columns, _, engine, kind, *_ = _MODES[config.mode]
+    columns, _, engine, _, kind, *_ = _MODES[config.mode]
     tasks = [(L, jt, eps, config) for L, jt, eps in config.grid()]
     rows = _run_points(_sweep_point, tasks, config.jobs)
     out = Path(config.out)
@@ -497,7 +487,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> SweepConfig:
     Precedence: built-in defaults, then the ``--config`` JSON file, then
     explicit flags.  Raises ConfigError for bad values, among them a file's
     ``mode`` other than the subcommand, and CapacityError when the largest
-    array of the mode's engine would exceed ``MAX_ARRAY_BYTES`` at some
+    array of the mode's path would exceed ``MAX_ARRAY_BYTES`` at some
     chain length.
     """
     namespace = _build_parser().parse_args(argv)

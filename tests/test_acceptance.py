@@ -250,8 +250,8 @@ def test_criterion_10_gap_ratio_finite_size_trends(capsys):
     with L at the melted point.
 
     At JT = pi, eps = 0.1 pi the pairing is exact at L = 6 and 10
-    (delta_pi_mean 4.7e-16 and 4.8e-16), so the ratio there (5.6e-15 and
-    7.9e-14) is rounding noise and is not ordered in L.  At L = 8 the anchor
+    (delta_pi_mean 1.4e-16 and 1.8e-16), so the ratio there (1.7e-15 and
+    2.9e-14) is rounding noise and is not ordered in L.  At L = 8 the anchor
     multiplicities (32 at 0, 28 at pi) leave 12 levels with no level pi away
     (the nearest misses by 0.03 to 0.12) and the ratio is 1.26;
     what a chain with L divisible by 4 should show is not settled, so that

@@ -138,11 +138,6 @@ class TestOrbits:
         # The k = 0 momentum blocks count the necklaces.
         assert [next(momentum_blocks(L)).sizes.size for L in (6, 8, 10)] == [14, 36, 108]
 
-    @pytest.mark.parametrize("L", range(2, 15))
-    def test_block_estimate_bounds_the_largest_block(self, L):
-        M = max(basis.sizes.size for basis in momentum_blocks(L))
-        assert sectors._block_bytes(L) == 16 * (2**L // L + 2 ** (L // 2)) ** 2 >= 16 * M * M
-
 
 class TestSectorOperator:
     @pytest.mark.parametrize("L", range(2, 9))

@@ -1,5 +1,6 @@
 """Quasi-energy extraction, pairing statistics, and the reflection symmetry."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from kicked_ising import (
     EXACT_PAIR_TOL,
     CapacityError,
     FloquetParams,
+    PairCounts,
     QuasiEnergySpectrum,
     StateVector,
     build_dense_propagator,
@@ -25,7 +27,7 @@ from kicked_ising import (
     quasi_energies,
 )
 
-from kicked_ising import engine, spectral, states
+from kicked_ising import blas, engine, sectors, spectral, states
 from kicked_ising.engine import _kick_factor
 
 from conftest import random_state, reflection_operator
@@ -146,8 +148,8 @@ class TestMomentumBlocks:
     @staticmethod
     def _dense(params):
         """The dense oracle: one diagonalization of the whole aligned propagator."""
-        U = build_dense_propagator(params)
-        return quasi_energies(U, T=params.T, phase=np.exp(0.25j * params.jt * params.L))
+        U = build_dense_propagator(params).matrix
+        return quasi_energies(np.exp(0.25j * params.jt * params.L) * U, T=params.T)
 
     @pytest.mark.parametrize("L", range(2, 11))
     def test_levels_counts_and_statistics_match_the_dense_oracle(self, L):
@@ -176,7 +178,7 @@ class TestMomentumBlocks:
 
     def test_lifted_vectors_capacity(self, monkeypatch):
         """The lifted vectors are one 2**L x 2**L matrix, 16 * 4**L bytes: 12 sites fit, 13 do not,
-        though 13 sites of levels alone fit."""
+        though 13 sites of levels alone fit, and they need no block."""
         params = FloquetParams.from_dimensionless(13, 1.0, 0.1)
         with pytest.raises(CapacityError, match="L=13: the matrix of lifted eigenvectors needs "
                                                 "1024 MiB, over the 256 MiB array capacity"):
@@ -186,9 +188,49 @@ class TestMomentumBlocks:
             raise LookupError("the capacity check passed")
 
         monkeypatch.setattr(spectral, "momentum_blocks", past_the_check)
-        for L, keep_vectors in ((12, True), (13, False)):
-            with pytest.raises(LookupError, match="capacity check passed"):
-                propagator_spectrum(FloquetParams.from_dimensionless(L, 1.0, 0.1), keep_vectors)
+        with pytest.raises(LookupError, match="capacity check passed"):
+            propagator_spectrum(FloquetParams.from_dimensionless(12, 1.0, 0.1), keep_vectors=True)
+        assert propagator_spectrum(params).dim == 2**13
+
+
+#: (JT/pi, eps/pi): the drives of the levels' comparison with the blocks past the dense oracle.
+LEVEL_DRIVES = tuple(itertools.product((0.0, 0.5, 0.9, 1.0, 1.3, 2.0),
+                                       (0.0, 0.1, -0.2, 0.2341, 0.3)))
+
+
+class TestFreeFermionLevels:
+    @staticmethod
+    def _blocks(params):
+        """The momentum blocks' spectra, merged: the levels ``keep_vectors`` lifts, from eigvals."""
+        with blas.one_thread():
+            energies = np.concatenate([quasi_energies(basis.propagator(params), T=params.T).energies
+                                       for basis in sectors.momentum_blocks(params.L)])
+        aligned = fold_to_branch(energies - 0.25 * params.jt * params.L / params.T, period=params.T)
+        return QuasiEnergySpectrum(params.L, params.T, np.sort(aligned))
+
+    @pytest.mark.parametrize("L", (11, 12))
+    @pytest.mark.parametrize("jt_over_pi", sorted({jt for jt, _ in LEVEL_DRIVES}))
+    def test_levels_match_the_blocks_past_the_dense_oracle(self, L, jt_over_pi):
+        for eps_over_pi in (eps for jt, eps in LEVEL_DRIVES if jt == jt_over_pi):
+            params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
+            levels, blocks = propagator_spectrum(params), self._blocks(params)
+            assert _circular_mismatch(levels.energies, blocks.energies) <= 1e-12
+            assert count_exact_pi_pairs(levels) == count_exact_pi_pairs(blocks)
+            ours, theirs = gap_statistics(levels), gap_statistics(blocks)
+            assert abs(ours.delta0_mean - theirs.delta0_mean) <= 1e-12
+            assert abs(ours.delta_pi_mean - theirs.delta_pi_mean) <= 1e-12
+            if theirs.ratio > 1e-3:
+                assert ours.ratio == pytest.approx(theirs.ratio, rel=1e-12, abs=0)
+            else:
+                assert abs(ours.ratio - theirs.ratio) <= 1e-11
+
+    @pytest.mark.parametrize("L, anchored", [(14, 432), (18, 2592)])
+    def test_exact_pairing_past_the_blocks(self, L, anchored):
+        """At JT = pi every level of these chains has a partner pi/T away."""
+        spec = propagator_spectrum(FloquetParams.from_dimensionless(L, 1.0, 0.1))
+        assert spec.dim == 2**L and np.all(np.diff(spec.energies) >= 0)
+        assert gap_statistics(spec).delta_pi_mean <= EXACT_PAIR_TOL
+        assert count_exact_pi_pairs(spec) == PairCounts(anchored, anchored)
 
 
 class TestReflectionOperator:

@@ -168,8 +168,8 @@ class TestParseConfig:
             parse_config(["evolve", "-L", "4", "--epsilon-over-pi", "0.1", "--out", "x.csv"])
 
     def test_capacity_is_a_distinct_error(self):
-        with pytest.raises(CapacityError, match="L=30: a momentum block needs .* MiB, over the "
-                                                "256 MiB array capacity"):
+        with pytest.raises(CapacityError, match="L=30: the quasi-energy levels needs .* MiB, over "
+                                                "the 256 MiB array capacity"):
             parse_config(
                 ["spectrum", "-L", "30", "--jt-over-pi", "1.0",
                  "--epsilon-over-pi", "0.1", "--out", "x.csv"]
@@ -180,7 +180,7 @@ class TestParseConfig:
         ("lifetime-scan", 32767, "the phase table needs 256.008 MiB"),
         ("phase-diagram", 32767, "the phase table needs 256.008 MiB"),
         ("fourier", 32767, "the phase table needs 256.008 MiB"),
-        ("spectrum", 15, "a momentum block needs 289 MiB"),
+        ("spectrum", 25, "the quasi-energy levels needs 512 MiB"),
     ])
     def test_capacity_limit_of_each_mode(self, mode, last, needs):
         """The last chain length whose largest array fits the budget, and the first that does not."""
@@ -330,7 +330,7 @@ JOBS_CASES = {
     "phase-diagram-iterative": ("phase-diagram", dict(lengths=(4,), jt_over_pi=(0.5, 1.0),
                                                       n_periods=4, window=2), ["free-fermion"] * 2),
     "spectrum": ("spectrum", dict(lengths=(4, 6), jt_over_pi=(1.0,), dump_spectra=True),
-                 ["momentum"] * 2),
+                 ["free-fermion"] * 2),
     "fourier": ("fourier", dict(lengths=(4, 10), jt_over_pi=(1.0, 0.9), epsilon_over_pi=(0.05,),
                                 n_periods=64), ["free-fermion"] * 4),
 }
@@ -403,7 +403,7 @@ def test_jobs_do_not_change_the_bytes_at_sixteen_sites(tmp_path):
 
 
 def test_jobs_do_not_change_the_spectrum_bytes(tmp_path):
-    """LAPACK's eigenvalues depend on the OpenBLAS thread count; the blocks run on one.
+    """The free-fermion levels call no BLAS, so they cannot depend on its thread count.
 
     The parent process at ``--jobs 1`` has the default threads, pool workers one.
     """
@@ -517,7 +517,8 @@ class TestSpectrumReport:
         assert np.all(np.diff(energies) >= 0)
 
     def test_no_dense_build_per_point(self, tmp_path, monkeypatch):
-        """Neither the block spectrum nor the factored reflection check builds a dense U."""
+        """Neither the free-fermion levels nor the factored reflection check builds a dense U,
+        and no point builds a momentum block or runs an eigensolver."""
         built = []
         build = spectral.build_dense_propagator
 
@@ -525,11 +526,16 @@ class TestSpectrumReport:
             built.append(params.L)
             return build(params)
 
+        def refused(*args, **kwargs):
+            raise AssertionError("a spectrum point ran an eigensolver")
+
         monkeypatch.setattr(spectral, "build_dense_propagator", counted)
+        monkeypatch.setattr(spectral, "momentum_blocks", refused)
+        monkeypatch.setattr(spectral, "quasi_energies", refused)
         config = make_config(mode="spectrum", lengths=(4, 6), jt_over_pi=(1.0, 0.5),
                              epsilon_over_pi=(0.2341,), out=str(tmp_path / "spec.csv"))
         rows = run_sweep(config).rows
-        assert built == []
+        assert built == [] and [row["error"] for row in rows] == [None] * 4
         monkeypatch.undo()
         for row in rows:
             params = FloquetParams.from_dimensionless(row["L"], row["jt_over_pi"], 0.2341)
