@@ -12,7 +12,9 @@ behind the lifetime, phase-diagram and Fourier sweeps, with no 2**L array,
 and every quasi-energy level as a sum of mode phases; eigenvectors come from
 the translation-momentum blocks.  No array may exceed ``MAX_ARRAY_BYTES``
 (256 MiB), which allows states up to 24 sites, spectra up to 25, their
-eigenvectors up to 12 and the closed-form stream up to 32767.
+eigenvectors up to 12 and the closed-form stream up to 32767.  A drive is
+``FloquetParams(L, jt, epsilon)``: time is counted in periods, so
+quasi-energies are in units of ``1/T`` on ``(-pi, pi]``.
 
 Quick start::
 

@@ -288,9 +288,10 @@ def evolve_stroboscopic(
 def iter_return_probability(initial: StateVector, params: FloquetParams):
     """Yield P(nT) against ``initial`` after each period, indefinitely.
 
-    A lazy single-pass alternative to ``evolve_stroboscopic`` for scans that
-    stop early (for instance once the return probability crosses a threshold):
-    nothing is stored, the caller bounds the horizon.
+    A lazy single-pass form of ``evolve_stroboscopic``: nothing is stored, the
+    caller bounds the horizon.  No sweep runs it (their streams are the
+    closed form of ``sectors.sector_return_probability``); it is the iterative
+    reference of the stream tests, and the name perfbench's tracer wraps.
     """
     psi0 = _in_frame(initial.amplitudes, initial.L)
     for amps in _periods(initial, params):

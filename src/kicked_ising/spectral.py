@@ -1,20 +1,20 @@
 """Quasi-energy spectra, pairing statistics, and the time-reflection check.
 
-A one-period propagator eigenvalue ``lambda = exp(-i e T)`` defines the
-quasi-energy ``e`` modulo ``2 pi / T``; everything here works on the branch
-``(-pi/T, pi/T]``.  Period-doubled dynamics shows up as eigenstate pairs whose
-quasi-energies differ by exactly ``pi/T``.
+Quasi-energies are in units of ``1/T``: a one-period propagator eigenvalue
+``lambda = exp(-i e)`` defines the quasi-energy ``e`` modulo ``2 pi``, and
+everything here works on the branch ``(-pi, pi]``.  Period-doubled dynamics
+shows up as eigenstate pairs whose quasi-energies differ by exactly ``pi``.
 
 Quasi-energy origin
 -------------------
 The propagator's overall phase is physically meaningless but moves every
-quasi-energy rigidly, so statements like "states sit exactly at 0 and pi/T"
+quasi-energy rigidly, so statements like "states sit exactly at 0 and pi"
 depend on a phase convention.  ``propagator_spectrum`` therefore divides out
 the Ising phase of the fully aligned spin configuration (a global factor
-``exp(-i J T L / 4)``).  With that origin, the exactly paired states of an
-even-length chain at ``JT = pi`` anchor at 0 and ``pi/T`` for every even L;
+``exp(-i JT L / 4)``).  With that origin, the exactly paired states of an
+even-length chain at ``JT = pi`` anchor at 0 and ``pi`` for every even L;
 with the raw propagator (``quasi_energies`` of the dense matrix) they sit at
-0/pi only for L divisible by 4 and at ``+-pi/2T`` for L = 6, 10, ....  Pair
+0/pi only for L divisible by 4 and at ``+-pi/2`` for L = 6, 10, ....  Pair
 *separations* and gap statistics are unaffected by the choice.
 
 Free-fermion levels
@@ -31,7 +31,7 @@ trivial group's block in ``sectors``, is the dense oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import math
 
@@ -39,31 +39,28 @@ import numpy as np
 
 from . import blas
 # perfbench/tracer.py wraps spectral.build_dense_propagator; its install fails without the name.
-from .sectors import (DensePropagator, build_dense_propagator,  # noqa: F401
-                      free_fermion_levels, momentum_blocks)
+from .sectors import build_dense_propagator, free_fermion_levels, momentum_blocks  # noqa: F401
 from .states import FloquetParams, StateVector, _require_matrix, _require_unitary
 
 #: Quasi-energies closer than this to an anchor count as exactly degenerate.
 EXACT_PAIR_TOL = 1e-10
 
 
-def fold_to_branch(x, period: float = 1.0):
-    """Map phases (or phase differences) into the branch (-pi/T, pi/T]."""
-    half = math.pi / period
-    return half - np.mod(half - np.asarray(x), 2.0 * half)
+def fold_to_branch(x):
+    """Map phases (or phase differences) into the branch (-pi, pi]."""
+    return math.pi - np.mod(math.pi - np.asarray(x), 2.0 * math.pi)
 
 
 @dataclass(frozen=True)
 class QuasiEnergySpectrum:
     """Sorted quasi-energies of a propagator, optionally with eigenvectors.
 
-    ``energies`` is ascending within (-pi/T, pi/T]; when kept, column j of
+    ``energies`` is ascending within (-pi, pi]; when kept, column j of
     ``eigenvectors`` belongs to ``energies[j]`` and the columns are
     orthonormal.
     """
 
     L: int
-    T: float
     energies: np.ndarray
     eigenvectors: Optional[np.ndarray] = None
 
@@ -78,9 +75,9 @@ class GapStatistics:
 
     ``delta0_mean`` averages the D - 1 neighbour gaps of the levels on the
     Floquet circle that remain once its largest gap is left out, that is
-    ``(2 pi/T - largest circular gap) / (D - 1)``; it does not move when a
+    ``(2 pi - largest circular gap) / (D - 1)``; it does not move when a
     level crosses the branch edge;
-    ``delta_pi_mean`` averages ``|e[i + D/2] - e[i] - pi/T|`` (folded back into
+    ``delta_pi_mean`` averages ``|e[i + D/2] - e[i] - pi|`` (folded back into
     the branch) over the first half.  Small ``ratio`` means the spectrum is
     organized into rigid pi-separated pairs.
     """
@@ -92,26 +89,23 @@ class GapStatistics:
 
 @dataclass(frozen=True)
 class PairCounts:
-    """Number of quasi-energies within tolerance of 0 and of pi/T."""
+    """Number of quasi-energies within tolerance of 0 and of pi."""
 
     n_zero: int
     n_pi: int
 
 
-def quasi_energies(U: Union[DensePropagator, np.ndarray], T: float = 1.0,
-                   keep_vectors: bool = False) -> QuasiEnergySpectrum:
-    """Diagonalize a unitary and return quasi-energies e = -arg(lambda)/T, sorted.
+def quasi_energies(U: np.ndarray, keep_vectors: bool = False) -> QuasiEnergySpectrum:
+    """Diagonalize a unitary matrix and return quasi-energies e = -arg(lambda), sorted.
 
     With ``keep_vectors`` the (complex) Schur decomposition is used, so the
     returned eigenvector columns are orthonormal even inside degenerate
     clusters — exactly what pair-manifold projections need.
     """
-    m = U.matrix if isinstance(U, DensePropagator) else np.asarray(U, dtype=np.complex128)
+    m = np.asarray(U, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dim = m.shape[0]
-    if not T > 0:
-        raise ValueError(f"period must be positive, got T={T}")
     _require_unitary(m, "matrix")
 
     if keep_vectors:
@@ -124,7 +118,7 @@ def quasi_energies(U: Union[DensePropagator, np.ndarray], T: float = 1.0,
         vectors = None
         eigenvalues = np.linalg.eigvals(m)
 
-    energies = fold_to_branch(-np.angle(eigenvalues) / T, period=T)
+    energies = fold_to_branch(-np.angle(eigenvalues))
     order = np.argsort(energies, kind="stable")
     energies = np.ascontiguousarray(energies[order])
     energies.setflags(write=False)
@@ -132,14 +126,14 @@ def quasi_energies(U: Union[DensePropagator, np.ndarray], T: float = 1.0,
         vectors = np.ascontiguousarray(vectors[:, order])
         vectors.setflags(write=False)
     L = dim.bit_length() - 1
-    return QuasiEnergySpectrum(L=L, T=T, energies=energies, eigenvectors=vectors)
+    return QuasiEnergySpectrum(L=L, energies=energies, eigenvectors=vectors)
 
 
 def propagator_spectrum(params: FloquetParams, keep_vectors: bool = False) -> QuasiEnergySpectrum:
     """Spectrum of the one-period propagator with the aligned quasi-energy origin.
 
     Quasi-energies are measured relative to the Ising phase of the fully
-    aligned configuration, i.e. of ``exp(+i J T L / 4) U``; see the module
+    aligned configuration, i.e. of ``exp(+i JT L / 4) U``; see the module
     docstring.  The levels are the free-fermion eigenphases of
     ``sectors.free_fermion_levels``.  With ``keep_vectors`` they are the
     momentum blocks' Schur spectra instead, and column j of the eigenvectors
@@ -153,20 +147,20 @@ def propagator_spectrum(params: FloquetParams, keep_vectors: bool = False) -> Qu
         energies, vectors = [], []
         with blas.one_thread():  # blocks this small diagonalize faster on one thread
             for basis in momentum_blocks(params.L):
-                block = quasi_energies(basis.propagator(params), T=params.T, keep_vectors=True)
+                block = quasi_energies(basis.propagator(params), keep_vectors=True)
                 energies.append(block.energies)
                 vectors.append(basis.lift(block.eigenvectors))
         energies, eigenvectors = np.concatenate(energies), np.hstack(vectors)
     else:
-        energies = free_fermion_levels(params) / -params.T
-    energies = fold_to_branch(energies - 0.25 * params.jt * params.L / params.T, period=params.T)
+        energies = -free_fermion_levels(params)
+    energies = fold_to_branch(energies - 0.25 * params.jt * params.L)
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
     energies.setflags(write=False)
     if keep_vectors:
         eigenvectors = eigenvectors[:, order]
         eigenvectors.setflags(write=False)
-    return QuasiEnergySpectrum(L=params.L, T=params.T, energies=energies, eigenvectors=eigenvectors)
+    return QuasiEnergySpectrum(L=params.L, energies=energies, eigenvectors=eigenvectors)
 
 
 def gap_statistics(spec: QuasiEnergySpectrum) -> GapStatistics:
@@ -177,10 +171,9 @@ def gap_statistics(spec: QuasiEnergySpectrum) -> GapStatistics:
         raise ValueError(f"need an even number of levels to pair, got {D}")
     if D < 2:
         raise ValueError("need at least two levels")
-    half_period = math.pi / spec.T
-    largest_gap = max(float(np.max(np.diff(e))), float(e[0] + 2.0 * half_period - e[-1]))
-    delta0 = (2.0 * half_period - largest_gap) / (D - 1)
-    deviations = fold_to_branch(e[D // 2 :] - e[: D // 2] - half_period, period=spec.T)
+    largest_gap = max(float(np.max(np.diff(e))), float(e[0] + 2.0 * math.pi - e[-1]))
+    delta0 = (2.0 * math.pi - largest_gap) / (D - 1)
+    deviations = fold_to_branch(e[D // 2 :] - e[: D // 2] - math.pi)
     delta_pi = float(np.mean(np.abs(deviations)))
     ratio = delta_pi / delta0 if delta0 > 0 else math.inf
     return GapStatistics(delta0_mean=delta0, delta_pi_mean=delta_pi, ratio=ratio)
@@ -212,16 +205,15 @@ def check_time_reflection(params: FloquetParams) -> float:
 
 
 def _anchor_distances(spec: QuasiEnergySpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Folded distances ``|e|`` and ``|e - pi/T|`` of every level from the two anchors."""
-    return (np.abs(fold_to_branch(spec.energies, period=spec.T)),
-            np.abs(fold_to_branch(spec.energies - math.pi / spec.T, period=spec.T)))
+    """Folded distances ``|e|`` and ``|e - pi|`` of every level from the two anchors."""
+    return (np.abs(fold_to_branch(spec.energies)), np.abs(fold_to_branch(spec.energies - math.pi)))
 
 
 def count_exact_pi_pairs(spec: QuasiEnergySpectrum, tol: float = EXACT_PAIR_TOL) -> PairCounts:
-    """Count quasi-energies within ``tol`` of the anchors 0 and pi/T.
+    """Count quasi-energies within ``tol`` of the anchors 0 and pi.
 
     Distances are measured on the Floquet circle, so a level just below the
-    branch edge -pi/T counts toward the pi/T anchor.
+    branch edge -pi counts toward the pi anchor.
     """
     d_zero, d_pi = _anchor_distances(spec)
     return PairCounts(n_zero=int(np.sum(d_zero <= tol)), n_pi=int(np.sum(d_pi <= tol)))
@@ -249,7 +241,7 @@ def paired_superposition(
     if dev_zero > tol:
         raise ValueError(f"state {zero_index} is {dev_zero:.3e} away from quasi-energy 0")
     if dev_pi > tol:
-        raise ValueError(f"state {pi_index} is {dev_pi:.3e} away from quasi-energy pi/T")
+        raise ValueError(f"state {pi_index} is {dev_pi:.3e} away from quasi-energy pi")
     combo = spec.eigenvectors[:, zero_index] + sign * spec.eigenvectors[:, pi_index]
     combo = combo / np.linalg.norm(combo)
     return StateVector(spec.L, combo)

@@ -8,6 +8,8 @@ Conventions used throughout the package:
 * For ``L = 2`` the periodic bond sum counts the single physical bond twice
   (terms ``i=0->1`` and ``i=1->0``), which is the literal reading of the
   wrap-around sum.  Physics checks therefore prefer ``L >= 3``.
+* Time is counted in drive periods T (hbar = 1): a drive is the Ising phase
+  ``jt = J*T`` and the kick imperfection ``epsilon``, and T appears nowhere else.
 """
 
 from __future__ import annotations
@@ -98,27 +100,20 @@ def _require_unitary(matrix: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class FloquetParams:
-    """Parameters of one drive period: Ising coupling J for time T, then a global kick.
+    """Parameters of one drive period: the Ising phase ``jt = J*T``, then a global kick.
 
+    Time is counted in periods (hbar = 1), so the drive has two dimensionless
+    knobs: the interaction phase ``jt`` and the kick imperfection ``epsilon``.
     The kick rotates every spin about x by ``pi/2 - epsilon``; ``epsilon = 0``
-    is a perfect spin flip.  All observables depend on ``J`` and ``T`` only
-    through the product ``J*T`` (hbar = 1).
+    is a perfect spin flip.
     """
 
     L: int
-    J: float
+    jt: float
     epsilon: float
-    T: float = 1.0
 
     def __post_init__(self) -> None:
         _require_sites(self.L)
-        if not self.T > 0:
-            raise ValueError(f"drive period must be positive, got T={self.T}")
-
-    @property
-    def jt(self) -> float:
-        """The dimensionless interaction phase J*T."""
-        return self.J * self.T
 
     @property
     def theta(self) -> float:
@@ -126,11 +121,9 @@ class FloquetParams:
         return math.pi / 2 - self.epsilon
 
     @classmethod
-    def from_dimensionless(
-        cls, L: int, jt_over_pi: float, epsilon_over_pi: float, T: float = 1.0
-    ) -> "FloquetParams":
+    def from_dimensionless(cls, L: int, jt_over_pi: float, epsilon_over_pi: float) -> "FloquetParams":
         """Build params from JT and epsilon expressed in multiples of pi."""
-        return cls(L=L, J=math.pi * jt_over_pi / T, epsilon=math.pi * epsilon_over_pi, T=T)
+        return cls(L=L, jt=math.pi * jt_over_pi, epsilon=math.pi * epsilon_over_pi)
 
 
 @dataclass(frozen=True)

@@ -123,8 +123,9 @@ class SweepConfig:
                            ("jobs", self.jobs)):
             if value < 1:
                 problems.append(f"{key} must be positive, got {value}")
-        if self.mode == "fourier" and self.n_periods == 1:
-            problems.append("fourier needs at least 2 periods (DFT samples), got 1")
+        # one period has no DFT (fourier) and no even period to compare (lifetime-scan)
+        if self.mode in ("fourier", "lifetime-scan") and self.n_periods == 1:
+            problems.append(f"{self.mode} needs at least 2 periods, got 1")
         if not 0.0 < self.threshold < 1.0:
             problems.append(f"threshold must lie strictly between 0 and 1, got {self.threshold}")
         if not self.out:
@@ -171,7 +172,8 @@ def _evolve_point(params: FloquetParams, config: SweepConfig) -> dict:
     crossing = lifetime(even, config.threshold) if even.size else None
     window_used = min(config.window, even.size) if even.size else None
     columns = ["n", "t", "return_probability"] + [f"sz_{site}" for site in range(L)]
-    curve = (series.n, series.n * params.T, series.return_probability, *series.sz.T)
+    # time in periods: t equals n, written as a float ("1.0", "2.0", ...) like the other curve columns
+    curve = (series.n, series.n.astype(np.float64), series.return_probability, *series.sz.T)
     return dict(
         n_star=None if crossing is None else crossing.n_star,
         censored=None if crossing is None else crossing.censored,

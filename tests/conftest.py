@@ -31,8 +31,8 @@ def site_operator(op: np.ndarray, site: int, L: int) -> np.ndarray:
     return out
 
 
-def oracle_propagator(L: int, J: float, epsilon: float, T: float = 1.0) -> np.ndarray:
-    """exp(-i J T/4 sum_i Z_i Z_{i+1}) @ exp(-i (pi/2 - eps) sum_i X_i).
+def oracle_propagator(L: int, jt: float, epsilon: float) -> np.ndarray:
+    """exp(-i JT/4 sum_i Z_i Z_{i+1}) @ exp(-i (pi/2 - eps) sum_i X_i).
 
     The bond sum runs over i = 0..L-1 with periodic wrap, so for L = 2 the
     single physical bond enters twice — same convention as the package.
@@ -43,7 +43,7 @@ def oracle_propagator(L: int, J: float, epsilon: float, T: float = 1.0) -> np.nd
         site_operator(SZ, i, L) @ site_operator(SZ, (i + 1) % L, L) for i in range(L)
     )
     kick = expm(-1j * theta * kick_generator)
-    ising = expm(-0.25j * J * T * ising_generator)
+    ising = expm(-0.25j * jt * ising_generator)
     return ising @ kick
 
 

@@ -36,7 +36,7 @@ def test_dense_propagator_matches_oracle(L, rng):
         for eps_over_pi in (-0.3, -0.1, 0.0, 0.11, 0.3):
             params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
             built = build_dense_propagator(params).matrix
-            reference = oracle_propagator(L, params.J, params.epsilon, params.T)
+            reference = oracle_propagator(L, params.jt, params.epsilon)
             assert np.max(np.abs(built - reference)) < 1e-12
 
 
@@ -117,9 +117,9 @@ def test_jt_periodicity(rng):
     (-1)^bond_sum = (-1)^L, invisible in any probability.
     """
     initial = StateVector(4, random_state(4, rng))
-    base = FloquetParams(L=4, J=0.9 * math.pi, epsilon=0.31)
-    plus8 = FloquetParams(L=4, J=0.9 * math.pi + 8 * math.pi, epsilon=0.31)
-    plus4 = FloquetParams(L=4, J=0.9 * math.pi + 4 * math.pi, epsilon=0.31)
+    base = FloquetParams(L=4, jt=0.9 * math.pi, epsilon=0.31)
+    plus8 = FloquetParams(L=4, jt=0.9 * math.pi + 8 * math.pi, epsilon=0.31)
+    plus4 = FloquetParams(L=4, jt=0.9 * math.pi + 4 * math.pi, epsilon=0.31)
     a = floquet_step(initial, base).amplitudes
     b = floquet_step(initial, plus8).amplitudes
     c = floquet_step(initial, plus4).amplitudes

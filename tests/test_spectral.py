@@ -47,8 +47,6 @@ class TestFoldToBranch:
     def test_array_and_period(self):
         folded = fold_to_branch(np.array([2.0 * math.pi, 3.0 * math.pi]))
         assert np.allclose(folded, [0.0, math.pi])
-        # Branch scales with the period: T = 2 folds into (-pi/2, pi/2].
-        assert fold_to_branch(0.6 * math.pi, period=2.0) == pytest.approx(-0.4 * math.pi)
 
 
 class TestQuasiEnergies:
@@ -74,7 +72,7 @@ class TestQuasiEnergies:
 
     def test_eigvals_and_schur_paths_agree(self):
         params = FloquetParams.from_dimensionless(5, 0.83, 0.12)
-        U = build_dense_propagator(params)
+        U = build_dense_propagator(params).matrix
         fast = quasi_energies(U)
         full = quasi_energies(U, keep_vectors=True)
         assert fast.eigenvectors is None
@@ -86,14 +84,14 @@ class TestQuasiEnergies:
         spec = quasi_energies(U, keep_vectors=True)
         V = spec.eigenvectors
         assert np.max(np.abs(V.conj().T @ V - np.eye(spec.dim))) < 1e-12
-        rebuilt = V @ np.diag(np.exp(-1j * spec.energies * spec.T)) @ V.conj().T
+        rebuilt = V @ np.diag(np.exp(-1j * spec.energies)) @ V.conj().T
         assert np.max(np.abs(rebuilt - U)) < 1e-9
 
 
 class TestGapStatistics:
     def test_four_level_example(self):
         energies = np.array([-math.pi / 2, 0.0, math.pi / 2, math.pi])
-        stats = gap_statistics(QuasiEnergySpectrum(L=2, T=1.0, energies=energies))
+        stats = gap_statistics(QuasiEnergySpectrum(L=2, energies=energies))
         assert stats.delta0_mean == pytest.approx(math.pi / 2)
         assert stats.delta_pi_mean == pytest.approx(0.0, abs=1e-15)
         assert stats.ratio == pytest.approx(0.0, abs=1e-15)
@@ -101,21 +99,21 @@ class TestGapStatistics:
     def test_synthetic_rigid_pairs_have_zero_pi_deviation(self, rng):
         g = np.sort(rng.uniform(0.05, math.pi / 2 - 0.05, size=8))
         energies = np.concatenate([g - math.pi, g])  # each level has a partner at +pi
-        stats = gap_statistics(QuasiEnergySpectrum(L=4, T=1.0, energies=energies))
+        stats = gap_statistics(QuasiEnergySpectrum(L=4, energies=energies))
         assert stats.delta_pi_mean == pytest.approx(0.0, abs=1e-14)
 
     def test_degenerate_spectrum_gives_infinite_ratio(self):
         energies = np.zeros(4)
-        stats = gap_statistics(QuasiEnergySpectrum(L=2, T=1.0, energies=energies))
+        stats = gap_statistics(QuasiEnergySpectrum(L=2, energies=energies))
         assert math.isinf(stats.ratio)
 
     def test_a_level_crossing_the_branch_edge_changes_nothing(self, rng):
-        """A level at pi/T that rounding folds to -pi/T moves no figure."""
+        """A level at pi that rounding folds to -pi moves no figure."""
         inner = rng.uniform(-math.pi + 0.1, math.pi - 0.1, size=7)
 
         def stats(level):
             energies = np.sort(np.append(inner, level))
-            return gap_statistics(QuasiEnergySpectrum(L=3, T=1.0, energies=energies))
+            return gap_statistics(QuasiEnergySpectrum(L=3, energies=energies))
 
         at_edge, folded = stats(math.pi), stats(-math.pi + 1e-15)
         assert folded.delta0_mean == pytest.approx(at_edge.delta0_mean, rel=1e-13)
@@ -124,7 +122,7 @@ class TestGapStatistics:
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
-            gap_statistics(QuasiEnergySpectrum(L=2, T=1.0, energies=np.zeros(3)))
+            gap_statistics(QuasiEnergySpectrum(L=2, energies=np.zeros(3)))
 
 
 def _circular_mismatch(a: np.ndarray, b: np.ndarray) -> float:
@@ -149,7 +147,7 @@ class TestMomentumBlocks:
     def _dense(params):
         """The dense oracle: one diagonalization of the whole aligned propagator."""
         U = build_dense_propagator(params).matrix
-        return quasi_energies(np.exp(0.25j * params.jt * params.L) * U, T=params.T)
+        return quasi_energies(np.exp(0.25j * params.jt * params.L) * U)
 
     @pytest.mark.parametrize("L", range(2, 11))
     def test_levels_counts_and_statistics_match_the_dense_oracle(self, L):
@@ -172,7 +170,7 @@ class TestMomentumBlocks:
             V = spec.eigenvectors
             assert np.max(np.abs(V.conj().T @ V - np.eye(2**L))) <= 1e-12
             phase = np.exp(0.25j * params.jt * L)
-            eigenvalues = np.exp(-1j * spec.energies * spec.T) / phase
+            eigenvalues = np.exp(-1j * spec.energies) / phase
             U = build_dense_propagator(params).matrix
             assert np.max(np.linalg.norm(U @ V - V * eigenvalues, axis=0)) <= 1e-12
 
@@ -203,10 +201,10 @@ class TestFreeFermionLevels:
     def _blocks(params):
         """The momentum blocks' spectra, merged: the levels ``keep_vectors`` lifts, from eigvals."""
         with blas.one_thread():
-            energies = np.concatenate([quasi_energies(basis.propagator(params), T=params.T).energies
+            energies = np.concatenate([quasi_energies(basis.propagator(params)).energies
                                        for basis in sectors.momentum_blocks(params.L)])
-        aligned = fold_to_branch(energies - 0.25 * params.jt * params.L / params.T, period=params.T)
-        return QuasiEnergySpectrum(params.L, params.T, np.sort(aligned))
+        aligned = fold_to_branch(energies - 0.25 * params.jt * params.L)
+        return QuasiEnergySpectrum(params.L, np.sort(aligned))
 
     @pytest.mark.parametrize("L", (11, 12))
     @pytest.mark.parametrize("jt_over_pi", sorted({jt for jt, _ in LEVEL_DRIVES}))
@@ -226,7 +224,7 @@ class TestFreeFermionLevels:
 
     @pytest.mark.parametrize("L, anchored", [(14, 432), (18, 2592)])
     def test_exact_pairing_past_the_blocks(self, L, anchored):
-        """At JT = pi every level of these chains has a partner pi/T away."""
+        """At JT = pi every level of these chains has a partner pi away."""
         spec = propagator_spectrum(FloquetParams.from_dimensionless(L, 1.0, 0.1))
         assert spec.dim == 2**L and np.all(np.diff(spec.energies) >= 0)
         assert gap_statistics(spec).delta_pi_mean <= EXACT_PAIR_TOL
@@ -326,7 +324,7 @@ class TestPairCounting:
         energies = np.sort(
             np.array([0.0, 1e-12, -math.pi + 3e-11, math.pi - 1e-9, 0.4])
         )
-        spec = QuasiEnergySpectrum(L=2, T=1.0, energies=energies)
+        spec = QuasiEnergySpectrum(L=2, energies=energies)
         counts = count_exact_pi_pairs(spec)
         assert counts.n_zero == 2
         # -pi + 3e-11 sits 3e-11 from the pi anchor across the branch edge;
@@ -356,7 +354,7 @@ class TestPairedStates:
     @staticmethod
     def _anchor_indices(spec):
         zero_index = int(np.argmin(np.abs(fold_to_branch(spec.energies))))
-        pi_index = int(np.argmin(np.abs(fold_to_branch(spec.energies - math.pi / spec.T))))
+        pi_index = int(np.argmin(np.abs(fold_to_branch(spec.energies - math.pi))))
         return zero_index, pi_index
 
     def test_superposition_swaps_and_revives(self, paired_spectrum):

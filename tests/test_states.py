@@ -27,7 +27,7 @@ from conftest import random_state
 
 class TestFloquetParams:
     def test_jt_and_theta(self):
-        params = FloquetParams(L=4, J=0.9 * math.pi, epsilon=0.1 * math.pi, T=1.0)
+        params = FloquetParams(L=4, jt=0.9 * math.pi, epsilon=0.1 * math.pi)
         assert params.jt == pytest.approx(0.9 * math.pi)
         assert params.theta == pytest.approx(math.pi / 2 - 0.1 * math.pi)
 
@@ -35,27 +35,24 @@ class TestFloquetParams:
         params = FloquetParams.from_dimensionless(6, jt_over_pi=1.0, epsilon_over_pi=0.05)
         assert params.jt == pytest.approx(math.pi)
         assert params.epsilon == pytest.approx(0.05 * math.pi)
-        # JT is T-independent: J carries the 1/T.
-        scaled = FloquetParams.from_dimensionless(6, 1.0, 0.05, T=2.5)
-        assert scaled.jt == pytest.approx(math.pi)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FloquetParams(L=1, J=1.0, epsilon=0.0)
+            FloquetParams(L=1, jt=1.0, epsilon=0.0)
         with pytest.raises(TypeError):
-            FloquetParams(L=4.0, J=1.0, epsilon=0.0)
-        with pytest.raises(ValueError):
-            FloquetParams(L=4, J=1.0, epsilon=0.0, T=0.0)
+            FloquetParams(L=4.0, jt=1.0, epsilon=0.0)
         with pytest.raises(TypeError):
-            FloquetParams(L=4, J=1.0, epsilon=0.0, boundary="open")
+            FloquetParams(L=4, jt=1.0, epsilon=0.0, T=1.0)  # time is counted in periods
+        with pytest.raises(TypeError):
+            FloquetParams(L=4, jt=1.0, epsilon=0.0, boundary="open")
 
     def test_capacity_error_is_a_value_error(self):
         assert issubclass(CapacityError, ValueError)
 
     def test_any_length_is_a_drive(self):
         """A drive allocates nothing, so no array budget limits L."""
-        assert FloquetParams(L=32, J=1.0, epsilon=0.1).L == 32
-        assert FloquetParams(L=10**12, J=1.0, epsilon=0.1).L == 10**12
+        assert FloquetParams(L=32, jt=1.0, epsilon=0.1).L == 32
+        assert FloquetParams(L=10**12, jt=1.0, epsilon=0.1).L == 10**12
 
 
 class TestStateCapacity:

@@ -232,11 +232,13 @@ class TestSweepConfigValidation:
         with pytest.raises(ConfigError, match="2\\*window"):
             config.validate()
 
-    def test_fourier_needs_two_periods(self, tmp_path):
-        """One sample has no DFT: refused up front, not written as an error row."""
-        argv = ["fourier", "-L", "4", "--jt-over-pi", "1.0", "--epsilon-over-pi", "0.05",
+    @pytest.mark.parametrize("mode", ["fourier", "lifetime-scan"])
+    def test_fourier_needs_two_periods(self, tmp_path, mode):
+        """One sample has no DFT, and one period no even period to compare: refused up front,
+        not written as an error row or a censored one."""
+        argv = [mode, "-L", "4", "--jt-over-pi", "1.0", "--epsilon-over-pi", "0.05",
                 "--periods", "1", "--out", str(tmp_path / "f.csv")]
-        with pytest.raises(ConfigError, match="fourier needs at least 2 periods"):
+        with pytest.raises(ConfigError, match=f"{mode} needs at least 2 periods"):
             parse_config(argv)
         assert cli.main(argv) == 2
         assert list(tmp_path.iterdir()) == []
@@ -289,12 +291,6 @@ class TestLifetimeScan:
         assert rows[1]["censored"] == "true"      # bool -> true/false
         assert float(rows[0]["jt_over_pi"]) == 0.9  # repr round-trips exactly
         assert rows[0]["error"] == ""
-
-        # One period holds no even period: zero pairs, censored, and no error.
-        run_sweep(make_config(n_periods=1, out=str(out)))
-        _, rows = read_result_csv(out)
-        assert (rows[0]["n_max_pairs"], rows[0]["n_star"], rows[0]["censored"],
-                rows[0]["error"]) == ("0", "", "true", "")
 
     # Lifetimes below were measured with the iterative engine (acceptance criteria 05-07).
     def test_frozen_lifetimes_by_length(self, tmp_path):
@@ -470,6 +466,7 @@ class TestEvolve:
         reference = evolve_stroboscopic(polarized_state(3), params, 8, ("return_probability", "sz"))
         for k, series_row in enumerate(series_rows):
             assert int(series_row["n"]) == k + 1
+            assert series_row["t"] == repr(float(k + 1))
             assert float(series_row["return_probability"]) == reference.return_probability[k]
             assert float(series_row["sz_1"]) == reference.sz[k, 1]
 
