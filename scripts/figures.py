@@ -17,6 +17,12 @@ last value wins (``--periods 20000 --jobs 2`` overrides the table); then
 * ``spectrum``: gap statistics, exact anchor-pair counts, the time-reflection
   residual and quasi-energy dumps at JT = pi (paired) and at a melted point
   (no pairing, O(1) residual); the Fourier peak sits at half the drive frequency.
+* ``lifetime_reach``: the lifetime against L = 6..32 at JT = 0.9 pi over 1e7 pairs, from
+  the closed-form stream; it grows up to L = 15, is censored for L = 16..30 and falls to
+  203323 pairs at L = 32.
+* ``pairing_reach``: the pairing statistics against L = 6..24 at JT = pi from the
+  free-fermion levels; exact pairs at L = 2 (mod 4), a ratio that grows with L at
+  L = 0 (mod 4), and no anchored pairs at odd L.
 """
 
 import argparse
@@ -45,6 +51,13 @@ FIGURES = {
         "spectrum_paired": f"{_SPECTRUM} --jt-over-pi 1.0 --epsilon-over-pi 0.1",
         "spectrum_melted": f"{_SPECTRUM} --jt-over-pi 0.2 --epsilon-over-pi 0.35",
         "fourier_peak": "fourier -L 8 --jt-over-pi 1.0 --epsilon-over-pi 0.07 --periods 512",
+    },
+    "lifetime_reach": {
+        "lifetime_vs_length_32": "lifetime-scan -L 6:32 --jt-over-pi 0.9 --epsilon-over-pi 0.1"
+                                 " --periods 20000000 --jobs 2",
+    },
+    "pairing_reach": {
+        "pairing_vs_length": "spectrum -L 6:24 --jt-over-pi 1.0 --epsilon-over-pi 0.1",
     },
 }
 

@@ -16,33 +16,33 @@ one float64 matrix product over the real view of the complex state, whose
 real and imaginary parts ride along as columns; that halves the
 multiply-adds of a complex product for every factor but the lowest, which
 is one product with ``kron(F^T, I_2)``.  ``_kick_products`` is the only
-code that knows the factors and their order.  The engine only evolves
-states: every propagator matrix, the dense one included (the block of the
-trivial group), is built by ``sectors.OrbitBasis.propagator``.
+code that knows the factors and their order.  A stack of states is just
+more leading rows, so one product per factor serves any number of them.
 
 The period loop, ``_periods``, moves the start state into the frame once
 and never moves it back.  It alternates between two preallocated 2**L
 buffers (``np.matmul(..., out=)``) and multiplies the phase in place, so a
 period allocates nothing.  It yields the frame amplitudes ``S psi_n`` in a
 buffer that the next period overwrites: a caller keeps nothing it has not
-copied.  The other entry points apply S only at their edges:
-``floquet_step`` and ``apply_global_x_rotation`` on their state, and
-``sectors.OrbitBasis.propagator`` in its orbit-state amplitudes and row
-scale.
+copied.  Every other period runs through ``_stacked_period``, on a stack of
+spin-basis states that moves into the frame and back within the one call:
+``floquet_step``, ``apply_global_x_rotation`` (the kick alone), and
+``sectors.OrbitBasis.propagator``, which builds every propagator matrix,
+the dense one included (the block of the trivial group), from batches of
+orbit states.  So the frame, the factor layout and the phase table stay in
+this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .observables import _sz_profile
 from .states import FloquetParams, StateVector, _norm, _popcount, bond_sum_table
-
-OBSERVABLE_CHOICES = ("return_probability", "sz")
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class StroboscopicSeries:
     """Observables sampled once per period, n = 1 .. n_periods.
 
     ``return_probability[j]`` is measured against the initial state after
-    period ``n[j]``; ``sz`` (optional) holds per-site magnetizations row-wise.
+    period ``n[j]``; ``sz`` holds the per-site magnetizations row-wise.
     ``norm_drift`` is |norm - 1| of the final state; evolution never
     renormalizes, so drift is a fidelity diagnostic of the arithmetic.
     """
@@ -58,7 +58,7 @@ class StroboscopicSeries:
     params: FloquetParams
     n: np.ndarray
     return_probability: np.ndarray
-    sz: Optional[np.ndarray]
+    sz: np.ndarray
     norm_drift: float
 
 
@@ -86,28 +86,27 @@ def _factor_sites(L: int) -> tuple[int, ...]:
 
 #: ``i**m`` for m = 0, 1, 2, 3.
 _UNITS = np.array([1, 1j, -1, -1j])
-
-
-def _frame_phases(indices: np.ndarray) -> np.ndarray:
-    """The diagonal of the frame ``S = diag(i**popcount(b))`` at the basis indices ``indices``."""
-    return _UNITS[_popcount(indices) & np.uint64(3)]
+#: Sites whose frame phases one table holds: all of a chain the blocks build (L <= 12).
+_FRAME_SITES = 12
 
 
 def _frame(amps: np.ndarray, L: int, inverse: bool = False) -> None:
-    """Multiply the contiguous 2**L amplitudes ``amps`` by S (or S^-1) in place.
+    """Multiply every row of the C-contiguous stack ``amps`` (..., 2**L) by S (or S^-1) in place.
 
-    ``S = kron(S_high, S_low)`` over the high ``ceil(L/2)`` and the low
-    ``floor(L/2)`` sites, so two multiplies by one table of ``2**ceil(L/2)``
-    unit phases apply it.  The phases are +-1 and +-i, so the multiplies
-    are exact.
+    ``S = kron(S_high, S_low)`` over the low ``min(L, 12)`` sites and any
+    above them.  One multiply by a table of their unit phases
+    ``i**popcount(b)`` applies S_low, and on a longer chain a second one, by
+    the table's head, S_high, so no table grows with the state (which stops
+    at 24 sites).  The phases are +-1 and +-i, so the multiplies are exact.
     """
-    low = L // 2
-    table = _frame_phases(np.arange(1 << (L - low)))
+    low = min(L, _FRAME_SITES)
+    table = _UNITS[_popcount(np.arange(1 << low)) & np.uint64(3)]
     if inverse:
         table = table.conj()
-    rows = amps.reshape(1 << (L - low), 1 << low)
-    rows *= table[:, None]
-    rows *= table[:1 << low]
+    rows = amps.reshape(-1, 1 << (L - low), 1 << low)
+    rows *= table
+    if L > low:
+        rows *= table[:1 << (L - low), None]
 
 
 @lru_cache(maxsize=128)
@@ -140,43 +139,52 @@ def _lowest_factor(n: int, theta: float) -> np.ndarray:
     return factor
 
 
-def _kick_products(amps: np.ndarray, spare: np.ndarray, L: int, theta: float,
-                   width: int = 1) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The products that apply ``r^{(x)L}`` to the 2**L rows of ``amps`` (``width`` complex entries each).
+def _kick_products(amps: np.ndarray, spare: np.ndarray, L: int,
+                   theta: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The products that apply ``r^{(x)L}`` to every row of the stack ``amps`` (..., 2**L).
 
     One float64 matrix product per site factor, lowest sites first, as
     ``(a, b, out)`` for ``np.matmul(a, b, out=out)`` over the real views of
     the two buffers, whose last axis carries real and imaginary parts (and
-    the lower sites and columns) along.  The products write alternately into
-    ``spare`` and ``amps``: the result lands in ``amps`` after an even
-    number of factors, else in ``spare``.
+    the lower sites) along, and whose leading axis the higher sites and the
+    rows.  The products write alternately into ``spare`` and ``amps``: the
+    result lands in ``amps`` after an even number of factors, else in
+    ``spare``.
     """
     buffers = (amps.view(np.float64), spare.view(np.float64))
     products = []
     low = 0
     for step, n in enumerate(reversed(_factor_sites(L))):
         src, dst = buffers[step % 2], buffers[1 - step % 2]
-        if low == 0 and width == 1:
+        if low == 0:
             shape = (-1, 2 << n)
             products.append((src.reshape(shape), _lowest_factor(n, theta), dst.reshape(shape)))
         else:
-            # Middle axis is the factor's sites; lower sites and columns ride along in the last.
-            shape = (-1, 1 << n, (2 << low) * width)
+            # Middle axis is the factor's sites; lower sites ride along in the last.
+            shape = (-1, 1 << n, 2 << low)
             products.append((_kick_factor(n, theta), src.reshape(shape), dst.reshape(shape)))
         low += n
     return products
 
 
-def _frame_kick(amps: np.ndarray, spare: np.ndarray, L: int, theta: float,
-                width: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Apply ``r^{(x)L}`` to the rows of ``amps``, overwriting both buffers.
+def _stacked_period(states: np.ndarray, L: int, theta: float,
+                    jt: Optional[float] = None) -> np.ndarray:
+    """One period on every row of the C-contiguous stack ``states`` (..., 2**L) of spin-basis states.
 
-    Returns the buffer that holds the result, then the other one.
+    The frame S, the real kick ``r^{(x)L}``, S^-1, then the Ising phase of
+    ``jt`` (the kick alone when ``jt`` is None).  ``states`` is overwritten;
+    the result is it or a new array of its shape.
     """
-    products = _kick_products(amps, spare, L, theta, width)
+    _frame(states, L)
+    spare = np.empty_like(states)
+    products = _kick_products(states, spare, L, theta)
     for a, b, out in products:
         np.matmul(a, b, out=out)
-    return (spare, amps) if len(products) % 2 else (amps, spare)
+    kicked = spare if len(products) % 2 else states
+    _frame(kicked, L, inverse=True)
+    if jt is not None:
+        kicked *= _zz_phase_table(L, jt)
+    return kicked
 
 
 def _in_frame(amps: np.ndarray, L: int) -> np.ndarray:
@@ -220,14 +228,8 @@ def _periods(initial: StateVector, params: FloquetParams):
 
 
 def apply_global_x_rotation(state: StateVector, theta: float) -> StateVector:
-    """Rotate every spin about x by ``theta``: cos(theta) I - i sin(theta) sigma^x per site.
-
-    The state moves into the frame, takes the real kick there and moves back.
-    """
-    moved = _in_frame(state.amplitudes, state.L)
-    kicked, _ = _frame_kick(moved, np.empty_like(moved), state.L, float(theta))
-    _frame(kicked, state.L, inverse=True)
-    return StateVector(state.L, kicked)
+    """Rotate every spin about x by ``theta``: cos(theta) I - i sin(theta) sigma^x per site."""
+    return StateVector(state.L, _stacked_period(state.amplitudes.copy(), state.L, float(theta)))
 
 
 def apply_zz_phase(state: StateVector, params: FloquetParams) -> StateVector:
@@ -238,18 +240,14 @@ def apply_zz_phase(state: StateVector, params: FloquetParams) -> StateVector:
 
 def floquet_step(state: StateVector, params: FloquetParams) -> StateVector:
     """Advance one drive period: kick first, then the Ising phase."""
-    amps = next(_periods(state, params))
-    _frame(amps, state.L, inverse=True)
-    return StateVector(state.L, amps)
+    _require_same_sites(state, params)
+    stepped = _stacked_period(state.amplitudes.copy(), state.L, params.theta, params.jt)
+    return StateVector(state.L, stepped)
 
 
-def evolve_stroboscopic(
-    initial: StateVector,
-    params: FloquetParams,
-    n_periods: int,
-    observables: Iterable[str] = ("return_probability",),
-) -> StroboscopicSeries:
-    """Iterate the one-period propagator, sampling observables after each period.
+def evolve_stroboscopic(initial: StateVector, params: FloquetParams,
+                        n_periods: int) -> StroboscopicSeries:
+    """Iterate the one-period propagator, sampling P(nT) and every site's sz after each period.
 
     The state is never renormalized; the accumulated norm drift is reported on
     the result and stays far below 1e-9 over 1e5 periods in practice.
@@ -257,23 +255,16 @@ def evolve_stroboscopic(
     _require_same_sites(initial, params)
     if n_periods < 1:
         raise ValueError(f"n_periods must be >= 1, got {n_periods}")
-    wanted = tuple(observables)
-    for name in wanted:
-        if name not in OBSERVABLE_CHOICES:
-            raise ValueError(f"unknown observable {name!r}; choose from {OBSERVABLE_CHOICES}")
-    want_sz = "sz" in wanted
-
     L = params.L
     psi0 = _in_frame(initial.amplitudes, L)
     p_out = np.empty(n_periods)
-    sz_out = np.empty((n_periods, L)) if want_sz else None
-    weights = np.empty(1 << L) if want_sz else None
+    sz_out = np.empty((n_periods, L))
+    weights = np.empty(1 << L)
     for j, amps in zip(range(n_periods), _periods(initial, params)):
         p_out[j] = abs(np.vdot(psi0, amps)) ** 2
-        if want_sz:
-            np.abs(amps, out=weights)
-            np.square(weights, out=weights)
-            sz_out[j] = _sz_profile(weights, L)
+        np.abs(amps, out=weights)
+        np.square(weights, out=weights)
+        sz_out[j] = _sz_profile(weights, L)
 
     drift = abs(_norm(amps) - 1.0)
     return StroboscopicSeries(
@@ -288,10 +279,11 @@ def evolve_stroboscopic(
 def iter_return_probability(initial: StateVector, params: FloquetParams):
     """Yield P(nT) against ``initial`` after each period, indefinitely.
 
-    A lazy single-pass form of ``evolve_stroboscopic``: nothing is stored, the
-    caller bounds the horizon.  No sweep runs it (their streams are the
-    closed form of ``sectors.sector_return_probability``); it is the iterative
-    reference of the stream tests, and the name perfbench's tracer wraps.
+    A lazy single-pass form of ``evolve_stroboscopic`` without the sz:
+    nothing is stored, the caller bounds the horizon.  No sweep runs it
+    (their streams are the closed form of
+    ``sectors.sector_return_probability``); it is the iterative reference of
+    the stream tests, and the name perfbench's tracer wraps.
     """
     psi0 = _in_frame(initial.amplitudes, initial.L)
     for amps in _periods(initial, params):

@@ -53,8 +53,10 @@ Every block comes from one builder, ``orbit_basis(images, characters)``:
 the group enters as one row of basis-index images per element and one
 character per element; block m is the L rotations with characters
 ``exp(i k j)``.  ``OrbitBasis.propagator`` builds a block's operator: the
-basis states are kicked in blocks of columns by the structured engine and
-read back at the orbit representatives.  It is the one propagator builder:
+orbit states are stepped one period by the structured engine, a batch of
+them as rows of one stack (``engine._stacked_period``, about 2**17
+amplitudes at a time), and read back at the orbit representatives.  It is
+the one propagator builder:
 the dense 2**L x 2**L oracle, ``build_dense_propagator``, is the block of
 the trivial group, one orbit per basis state.
 """
@@ -66,11 +68,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _frame_kick, _frame_phases, _zz_phase_table
+from .engine import _stacked_period
 from .states import FloquetParams, _pow2, _require_bytes, _require_matrix
 
-#: Basis states kicked together while a block propagator is built.
-_BLOCK = 8
+#: Amplitudes stepped together while a block propagator is built: ``max(1, _BATCH >> L)``
+#: orbit states, one per row.
+_BATCH = 1 << 17
 #: Periods evaluated per chunk in ``sector_return_probability`` (the columns of
 #: its phase table, a power of two).
 _CHUNK = 512
@@ -103,27 +106,24 @@ class OrbitBasis:
 
         Entry ``[r', r] = sqrt(N_r') * (U|r>)[r']``, since ``U|r>`` lies in
         the span and each state's entry at its representative is
-        ``N_r'**-1/2``.  Blocks of states are kicked by the structured
-        engine in its frame S (``engine._frame_kick``): S enters with the
-        states' amplitudes and S^-1 leaves with ``row_scale``, and only the
-        representative rows get the Ising phase.
+        ``N_r'**-1/2``.  The states are stepped in batches of spin-basis
+        rows by ``engine._stacked_period``.
         """
         L = params.L
         bounds = np.concatenate(([0], np.cumsum(self.sizes)))
         reps = self.members[bounds[:-1]]
-        column = self._columns()
-        amplitudes = self.amplitudes * _frame_phases(self.members)
-        row_scale = (np.sqrt(self.sizes) * _zz_phase_table(L, params.jt)[reps]
-                     * _frame_phases(reps).conj())
+        orbit = self._columns()
+        scale = np.sqrt(self.sizes)
         M = self.sizes.size
+        batch = max(1, _BATCH >> L)
         U = np.empty((M, M), dtype=np.complex128)
-        for start in range(0, M, _BLOCK):
-            stop = min(start + _BLOCK, M)
+        for start in range(0, M, batch):
+            stop = min(start + batch, M)
             part = slice(bounds[start], bounds[stop])
-            states = np.zeros((1 << L, stop - start), dtype=np.complex128)
-            states[self.members[part], column[part] - start] = amplitudes[part]
-            kicked, _ = _frame_kick(states, np.empty_like(states), L, params.theta, stop - start)
-            U[:, start:stop] = kicked[reps] * row_scale[:, None]
+            states = np.zeros((stop - start, 1 << L), dtype=np.complex128)
+            states[orbit[part] - start, self.members[part]] = self.amplitudes[part]
+            stepped = _stacked_period(states, L, params.theta, params.jt)
+            np.multiply(stepped[:, reps], scale, out=U[:, start:stop].T)
         return U
 
     def lift(self, vectors: np.ndarray) -> np.ndarray:
@@ -281,11 +281,11 @@ def sector_return_probability(params: FloquetParams):
     split = 2 + eps_ns.size
     table = np.empty((phases.size, _CHUNK), dtype=np.complex128)
     table[:, 0] = 1.0
-    width = 1
-    while width < _CHUNK:
-        np.multiply(table[:, :width], np.exp(1j * width * phases)[:, None],
-                    out=table[:, width:2 * width])
-        width *= 2
+    filled = 1
+    while filled < _CHUNK:
+        np.multiply(table[:, :filled], np.exp(1j * filled * phases)[:, None],
+                    out=table[:, filled:2 * filled])
+        filled *= 2
     block = np.empty((_ROWS + 1, _CHUNK), dtype=np.complex128)
 
     def pair_product(first: int, stop: int, start: np.ndarray) -> np.ndarray:

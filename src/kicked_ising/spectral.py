@@ -23,7 +23,9 @@ The drive is quadratic in Jordan-Wigner fermions, so ``propagator_spectrum``
 takes every level from ``sectors.free_fermion_levels`` as a sum of mode
 phases, with no matrix and no eigensolver.  Kept eigenvectors come from the
 L momentum blocks of ``sectors.momentum_blocks`` (about 2**L / L states
-each): each block's Schur vectors, lifted to the spin basis.
+each): each block's Schur vectors, lifted to the spin basis.  A block is
+built by stepping its orbit states through one period of the structured
+engine, a batch of them at a time as the rows of one stack.
 ``quasi_energies`` of the full matrix of ``build_dense_propagator``, the
 trivial group's block in ``sectors``, is the dense oracle.
 """

@@ -166,8 +166,7 @@ class SweepResult:
 
 def _evolve_point(params: FloquetParams, config: SweepConfig) -> dict:
     L = params.L
-    series = evolve_stroboscopic(polarized_state(L), params, config.n_periods,
-                                 observables=("return_probability", "sz"))
+    series = evolve_stroboscopic(polarized_state(L), params, config.n_periods)
     even = series.return_probability[1::2]
     crossing = lifetime(even, config.threshold) if even.size else None
     window_used = min(config.window, even.size) if even.size else None
@@ -184,21 +183,16 @@ def _evolve_point(params: FloquetParams, config: SweepConfig) -> dict:
     )
 
 
-def _pairs(config: SweepConfig) -> int:
-    """Even-period samples a point needs: its horizon in pairs."""
-    return config.window if config.mode == "phase-diagram" else config.n_periods // 2
-
-
 def _lifetime_point(params: FloquetParams, config: SweepConfig) -> dict:
     """``n_star`` indexes even periods (pairs); odd periods are never compared."""
     even = itertools.islice(sector_return_probability(params), 1, None, 2)
-    n_star = first_crossing(itertools.islice(even, _pairs(config)), config.threshold)
+    n_star = first_crossing(itertools.islice(even, config.n_periods // 2), config.threshold)
     return {"n_star": n_star, "censored": n_star is None}
 
 
 def _phase_point(params: FloquetParams, config: SweepConfig) -> dict:
     total = 0.0
-    for p_even in itertools.islice(sector_return_probability(params), 1, 2 * _pairs(config), 2):
+    for p_even in itertools.islice(sector_return_probability(params), 1, 2 * config.window, 2):
         total += p_even
     return {"average_return": total / config.window}
 
@@ -271,7 +265,8 @@ def _sweep_point(task) -> dict:
     L, jt_pi, eps_pi, config = task
     columns, point, *_ = _MODES[config.mode]
     cell = dict(L=L, jt_over_pi=jt_pi, epsilon_over_pi=eps_pi, n_periods=config.n_periods,
-                threshold=config.threshold, window=config.window, n_max_pairs=_pairs(config))
+                threshold=config.threshold, window=config.window,
+                n_max_pairs=config.n_periods // 2)
     row = {column: cell.get(column) for column in columns}
     try:
         params = FloquetParams.from_dimensionless(L, jt_pi, eps_pi)
@@ -320,7 +315,7 @@ def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence],
                header: Optional[dict] = None) -> None:
     """Write ``<name>.tmp`` beside ``path`` and rename it into place; a failure leaves neither.
 
-    ``rows`` yields one sequence of cells per row, in the order of ``columns``.
+    ``rows`` yields one sequence of formatted cells per row, in the order of ``columns``.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -330,7 +325,7 @@ def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence],
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(columns)
             for row in rows:
-                writer.writerow([_format_cell(cell) for cell in row])
+                writer.writerow(row)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -356,7 +351,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 continue
             path = out.with_name(f"{out.stem}_{kind}_{index:03d}.csv")
             aux_columns, arrays = aux
-            _write_csv(path, aux_columns, zip(*(array.tolist() for array in arrays)))
+            # every column is one numeric dtype, and repr of its ints and floats is _format_cell's
+            _write_csv(path, aux_columns, zip(*(map(repr, array.tolist()) for array in arrays)))
             aux_files.append(path)
             row[f"{kind}_file"] = path.name
         provenance = dict(tool="kicked-ising", version=__version__,
@@ -365,7 +361,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                           jobs=config.jobs, out=config.out,
                           paths=[engine] * len(tasks))
         header = {"config": _config_echo(config), "provenance": provenance}
-        _write_csv(out, columns, ([row[column] for column in columns] for row in rows), header)
+        _write_csv(out, columns, ([_format_cell(row[column]) for column in columns]
+                                  for row in rows), header)
     except BaseException:  # no aux file outlives a failed summary
         for path in aux_files:
             path.unlink(missing_ok=True)

@@ -139,6 +139,24 @@ class TestOrbits:
         assert [next(momentum_blocks(L)).sizes.size for L in (6, 8, 10)] == [14, 36, 108]
 
 
+class TestBlockPropagator:
+    @pytest.mark.parametrize("L", [5, 8, 10])
+    def test_batch_size_moves_no_bit(self, L, monkeypatch):
+        """The trivial group's block and the momentum blocks, their orbit states stepped one
+        row at a time, equal those of the default batches, bit for bit from two site
+        factors on (a one-factor row is a matrix-vector product; see
+        ``test_stacked_period_is_floquet_step_per_row``)."""
+        params = FloquetParams.from_dimensionless(L, 0.9, 0.1)
+        bases = [orbit_basis(np.arange(1 << L)[None, :], np.ones(1)), *momentum_blocks(L)]
+        batched = [basis.propagator(params) for basis in bases]
+        monkeypatch.setattr(sectors, "_BATCH", 1)
+        for basis, matrix in zip(bases, batched):
+            if L > 5:
+                assert np.array_equal(basis.propagator(params), matrix)
+            else:
+                assert np.max(np.abs(basis.propagator(params) - matrix)) <= 1e-15
+
+
 class TestSectorOperator:
     @pytest.mark.parametrize("L", range(2, 9))
     def test_unitary_and_inside_the_dense_spectrum(self, L):

@@ -463,7 +463,7 @@ class TestEvolve:
         assert list(series_rows[0]) == ["n", "t", "return_probability", "sz_0", "sz_1", "sz_2"]
 
         params = FloquetParams.from_dimensionless(3, 0.9, 0.1)
-        reference = evolve_stroboscopic(polarized_state(3), params, 8, ("return_probability", "sz"))
+        reference = evolve_stroboscopic(polarized_state(3), params, 8)
         for k, series_row in enumerate(series_rows):
             assert int(series_row["n"]) == k + 1
             assert series_row["t"] == repr(float(k + 1))
