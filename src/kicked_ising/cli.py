@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 configuration error (including argparse failures),
-3 capacity error (the largest array of the mode's path would exceed
-``states.MAX_ARRAY_BYTES`` at a requested chain length), 4 I/O error while
-writing results, 5 a pool worker process died (``--jobs`` > 1); no CSV is
-written then.
+Exit codes: 0 success, 1 an unexpected error (it propagates out of ``main``
+and Python prints the traceback), 2 configuration error (including argparse
+failures), 3 capacity error (the largest array of the mode's path would
+exceed ``states.MAX_ARRAY_BYTES`` at a requested chain length or horizon),
+4 I/O error while writing results, 5 a pool worker process died (``--jobs``
+> 1).  After any of them but 0, ``run_sweep`` has left no CSV.
 """
 
 from __future__ import annotations

@@ -19,18 +19,18 @@ is one product with ``kron(F^T, I_2)``.  ``_kick_products`` is the only
 code that knows the factors and their order.  A stack of states is just
 more leading rows, so one product per factor serves any number of them.
 
-The period loop, ``_periods``, moves the start state into the frame once
-and never moves it back.  It alternates between two preallocated 2**L
-buffers (``np.matmul(..., out=)``) and multiplies the phase in place, so a
-period allocates nothing.  It yields the frame amplitudes ``S psi_n`` in a
-buffer that the next period overwrites: a caller keeps nothing it has not
-copied.  Every other period runs through ``_stacked_period``, on a stack of
-spin-basis states that moves into the frame and back within the one call:
-``floquet_step``, ``apply_global_x_rotation`` (the kick alone), and
-``sectors.OrbitBasis.propagator``, which builds every propagator matrix,
-the dense one included (the block of the trivial group), from batches of
-orbit states.  So the frame, the factor layout and the phase table stay in
-this module.
+There is one period loop, ``_periods``, on a stack of frame states.  It
+alternates between the stack and one spare buffer (``np.matmul(..., out=)``)
+and multiplies the phase in place, so a period allocates nothing, and the
+stack it yields is overwritten by the next period.  ``evolve_stroboscopic``
+and ``iter_return_probability`` move the start state into the frame once.
+``_stacked_period`` is the loop's first period on spin-basis states, moved
+into the frame and back within the one call.  ``floquet_step``,
+``apply_global_x_rotation`` (the kick alone) and
+``sectors.OrbitBasis.propagator`` run it; the last builds every propagator
+matrix, the dense one included (the block of the trivial group), from
+batches of orbit states.  So the frame, the factor layout and the phase
+table stay in this module.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from typing import Optional
 import numpy as np
 
 from .observables import _sz_profile
-from .states import FloquetParams, StateVector, _norm, _popcount, bond_sum_table
+from .states import (FloquetParams, StateVector, _norm, _popcount, _require_bytes,
+                     bond_sum_table)
 
 
 @dataclass(frozen=True)
@@ -167,24 +168,44 @@ def _kick_products(amps: np.ndarray, spare: np.ndarray, L: int,
     return products
 
 
+def _periods(amps: np.ndarray, L: int, theta: float, jt: Optional[float] = None):
+    """Yield the C-contiguous stack ``amps`` (..., 2**L) of frame states after each period, indefinitely.
+
+    The one period loop: the real kick ``r^{(x)L}``, then the Ising phase of
+    ``jt`` (the kick alone when ``jt`` is None), on every row.  It alternates
+    between ``amps`` and one spare buffer, so every yielded array is
+    overwritten by the next period: a caller keeps what it copies, and
+    ``_frame(..., inverse=True)`` maps that back to the spin basis.
+    """
+    phases = None if jt is None else _zz_phase_table(L, jt)
+    buffers = (amps, np.empty_like(amps))
+    forward = _kick_products(*buffers, L, theta)
+    flips = len(forward) % 2
+    # Built once; the reverse products serve only when a period ends in the spare.
+    plans = (forward, _kick_products(*buffers[::-1], L, theta) if flips else forward)
+    current = 0
+    while True:
+        for a, b, out in plans[current]:
+            np.matmul(a, b, out=out)
+        current ^= flips
+        amps = buffers[current]
+        if phases is not None:
+            amps *= phases
+        yield amps
+
+
 def _stacked_period(states: np.ndarray, L: int, theta: float,
                     jt: Optional[float] = None) -> np.ndarray:
     """One period on every row of the C-contiguous stack ``states`` (..., 2**L) of spin-basis states.
 
-    The frame S, the real kick ``r^{(x)L}``, S^-1, then the Ising phase of
-    ``jt`` (the kick alone when ``jt`` is None).  ``states`` is overwritten;
-    the result is it or a new array of its shape.
+    The frame S, the first period of ``_periods`` (the kick alone when
+    ``jt`` is None), then S^-1.  ``states`` is overwritten; the result is it
+    or a new array of its shape.
     """
     _frame(states, L)
-    spare = np.empty_like(states)
-    products = _kick_products(states, spare, L, theta)
-    for a, b, out in products:
-        np.matmul(a, b, out=out)
-    kicked = spare if len(products) % 2 else states
-    _frame(kicked, L, inverse=True)
-    if jt is not None:
-        kicked *= _zz_phase_table(L, jt)
-    return kicked
+    stepped = next(_periods(states, L, theta, jt))
+    _frame(stepped, L, inverse=True)
+    return stepped
 
 
 def _in_frame(amps: np.ndarray, L: int) -> np.ndarray:
@@ -197,34 +218,6 @@ def _in_frame(amps: np.ndarray, L: int) -> np.ndarray:
 def _require_same_sites(state: StateVector, params: FloquetParams) -> None:
     if state.L != params.L:
         raise ValueError(f"state has L={state.L} but params have L={params.L}")
-
-
-def _periods(initial: StateVector, params: FloquetParams):
-    """Yield the frame amplitudes ``S psi_n`` after each period n = 1, 2, ..., indefinitely.
-
-    This is the one period loop.  The start state moves into the frame once;
-    the loop then alternates between two buffers, so every yielded array is
-    overwritten by the period after it.  A caller that keeps amplitudes
-    copies them, and ``_frame(..., inverse=True)`` maps them back to the spin
-    basis.  |amplitude|**2, the norm and overlaps with other frame states are
-    those of ``psi_n``.
-    """
-    _require_same_sites(initial, params)
-    L = params.L
-    theta = params.theta
-    phases = _zz_phase_table(L, params.jt)
-    buffers = (_in_frame(initial.amplitudes, L), np.empty(1 << L, dtype=np.complex128))
-    # The products of either direction are built once; a period only runs them.
-    plans = (_kick_products(*buffers, L, theta), _kick_products(*buffers[::-1], L, theta))
-    flips = len(plans[0]) % 2
-    current = 0
-    while True:
-        for a, b, out in plans[current]:
-            np.matmul(a, b, out=out)
-        current ^= flips
-        amps = buffers[current]
-        amps *= phases
-        yield amps
 
 
 def apply_global_x_rotation(state: StateVector, theta: float) -> StateVector:
@@ -256,11 +249,13 @@ def evolve_stroboscopic(initial: StateVector, params: FloquetParams,
     if n_periods < 1:
         raise ValueError(f"n_periods must be >= 1, got {n_periods}")
     L = params.L
+    _require_bytes(L, 8 * L * n_periods, f"the sz series of {n_periods} periods")
     psi0 = _in_frame(initial.amplitudes, L)
+    _zz_phase_table(L, params.jt)  # its temporaries come and go before the loop's copy of psi0
     p_out = np.empty(n_periods)
     sz_out = np.empty((n_periods, L))
     weights = np.empty(1 << L)
-    for j, amps in zip(range(n_periods), _periods(initial, params)):
+    for j, amps in zip(range(n_periods), _periods(psi0.copy(), L, params.theta, params.jt)):
         p_out[j] = abs(np.vdot(psi0, amps)) ** 2
         np.abs(amps, out=weights)
         np.square(weights, out=weights)
@@ -285,6 +280,7 @@ def iter_return_probability(initial: StateVector, params: FloquetParams):
     ``sectors.sector_return_probability``); it is the iterative reference of
     the stream tests, and the name perfbench's tracer wraps.
     """
-    psi0 = _in_frame(initial.amplitudes, initial.L)
-    for amps in _periods(initial, params):
+    _require_same_sites(initial, params)
+    psi0 = _in_frame(initial.amplitudes, params.L)
+    for amps in _periods(psi0.copy(), params.L, params.theta, params.jt):
         yield float(abs(np.vdot(psi0, amps)) ** 2)

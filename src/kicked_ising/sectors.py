@@ -54,11 +54,11 @@ the group enters as one row of basis-index images per element and one
 character per element; block m is the L rotations with characters
 ``exp(i k j)``.  ``OrbitBasis.propagator`` builds a block's operator: the
 orbit states are stepped one period by the structured engine, a batch of
-them as rows of one stack (``engine._stacked_period``, about 2**17
-amplitudes at a time), and read back at the orbit representatives.  It is
-the one propagator builder:
-the dense 2**L x 2**L oracle, ``build_dense_propagator``, is the block of
-the trivial group, one orbit per basis state.
+them as rows of one stack (``engine._stacked_period``, the first period of
+the engine's one period loop, about 2**17 amplitudes at a time), and read
+back at the orbit representatives.  It is the one propagator builder: the
+dense 2**L x 2**L oracle, ``build_dense_propagator``, is the block of the
+trivial group, one orbit per basis state.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class OrbitBasis:
         Entry ``[r', r] = sqrt(N_r') * (U|r>)[r']``, since ``U|r>`` lies in
         the span and each state's entry at its representative is
         ``N_r'**-1/2``.  The states are stepped in batches of spin-basis
-        rows by ``engine._stacked_period``.
+        rows by ``engine._stacked_period``, one period of the engine's loop.
         """
         L = params.L
         bounds = np.concatenate(([0], np.cumsum(self.sizes)))

@@ -74,7 +74,7 @@ from .observables import average_return, first_crossing, fourier_spectrum, lifet
 from .sectors import _require_levels, _require_stream, sector_return_probability
 from .spectral import (check_time_reflection, count_exact_pi_pairs, gap_statistics,
                        propagator_spectrum)
-from .states import FloquetParams, _require_state, polarized_state
+from .states import FloquetParams, _require_bytes, _require_state, polarized_state
 
 
 class ConfigError(ValueError):
@@ -98,7 +98,7 @@ class SweepConfig:
 
     def validate(self, problems: Iterable[str] = ()) -> None:
         """Raise ConfigError (wrong types, else all problems; ``problems`` from parsing first)
-        or CapacityError."""
+        or CapacityError (an array of the mode's path, the horizon's series included)."""
         problems = list(problems)
         mistyped = [f"{name}: expected {'a tuple, each ' if grid else ''}{_JSON_TYPES[kind]}, "
                     f"got {getattr(self, name)!r}" for name, kind, grid, _ in _SETTINGS.values()
@@ -140,6 +140,11 @@ class SweepConfig:
             raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems))
         for L in self.lengths:
             _MODES[self.mode].require(L)
+            # arrays that grow with the horizon: evolve's sz series, fourier's transform
+            horizon = {"evolve": (8 * L, "the sz series"), "fourier": (16, "the transform")}
+            if self.mode in horizon:
+                per_period, what = horizon[self.mode]
+                _require_bytes(L, per_period * self.n_periods, f"{what} of {self.n_periods} periods")
 
     def grid(self) -> list[tuple[int, float, float]]:
         """All (L, JT/pi, epsilon/pi) points, in deterministic grid order."""

@@ -63,6 +63,19 @@ def test_a_huge_chain_is_refused_at_once(tmp_path, capsys, mode):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("mode, L, periods", [("fourier", "4", "16777217"),
+                                              ("evolve", "16", "2097153")])
+def test_a_long_horizon_is_refused_at_once(tmp_path, capsys, mode, L, periods):
+    """A series over the budget exits 3 before any point runs, and writes nothing."""
+    started = time.perf_counter()
+    code = main([mode, "-L", L, "--jt-over-pi", "1.0", "--epsilon-over-pi", "0.1",
+                 "--periods", periods, "--out", str(tmp_path / "x.csv")])
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert f"of {periods} periods needs" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_io_error_returns_four(tmp_path, capsys):
     code = main(
         ["lifetime-scan", "-L", "4", "--jt-over-pi", "0.9",
@@ -71,6 +84,20 @@ def test_io_error_returns_four(tmp_path, capsys):
     )
     assert code == 4
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_unexpected_error_propagates_and_leaves_no_file(tmp_path, monkeypatch):
+    """An exception with no exit code of its own leaves ``main``: Python prints the
+    traceback and exits 1.  The evolve run had written its series file; none is left."""
+
+    def broken_echo(config):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(sweep, "_config_echo", broken_echo)
+    with pytest.raises(RuntimeError, match="unexpected"):
+        main(["evolve", "-L", "4", "--jt-over-pi", "0.9", "--epsilon-over-pi", "0.1",
+              "--periods", "8", "--out", str(tmp_path / "x.csv")])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):

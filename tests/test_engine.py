@@ -1,5 +1,6 @@
 """Structured propagator against an independent Kronecker/expm oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from kicked_ising import (
 )
 
 from kicked_ising import engine, sectors
-from kicked_ising.engine import _factor_sites, _frame, _periods, _stacked_period
+from kicked_ising.engine import _factor_sites, _frame, _in_frame, _periods, _stacked_period
 
 from conftest import oracle_kick, oracle_propagator, random_state
 
@@ -147,10 +148,24 @@ def test_sz_series_for_perfect_pulses():
 
 def test_period_count_and_sites_validation():
     params = FloquetParams.from_dimensionless(3, 0.9, 0.1)
+    other = FloquetParams.from_dimensionless(4, 0.9, 0.1)
     with pytest.raises(ValueError):
         evolve_stroboscopic(polarized_state(3), params, 0)
-    with pytest.raises(ValueError):
-        floquet_step(polarized_state(3), FloquetParams.from_dimensionless(4, 0.9, 0.1))
+    with pytest.raises(ValueError, match="state has L=3 but params have L=4"):
+        floquet_step(polarized_state(3), other)
+    with pytest.raises(ValueError, match="state has L=3 but params have L=4"):
+        evolve_stroboscopic(polarized_state(3), other, 10)
+    stream = iter_return_probability(polarized_state(3), other)
+    with pytest.raises(ValueError, match="state has L=3 but params have L=4"):
+        next(stream)
+
+
+def test_sz_series_capacity():
+    """8 * L bytes a period: the sz series of 2**23 + 1 periods at L = 4 is refused before
+    any array is allocated."""
+    params = FloquetParams.from_dimensionless(4, 0.9, 0.1)
+    with pytest.raises(CapacityError, match="L=4: the sz series of 8388609 periods needs"):
+        evolve_stroboscopic(polarized_state(4), params, (1 << 23) + 1)
 
 
 @given(
@@ -221,7 +236,8 @@ def test_long_run_against_extended_precision(L):
                     np.array([bond_sum(index, L) for index in range(1 << L)], dtype=np.longdouble))
     reference = polarized_state(L).amplitudes.astype(np.clongdouble)
     worst = 0.0
-    for _, amps in zip(range(10_000), _periods(polarized_state(L), params)):
+    start = _in_frame(polarized_state(L).amplitudes, L)
+    for _, amps in zip(range(10_000), _periods(start, L, params.theta, params.jt)):
         reference = sweep_kick(reference, L, theta) * phases
         spins = amps.copy()
         _frame(spins, L, inverse=True)
@@ -270,6 +286,38 @@ def test_stacked_period_is_floquet_step_per_row(L, rng):
             assert np.array_equal(out, alone)
         else:
             assert np.max(np.abs(out - alone)) <= 1e-15
+
+
+@pytest.mark.parametrize("with_phase", [True, False])
+@pytest.mark.parametrize("L", range(2, 11))
+def test_period_loop_steps_a_stack_as_its_rows(L, with_phase, rng):
+    """Three frame states stepped as one stack for 20 periods, with and without the
+    Ising phase, equal each state stepped alone, bit for bit from two site factors on
+    (see ``test_stacked_period_is_floquet_step_per_row`` for one factor)."""
+    params = FloquetParams.from_dimensionless(L, 0.9, 0.1)
+    jt = params.jt if with_phase else None
+    rows = np.stack([_in_frame(random_state(L, rng), L) for _ in range(3)])
+    *_, stack = itertools.islice(_periods(rows.copy(), L, params.theta, jt), 20)
+    for row, out in zip(rows, stack):
+        *_, alone = itertools.islice(_periods(row.copy(), L, params.theta, jt), 20)
+        if len(_factor_sites(L)) > 1:
+            assert np.array_equal(out, alone)
+        else:
+            assert np.max(np.abs(out - alone)) <= 1e-15
+
+
+@pytest.mark.parametrize("L", range(2, 11))
+def test_floquet_steps_are_the_period_loop(L, rng):
+    """Repeated floquet_step is the loop's periods mapped back to the spin basis, bit for
+    bit: both step one row and multiply the phase in the frame."""
+    params = FloquetParams.from_dimensionless(L, 0.9, 0.1)
+    state = StateVector(L, random_state(L, rng))
+    loop = _periods(_in_frame(state.amplitudes, L), L, params.theta, params.jt)
+    for _, amps in zip(range(20), loop):
+        state = floquet_step(state, params)
+        spins = amps.copy()
+        _frame(spins, L, inverse=True)
+        assert np.array_equal(state.amplitudes, spins)
 
 
 @pytest.mark.parametrize("L", [2, 5, 6, 8, 11])

@@ -192,6 +192,20 @@ class TestParseConfig:
                                                 "array capacity"):
             parse_config(argv)
 
+    @pytest.mark.parametrize("mode, L, last, needs", [
+        ("fourier", 4, 16777216, "the transform of 16777217 periods needs"),
+        ("evolve", 16, 2097152, "the sz series of 2097153 periods needs"),
+    ])
+    def test_horizon_limit_of_the_series_modes(self, mode, L, last, needs):
+        """The longest horizon whose series fits the budget, and the first that does not:
+        16 bytes a period for the transform, 8 * L for the sz series."""
+        argv = [mode, "-L", str(L), "--jt-over-pi", "1.0", "--epsilon-over-pi", "0.1",
+                "--periods", str(last), "--out", "x.csv"]
+        assert parse_config(argv).n_periods == last
+        argv[-3] = str(last + 1)
+        with pytest.raises(CapacityError, match=f"L={L}: {needs} .* MiB, over the 256 MiB"):
+            parse_config(argv)
+
     def test_config_file_mode_must_be_the_subcommand(self, tmp_path):
         config_file = tmp_path / "run.json"
         argv = ["fourier", "-L", "4", "--jt-over-pi", "1.0", "--epsilon-over-pi", "0.1",
