@@ -5,11 +5,12 @@ spins-1/2: a global x rotation by pi/2 - epsilon on every site, followed by
 a nearest-neighbour Ising phase accumulated for one period.  Everything is
 exact: states are dense vectors over the 2**L computational basis, and one
 drive period is a few real matrix products with Kronecker factors of the
-kick (at most five sites each, in the frame where the kick is real) plus a
-diagonal phase.  The chain's free fermions give the rest in closed form,
-from the two parity sectors: the return probability of the all-up start,
-behind the lifetime, phase-diagram and Fourier sweeps, with no 2**L array,
-and every quasi-energy level as a sum of mode phases; eigenvectors come from
+kick (at most four sites each, in the frame where the kick is real) plus a
+diagonal phase, split over OpenBLAS's threads from 18 sites on.  The
+chain's free fermions give the rest in closed form, from the two parity
+sectors: the return probability of the all-up start, behind the lifetime,
+phase-diagram and Fourier sweeps, with no 2**L array, and every
+quasi-energy level as a sum of mode phases; eigenvectors come from
 the translation-momentum blocks.  No array may exceed ``MAX_ARRAY_BYTES``
 (256 MiB), which allows states up to 24 sites, spectra up to 25, their
 eigenvectors up to 12 and the closed-form stream up to 32767.  A drive is

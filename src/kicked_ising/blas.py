@@ -10,6 +10,12 @@ nowhere there is left as it is.
 The momentum blocks behind kept eigenvectors hold a few hundred states
 each, too few for threads to pay: their Schur decompositions run under
 ``one_thread``, which at 10 and 11 sites is at least twice as fast as two.
+
+The engine's period loop reads ``threads`` to decide how many slices a large
+stack is cut into, and then runs the slices on threads of its own with
+OpenBLAS held at one thread (``one_thread``) for as long as the loop runs,
+including while an ``iter_return_probability`` generator is suspended
+between periods; the count is restored when the loop ends or is closed.
 """
 
 from __future__ import annotations
@@ -46,6 +52,11 @@ def _thread_functions() -> tuple:
                     found.append((get, put))
                     break
     return tuple(found)
+
+
+def threads() -> int:
+    """The largest thread count of the bundled OpenBLAS libraries, 1 when there is none."""
+    return max((get() for get, _ in _thread_functions()), default=1)
 
 
 def set_threads(count: int) -> None:

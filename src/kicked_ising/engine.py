@@ -10,14 +10,16 @@ The engine works in the frame ``S = diag(1, i)`` on every site, that is
 rotation ``r = [[cos theta, -sin theta], [sin theta, cos theta]]``.  S is
 diagonal, so it commutes with D, and it leaves every |amplitude|**2,
 overlap and norm unchanged.  ``r^{(x)L}`` factorizes into a few real site
-factors ``r^{(x)n}`` of at most five sites each (Van Loan, "The ubiquitous
+factors ``r^{(x)n}`` of at most four sites each (Van Loan, "The ubiquitous
 Kronecker product", J. Comput. Appl. Math. 123, 85 (2000)).  Each factor is
 one float64 matrix product over the real view of the complex state, whose
 real and imaginary parts ride along as columns; that halves the
 multiply-adds of a complex product for every factor but the lowest, which
-is one product with ``kron(F^T, I_2)``.  ``_kick_products`` is the only
-code that knows the factors and their order.  A stack of states is just
-more leading rows, so one product per factor serves any number of them.
+is one product with ``kron(F^T, I_2)``.  That one has twice the
+multiply-adds of the others, which is why the factors stop at four sites.
+``_kick_products`` is the only code that knows the factors and their order.
+A stack of states is just more leading rows, so one product per factor
+serves any number of them.
 
 There is one period loop, ``_periods``, on a stack of frame states.  It
 alternates between the stack and one spare buffer (``np.matmul(..., out=)``)
@@ -31,17 +33,30 @@ into the frame and back within the one call.  ``floquet_step``,
 matrix, the dense one included (the block of the trivial group), from
 batches of orbit states.  So the frame, the factor layout and the phase
 table stay in this module.
+
+A stack of at least ``_SPLIT_AMPS`` amplitudes (a lone state of 18 sites or
+more) is split over threads when OpenBLAS runs more than one.  The loop then
+owns the BLAS thread count: it holds OpenBLAS at one thread for as long as
+it runs, and runs every product and the phase multiply as slices, one on
+the calling thread and the rest on a pool, one slice per BLAS thread.
+``evolve_stroboscopic`` runs |amp|**2 and the top halvings of its sz tree
+on the same threads.  Slices sum in the same order as the whole, so the
+results do not depend on the thread count.  The count comes from
+``OPENBLAS_NUM_THREADS`` or from ``blas.set_threads`` (sweep pool workers
+run one thread, so they never split).
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .observables import _sz_profile
+from . import blas
+from .observables import _halve, _sz_profile
 from .states import (FloquetParams, StateVector, _norm, _popcount, _require_bytes,
                      bond_sum_table)
 
@@ -65,20 +80,26 @@ class StroboscopicSeries:
 
 @lru_cache(maxsize=1)
 def _zz_phase_table(L: int, jt: float) -> np.ndarray:
-    """``exp(-i (JT/4) bond_sum)``; one table is cached, as every reuse repeats the last (L, JT)."""
-    table = np.exp(-0.25j * jt * bond_sum_table(L))
+    """``exp(-i (JT/4) bond_sum)``; one table is cached, as every reuse repeats the last (L, JT).
+
+    The bond sums take the 2L + 1 values -L .. L, so their phases are
+    computed once each and looked up by the bond sum plus L.
+    """
+    bonds = bond_sum_table(L)
+    bonds += L
+    table = np.exp(-0.25j * jt * np.arange(-L, L + 1))[bonds]
     table.setflags(write=False)
     return table
 
 
 #: Largest number of sites in one Kronecker factor of the kick.
-_FACTOR_MAX_SITES = 5
+_FACTOR_MAX_SITES = 4
 
 
 def _factor_sites(L: int) -> tuple[int, ...]:
-    """Split L sites into the fewest near-equal factors of at most five, highest sites first.
+    """Split L sites into the fewest near-equal factors of at most four, highest sites first.
 
-    8 -> (4, 4), 12 -> (4, 4, 4), 14 -> (5, 5, 4), 20 -> (5, 5, 5, 5).
+    5 -> (3, 2), 8 -> (4, 4), 14 -> (4, 4, 3, 3), 20 -> (4, 4, 4, 4, 4).
     """
     count = -(-L // _FACTOR_MAX_SITES)
     size, larger = divmod(L, count)
@@ -91,6 +112,16 @@ _UNITS = np.array([1, 1j, -1, -1j])
 _FRAME_SITES = 12
 
 
+@lru_cache(maxsize=None)
+def _frame_table(sites: int, inverse: bool) -> np.ndarray:
+    """The unit phases ``i**popcount(b)`` of ``sites`` sites (conjugated for S^-1), read-only."""
+    table = _UNITS[_popcount(np.arange(1 << sites)) & np.uint64(3)]
+    if inverse:
+        table = table.conj()
+    table.setflags(write=False)
+    return table
+
+
 def _frame(amps: np.ndarray, L: int, inverse: bool = False) -> None:
     """Multiply every row of the C-contiguous stack ``amps`` (..., 2**L) by S (or S^-1) in place.
 
@@ -101,9 +132,7 @@ def _frame(amps: np.ndarray, L: int, inverse: bool = False) -> None:
     at 24 sites).  The phases are +-1 and +-i, so the multiplies are exact.
     """
     low = min(L, _FRAME_SITES)
-    table = _UNITS[_popcount(np.arange(1 << low)) & np.uint64(3)]
-    if inverse:
-        table = table.conj()
+    table = _frame_table(low, inverse)
     rows = amps.reshape(-1, 1 << (L - low), 1 << low)
     rows *= table
     if L > low:
@@ -140,17 +169,65 @@ def _lowest_factor(n: int, theta: float) -> np.ndarray:
     return factor
 
 
-def _kick_products(amps: np.ndarray, spare: np.ndarray, L: int,
-                   theta: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+#: Fewest amplitudes in a stack whose periods are cut into slices, one per BLAS thread.
+#: On two cores a split evolve period took 23% longer at 2**16 amplitudes, 3-5% less at
+#: 2**17 and 13-22% less at 2**18; dense builds step 2**17 at a time and stay unsplit.
+_SPLIT_AMPS = 1 << 18
+
+
+@contextlib.contextmanager
+def _threads(size: int):
+    """Yield ``(count, run)`` for a stack of ``size`` amplitudes.
+
+    ``run(fn, calls)`` returns ``[fn(*args) for args in calls]``, and
+    ``count`` is the number of slices a call is cut into.  Below
+    ``_SPLIT_AMPS``, or with one BLAS thread, the count is 1 and the calls
+    run in turn.  Otherwise the count is the BLAS thread count: OpenBLAS is
+    held at one thread, the calling thread runs the first call, and a pool of
+    the other threads the rest, until the context exits.
+    """
+    count = blas.threads() if size >= _SPLIT_AMPS else 1
+    if count == 1:
+        yield 1, lambda fn, calls: [fn(*args) for args in calls]
+        return
+    # Imported here, as only a split loop needs it: at start-up it costs every run 0.3 MB.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with blas.one_thread(), ThreadPoolExecutor(count - 1) as pool:
+        def run(fn, calls):
+            futures = [pool.submit(fn, *args) for args in calls[1:]]
+            return [fn(*calls[0]), *(future.result() for future in futures)]
+        yield count, run
+
+
+#: Widest column block of a factor's product.  At 20 sites the top factor's product took
+#: 2.4-3.4 ms on one thread in blocks of 1024 columns against 4.5-4.8 ms whole.  The blocks
+#: are powers of two: OpenBLAS sums a product's edge columns in another order unless their
+#: count is a multiple of its kernel width (8 doubles for AVX-512 dgemm).
+_CHUNK = 1024
+
+
+def _cuts(array: np.ndarray, count: int, axis: int = 0) -> list[np.ndarray]:
+    """``count`` near-equal views of ``array`` along ``axis``."""
+    return np.array_split(array, count, axis) if count > 1 else [array]
+
+
+def _kick_products(amps: np.ndarray, spare: np.ndarray, L: int, theta: float,
+                   count: int) -> list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """The products that apply ``r^{(x)L}`` to every row of the stack ``amps`` (..., 2**L).
 
-    One float64 matrix product per site factor, lowest sites first, as
-    ``(a, b, out)`` for ``np.matmul(a, b, out=out)`` over the real views of
-    the two buffers, whose last axis carries real and imaginary parts (and
-    the lower sites) along, and whose leading axis the higher sites and the
-    rows.  The products write alternately into ``spare`` and ``amps``: the
-    result lands in ``amps`` after an even number of factors, else in
-    ``spare``.
+    One float64 matrix product per site factor, lowest sites first, over the
+    real views of the two buffers, whose last axis carries real and imaginary
+    parts (and the lower sites) along, and whose leading axis the higher
+    sites and the rows.  Above the lowest factor the columns come in blocks
+    of at most ``_CHUNK``, each its own matrix of a batch.  Each product is a
+    list of ``count`` calls ``(a, b, out)`` for ``np.matmul(a, b, out)``, one
+    per slice of the state: the rows of the lowest product's 2-D view, and
+    the leading axis of the others' batch, or the blocks when the leading
+    axis is shorter than ``count`` (a lone state's top factor).  A slice
+    holds whole rows or whole matrices, so it sums as the whole does.  The
+    products write alternately into ``spare`` and ``amps``: the result lands
+    in ``amps`` after an even number of factors, else in ``spare``.
     """
     buffers = (amps.view(np.float64), spare.view(np.float64))
     products = []
@@ -159,16 +236,24 @@ def _kick_products(amps: np.ndarray, spare: np.ndarray, L: int,
         src, dst = buffers[step % 2], buffers[1 - step % 2]
         if low == 0:
             shape = (-1, 2 << n)
-            products.append((src.reshape(shape), _lowest_factor(n, theta), dst.reshape(shape)))
+            factor = _lowest_factor(n, theta)
+            slices = zip(_cuts(src.reshape(shape), count), _cuts(dst.reshape(shape), count))
+            products.append([(a, factor, out) for a, out in slices])
         else:
-            # Middle axis is the factor's sites; lower sites ride along in the last.
-            shape = (-1, 1 << n, 2 << low)
-            products.append((_kick_factor(n, theta), src.reshape(shape), dst.reshape(shape)))
+            # The factor's sites are the third axis; the lower sites ride along in the last,
+            # in chunks of at most _CHUNK columns.
+            width = min(2 << low, _CHUNK)
+            shape = (-1, 1 << n, (2 << low) // width, width)
+            src, dst = (x.reshape(shape).transpose(0, 2, 1, 3) for x in (src, dst))
+            axis = 0 if len(src) >= count else 1
+            factor = _kick_factor(n, theta)
+            slices = zip(_cuts(src, count, axis), _cuts(dst, count, axis))
+            products.append([(factor, b, out) for b, out in slices])
         low += n
     return products
 
 
-def _periods(amps: np.ndarray, L: int, theta: float, jt: Optional[float] = None):
+def _periods(amps: np.ndarray, L: int, theta: float, jt: Optional[float] = None, threads=None):
     """Yield the C-contiguous stack ``amps`` (..., 2**L) of frame states after each period, indefinitely.
 
     The one period loop: the real kick ``r^{(x)L}``, then the Ising phase of
@@ -176,22 +261,63 @@ def _periods(amps: np.ndarray, L: int, theta: float, jt: Optional[float] = None)
     between ``amps`` and one spare buffer, so every yielded array is
     overwritten by the next period: a caller keeps what it copies, and
     ``_frame(..., inverse=True)`` maps that back to the spin basis.
+
+    Every product and the phase multiply run as the slices of ``threads``,
+    the ``(count, run)`` of a caller's ``_threads`` context, which then
+    serves the caller between periods too.  Without it the loop holds a
+    context of its own until it is closed.  The states do not depend on the
+    count (see ``_kick_products``).
     """
-    phases = None if jt is None else _zz_phase_table(L, jt)
+    if threads is None:
+        with _threads(amps.size) as threads:
+            yield from _periods(amps, L, theta, jt, threads)
+        return
+    count, run = threads
     buffers = (amps, np.empty_like(amps))
-    forward = _kick_products(*buffers, L, theta)
-    flips = len(forward) % 2
-    # Built once; the reverse products serve only when a period ends in the spare.
-    plans = (forward, _kick_products(*buffers[::-1], L, theta) if flips else forward)
+    phases = None if jt is None else _cuts(_zz_phase_table(L, jt), count)
+
+    def plan(start: int) -> list:
+        """The ``(fn, args)`` calls of a period that starts in ``buffers[start]``."""
+        products = _kick_products(buffers[start], buffers[1 - start], L, theta, count)
+        steps = [(np.matmul, calls) for calls in products]
+        if phases is not None:
+            end = _cuts(buffers[(start + len(products)) % 2], count, -1)
+            steps.append((np.multiply, [(part, p, part) for part, p in zip(end, phases)]))
+        # One slice is called directly, as ``run`` would in turn.
+        if count == 1:
+            return [(fn, calls[0]) for fn, calls in steps]
+        return [(run, step) for step in steps]
+
+    flips = len(_factor_sites(L)) % 2
+    # Built once; the second plan serves only when a period ends in the spare.
+    plans = (plan(0), plan(1) if flips else None)
     current = 0
     while True:
-        for a, b, out in plans[current]:
-            np.matmul(a, b, out=out)
+        for fn, args in plans[current]:
+            fn(*args)
         current ^= flips
-        amps = buffers[current]
-        if phases is not None:
-            amps *= phases
-        yield amps
+        yield buffers[current]
+
+
+def _weights(amps: np.ndarray, out: np.ndarray) -> None:
+    """``|amps|**2`` into ``out``."""
+    np.abs(amps, out=out)
+    np.square(out, out=out)
+
+
+def _split_halving(run):
+    """A halving of the sz tree that runs on the halves of both halves as two calls of ``run``
+    while they hold at least ``_SPLIT_AMPS / 4`` entries.
+
+    numpy sums a power-of-two length pairwise, so the sum of its halves' sums is its sum, bit
+    for bit.
+    """
+    def halve(lower, upper):
+        if 2 * lower.size < _SPLIT_AMPS:
+            return _halve(lower, upper)
+        first, second = run(_halve, list(zip(_cuts(lower, 2), _cuts(upper, 2))))
+        return first + second
+    return halve
 
 
 def _stacked_period(states: np.ndarray, L: int, theta: float,
@@ -255,11 +381,14 @@ def evolve_stroboscopic(initial: StateVector, params: FloquetParams,
     p_out = np.empty(n_periods)
     sz_out = np.empty((n_periods, L))
     weights = np.empty(1 << L)
-    for j, amps in zip(range(n_periods), _periods(psi0.copy(), L, params.theta, params.jt)):
-        p_out[j] = abs(np.vdot(psi0, amps)) ** 2
-        np.abs(amps, out=weights)
-        np.square(weights, out=weights)
-        sz_out[j] = _sz_profile(weights, L)
+    with _threads(psi0.size) as threads:
+        count, run = threads
+        halve = _split_halving(run) if count > 1 else _halve
+        loop = _periods(psi0.copy(), L, params.theta, params.jt, threads)
+        for j, amps in zip(range(n_periods), loop):
+            p_out[j] = abs(np.vdot(psi0, amps)) ** 2
+            run(_weights, list(zip(_cuts(amps, count), _cuts(weights, count))))
+            sz_out[j] = _sz_profile(weights, L, halve)
 
     drift = abs(_norm(amps) - 1.0)
     return StroboscopicSeries(

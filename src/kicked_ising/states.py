@@ -72,10 +72,15 @@ def _pow2(n: int) -> float:
 
 
 def _require_bytes(L: int, nbytes: float, what: str) -> None:
-    """Raise CapacityError when ``what``, estimated at ``nbytes`` for L sites, exceeds the budget."""
+    """Raise CapacityError when ``what``, estimated at ``nbytes`` for L sites, exceeds the budget.
+
+    The message rounds both sizes to MiB and then gives them in bytes, exact below 1e17, so a
+    request just over the budget does not read as equal to it.
+    """
     if nbytes > MAX_ARRAY_BYTES:
         raise CapacityError(f"L={L}: {what} needs {nbytes / 2**20:.6g} MiB, over the "
-                            f"{MAX_ARRAY_BYTES >> 20} MiB array capacity")
+                            f"{MAX_ARRAY_BYTES >> 20} MiB array capacity "
+                            f"({nbytes:.17g} > {MAX_ARRAY_BYTES} bytes)")
 
 
 def _require_state(L: int) -> None:
@@ -211,12 +216,24 @@ def bond_sum(index: int, L: int) -> int:
 
 
 def bond_sum_table(L: int) -> np.ndarray:
-    """``bond_sum`` for every basis index, as an int64 array of length 2**L."""
+    """``bond_sum`` for every basis index, as an int64 array of length 2**L.
+
+    The domain walls (anti-aligned bonds) are counted in uint8 by doubling
+    over the sites: the table of an open chain of m sites is copied for spin
+    m down and up, and each copy counts the new bond where spin m-1 differs.
+    The wrap-around bond between spins L-1 and 0 is added last.
+    """
     _require_state(L)
-    k = np.arange(1 << L, dtype=np.uint64)
-    diff = k ^ ((k >> 1) | ((k & 1) << (L - 1)))  # bit i: spin i against spin i+1 mod L
-    del k
-    table = _popcount(diff).view(np.int64)  # anti-aligned bonds, at most 64
+    walls = np.zeros(1 << L, dtype=np.uint8)
+    for m in range(1, L):
+        half = 1 << m
+        walls[half:2 * half] = walls[:half]
+        walls[half >> 1:half] += 1  # spin m down, spin m-1 up
+        walls[half:half + (half >> 1)] += 1  # spin m up, spin m-1 down
+    ends = walls.reshape(2, -1, 2)  # spin L-1, the spins between, spin 0
+    ends[0, :, 1] += 1
+    ends[1, :, 0] += 1
+    table = walls.astype(np.int64)
     table *= -2
     table += L
     return table

@@ -4,6 +4,7 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -74,6 +75,19 @@ def test_a_long_horizon_is_refused_at_once(tmp_path, capsys, mode, L, periods):
     assert code == 3
     assert f"of {periods} periods needs" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode, L, periods", [("fourier", "4", "16777217"),
+                                              ("evolve", "16", "2097153")])
+def test_a_request_just_over_the_budget_prints_both_byte_counts(tmp_path, capsys, mode, L, periods):
+    """One period past the horizon: rounded to MiB the request reads 256 like the budget, so
+    the message also prints both in bytes, and those differ."""
+    code = main([mode, "-L", L, "--jt-over-pi", "1.0", "--epsilon-over-pi", "0.1",
+                 "--periods", periods, "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    needs, budget = re.search(r"\((\d+) > (\d+) bytes\)", capsys.readouterr().err).groups()
+    assert needs != budget
+    assert int(budget) == kicked_ising.MAX_ARRAY_BYTES
 
 
 def test_io_error_returns_four(tmp_path, capsys):

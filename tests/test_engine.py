@@ -15,6 +15,7 @@ from kicked_ising import (
     apply_global_x_rotation,
     apply_zz_phase,
     bond_sum,
+    bond_sum_table,
     build_dense_propagator,
     evolve_stroboscopic,
     floquet_step,
@@ -24,7 +25,7 @@ from kicked_ising import (
     return_probability,
 )
 
-from kicked_ising import engine, sectors
+from kicked_ising import blas, engine, sectors
 from kicked_ising.engine import _factor_sites, _frame, _in_frame, _periods, _stacked_period
 
 from conftest import oracle_kick, oracle_propagator, random_state
@@ -72,6 +73,15 @@ def test_one_phase_table_is_cached():
     for jt_over_pi in (0.7, 0.9):
         apply_zz_phase(polarized_state(6), FloquetParams.from_dimensionless(6, jt_over_pi, 0.0))
     assert engine._zz_phase_table.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("L", [2, 3, 8, 13])
+def test_phase_table_is_the_exponential_of_the_bond_sums(L):
+    """The L + 1 distinct phases, looked up by bond sum, are the table's entries bit for bit."""
+    for jt in (0.0, 0.37, 0.9 * math.pi, math.pi, 5.1):
+        engine._zz_phase_table.cache_clear()
+        expected = np.exp(-0.25j * jt * bond_sum_table(L))
+        assert engine._zz_phase_table(L, jt).tobytes() == expected.tobytes()
 
 
 def test_perfect_kick_is_a_global_spin_flip():
@@ -221,7 +231,7 @@ def test_kick_matches_the_oracle(L, rng):
 
 def test_factor_split_is_fewest_near_equal():
     assert [_factor_sites(L) for L in (2, 5, 6, 8, 11, 12, 14, 20, 24)] == [
-        (2,), (5,), (3, 3), (4, 4), (4, 4, 3), (4, 4, 4), (5, 5, 4), (5, 5, 5, 5), (5, 5, 5, 5, 4)]
+        (2,), (3, 2), (3, 3), (4, 4), (4, 4, 3), (4, 4, 4), (4, 4, 3, 3), (4, 4, 4, 4, 4), (4,) * 6]
 
 
 @pytest.mark.parametrize("L", [6, 8])
@@ -346,3 +356,60 @@ def test_dense_propagator_capacity(monkeypatch):
     monkeypatch.setattr(sectors, "orbit_basis", past_the_check)
     with pytest.raises(LookupError, match="capacity check passed"):
         build_dense_propagator(FloquetParams.from_dimensionless(12, 1.0, 0.1))
+
+
+def _blas_counts() -> list[int]:
+    return [get() for get, _ in blas._thread_functions()]
+
+
+#: The smallest chain whose state is split over threads.
+_SPLIT_L = engine._SPLIT_AMPS.bit_length() - 1
+
+
+@pytest.mark.skipif(not blas._thread_functions(), reason="no bundled OpenBLAS")
+@pytest.mark.parametrize("L", [_SPLIT_L, 20])
+def test_split_periods_equal_the_unsplit_loop(L, rng):
+    """Under the BLAS's own thread count (split over threads when it is above 1) and under
+    one thread (unsplit), 20 periods give the same P, sz and drift bit for bit, and each
+    run leaves the thread counts as they were."""
+    params = FloquetParams.from_dimensionless(L, 0.9, 0.1)
+    before = _blas_counts()
+    for initial in (polarized_state(L), StateVector(L, random_state(L, rng))):
+        split = evolve_stroboscopic(initial, params, 20)
+        assert _blas_counts() == before
+        with blas.one_thread():
+            whole = evolve_stroboscopic(initial, params, 20)
+        assert _blas_counts() == before
+        assert np.array_equal(split.return_probability, whole.return_probability)
+        assert np.array_equal(split.sz, whole.sz)
+        assert split.norm_drift == whole.norm_drift
+    if L == _SPLIT_L:
+        stepped = floquet_step(initial, params)
+        assert _blas_counts() == before
+        with blas.one_thread():
+            assert np.array_equal(stepped.amplitudes, floquet_step(initial, params).amplitudes)
+    stream = iter_return_probability(initial, params)
+    next(stream)
+    if before and max(before) > 1:
+        assert _blas_counts() == [1] * len(before)  # held while the generator is suspended
+    stream.close()
+    assert _blas_counts() == before
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("L", [12, 15])
+def test_slices_of_a_period_equal_the_whole(L, count, rng):
+    """The loop's slices, run in turn on one thread, give the whole period's bits: two and
+    three slices (uneven ones) of a lone state and of a stack of three rows.  A lone
+    state's top factor has one column block at L = 12 (a cut through its 512 columns
+    would change the bits) and four at L = 15."""
+    params = FloquetParams.from_dimensionless(L, 0.9, 0.1)
+    in_turn = lambda fn, calls: [fn(*args) for args in calls]  # noqa: E731
+    lone = _in_frame(random_state(L, rng), L)
+    stack = np.stack([_in_frame(random_state(L, rng), L) for _ in range(3)])
+    for start in (lone, stack):
+        *_, whole = itertools.islice(
+            _periods(start.copy(), L, params.theta, params.jt, (1, in_turn)), 5)
+        *_, sliced = itertools.islice(
+            _periods(start.copy(), L, params.theta, params.jt, (count, in_turn)), 5)
+        assert np.array_equal(whole, sliced)

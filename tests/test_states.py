@@ -178,6 +178,19 @@ class TestBondSum:
             for k in range(2**L):
                 assert table[k] == bond_sum(k, L)
 
+    def test_table_is_the_wall_count_by_rotation(self):
+        """``L - 2 popcount(k XOR rot(k))`` in int64, byte for byte; rot(k) moves bit i+1 to bit i."""
+        for L in range(2, 21):
+            k = np.arange(1 << L, dtype=np.int64)
+            walls = np.zeros(1 << L, dtype=np.int64)
+            diff = k ^ ((k >> 1) | ((k & 1) << (L - 1)))
+            for site in range(L):
+                walls += (diff >> site) & 1
+            expected = L - 2 * walls
+            table = bond_sum_table(L)
+            assert table.dtype == expected.dtype
+            assert table.tobytes() == expected.tobytes()
+
     @given(L=st.integers(2, 12), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_invariants(self, L, data):
