@@ -26,7 +26,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 #: (getter, setter) names, one pair per OpenBLAS build.
 _THREAD_FUNCTIONS = (
@@ -39,6 +38,8 @@ _THREAD_FUNCTIONS = (
 @lru_cache(maxsize=None)
 def _thread_functions() -> tuple:
     """(get, set) thread-count functions of every OpenBLAS bundled with numpy or scipy."""
+    import scipy  # here, not at start-up: most runs never set a thread count
+
     found = []
     for package in (np, scipy):
         libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"

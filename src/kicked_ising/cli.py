@@ -11,11 +11,20 @@ exceed ``states.MAX_ARRAY_BYTES`` at a requested chain length or horizon),
 from __future__ import annotations
 
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Sequence
 
 from .states import CapacityError
 from .sweep import ConfigError, parse_config, run_sweep
+
+
+def _pool_died(exc: BaseException) -> bool:
+    """Whether ``exc`` is a broken process pool.
+
+    Its module is looked up, not imported: only a sweep that ran a pool has imported it, and
+    importing it at start-up would cost every launch.
+    """
+    pool = sys.modules.get("concurrent.futures.process")
+    return pool is not None and isinstance(exc, pool.BrokenProcessPool)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -30,7 +39,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: cannot write results: {exc}", file=sys.stderr)
         return 4
-    except BrokenProcessPool as exc:
+    except RuntimeError as exc:
+        if not _pool_died(exc):
+            raise
         print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 5
 

@@ -24,8 +24,16 @@ serves any number of them.
 There is one period loop, ``_periods``, on a stack of frame states.  It
 alternates between the stack and one spare buffer (``np.matmul(..., out=)``)
 and multiplies the phase in place, so a period allocates nothing, and the
-stack it yields is overwritten by the next period.  ``evolve_stroboscopic``
-and ``iter_return_probability`` move the start state into the frame once.
+stack it yields is overwritten by the next period; until then the other
+buffer is idle.  ``evolve_stroboscopic`` and ``iter_return_probability``
+move the start state into the frame once, and hold two states and half a
+table while they run.  The frame start becomes the loop's stack, and the
+overlap keeps only the start's non-zero amplitudes: one for the polarized
+start, whose overlap is then one exact product, and a copy of them all for
+a dense start.  The overlap's products, |amp|**2, the sz tree and the final
+norm go into the idle buffer.  The phase table holds the lower half of the
+basis: a global spin flip keeps every bond sum, so the upper half of a
+state takes the same table reversed.
 ``_stacked_period`` is the loop's first period on spin-basis states, moved
 into the frame and back within the one call.  ``floquet_step``,
 ``apply_global_x_rotation`` (the kick alone) and
@@ -38,10 +46,11 @@ A stack of at least ``_SPLIT_AMPS`` amplitudes (a lone state of 18 sites or
 more) is split over threads when OpenBLAS runs more than one.  The loop then
 owns the BLAS thread count: it holds OpenBLAS at one thread for as long as
 it runs, and runs every product and the phase multiply as slices, one on
-the calling thread and the rest on a pool, one slice per BLAS thread.
-``evolve_stroboscopic`` runs |amp|**2 and the top halvings of its sz tree
-on the same threads.  Slices sum in the same order as the whole, so the
-results do not depend on the thread count.  The count comes from
+the calling thread and the rest on a pool, one slice per BLAS thread (one
+half-table per slice at two).  ``evolve_stroboscopic`` runs |amp|**2 and
+the top halvings of its sz tree on the same threads.  Slices sum in the
+same order as the whole, and the overlap is a numpy sum on one thread, so
+the results do not depend on the thread count.  The count comes from
 ``OPENBLAS_NUM_THREADS`` or from ``blas.set_threads`` (sweep pool workers
 run one thread, so they never split).
 """
@@ -57,8 +66,9 @@ import numpy as np
 
 from . import blas
 from .observables import _halve, _sz_profile
-from .states import (FloquetParams, StateVector, _norm, _popcount, _require_bytes,
-                     bond_sum_table)
+from .states import FloquetParams, StateVector, _domain_walls, _norm, _popcount, _require_bytes
+# perfbench/tracer.py wraps engine.bond_sum_table; its install fails without the name.
+from .states import bond_sum_table  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -80,16 +90,36 @@ class StroboscopicSeries:
 
 @lru_cache(maxsize=1)
 def _zz_phase_table(L: int, jt: float) -> np.ndarray:
-    """``exp(-i (JT/4) bond_sum)``; one table is cached, as every reuse repeats the last (L, JT).
+    """``exp(-i (JT/4) bond_sum)`` over the lower half of the basis (spin L-1 down), read-only.
 
-    The bond sums take the 2L + 1 values -L .. L, so their phases are
-    computed once each and looked up by the bond sum plus L.
+    One table is cached, as every reuse repeats the last (L, JT).  A global
+    spin flip keeps every bond sum and maps index k to 2**L - 1 - k, so the
+    upper half's phases are this table reversed (``_phase_calls``).  A bond
+    sum is L minus twice the domain walls, so the L + 1 phases are computed
+    once each and looked up by the uint8 wall counts.
     """
-    bonds = bond_sum_table(L)
-    bonds += L
-    table = np.exp(-0.25j * jt * np.arange(-L, L + 1))[bonds]
+    table = np.exp(-0.25j * jt * (L - 2 * np.arange(L + 1)))[_domain_walls(L)]
     table.setflags(write=False)
     return table
+
+
+def _phase_calls(amps: np.ndarray, out: np.ndarray, table: np.ndarray,
+                 pieces: int = 1) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The ``np.multiply`` calls ``(a, phase, out)`` that put the Ising phase times every row
+    of the stack ``amps`` (..., 2**L) into ``out``, which may be ``amps``.
+
+    A row's lower half takes ``table`` (``_zz_phase_table``) and its upper
+    half the mirror view ``table[::-1]``; each half is cut into ``pieces``
+    calls.  The phases equal the whole table's, so the products are its
+    products bit for bit; the state stays the first operand, as numpy's
+    complex product may round otherwise with its operands swapped.
+    """
+    half = table.size
+    calls = []
+    for side, phases in enumerate((table, table[::-1])):
+        a, o = (x.reshape(-1, 2, half)[:, side] for x in (amps, out))
+        calls += zip(_cuts(a, pieces, -1), _cuts(phases, pieces), _cuts(o, pieces, -1))
+    return calls
 
 
 #: Largest number of sites in one Kronecker factor of the kick.
@@ -253,39 +283,44 @@ def _kick_products(amps: np.ndarray, spare: np.ndarray, L: int, theta: float,
     return products
 
 
-def _periods(amps: np.ndarray, L: int, theta: float, jt: Optional[float] = None, threads=None):
+def _periods(amps: np.ndarray, L: int, theta: float, jt: Optional[float] = None, threads=None,
+             spare: Optional[np.ndarray] = None):
     """Yield the C-contiguous stack ``amps`` (..., 2**L) of frame states after each period, indefinitely.
 
     The one period loop: the real kick ``r^{(x)L}``, then the Ising phase of
     ``jt`` (the kick alone when ``jt`` is None), on every row.  It alternates
-    between ``amps`` and one spare buffer, so every yielded array is
-    overwritten by the next period: a caller keeps what it copies, and
-    ``_frame(..., inverse=True)`` maps that back to the spin basis.
+    between ``amps`` and a spare buffer of its shape (``spare``, else one of
+    its own), so every yielded array is overwritten by the next period: a
+    caller keeps what it copies, and ``_frame(..., inverse=True)`` maps that
+    back to the spin basis.  Between a yield and the next period the buffer
+    not yielded is idle: a caller that passed ``spare`` may use it as
+    scratch.
 
     Every product and the phase multiply run as the slices of ``threads``,
     the ``(count, run)`` of a caller's ``_threads`` context, which then
     serves the caller between periods too.  Without it the loop holds a
     context of its own until it is closed.  The states do not depend on the
-    count (see ``_kick_products``).
+    count (see ``_kick_products``).  The phase multiply cuts each half-table
+    into half the count, rounded up: at two slices one half each.
     """
     if threads is None:
         with _threads(amps.size) as threads:
-            yield from _periods(amps, L, theta, jt, threads)
+            yield from _periods(amps, L, theta, jt, threads, spare)
         return
     count, run = threads
-    buffers = (amps, np.empty_like(amps))
-    phases = None if jt is None else _cuts(_zz_phase_table(L, jt), count)
+    buffers = (amps, np.empty_like(amps) if spare is None else spare)
+    table = None if jt is None else _zz_phase_table(L, jt)
 
     def plan(start: int) -> list:
         """The ``(fn, args)`` calls of a period that starts in ``buffers[start]``."""
         products = _kick_products(buffers[start], buffers[1 - start], L, theta, count)
         steps = [(np.matmul, calls) for calls in products]
-        if phases is not None:
-            end = _cuts(buffers[(start + len(products)) % 2], count, -1)
-            steps.append((np.multiply, [(part, p, part) for part, p in zip(end, phases)]))
+        if table is not None:
+            end = buffers[(start + len(products)) % 2]
+            steps.append((np.multiply, _phase_calls(end, end, table, -(-count // 2))))
         # One slice is called directly, as ``run`` would in turn.
         if count == 1:
-            return [(fn, calls[0]) for fn, calls in steps]
+            return [(fn, args) for fn, calls in steps for args in calls]
         return [(run, step) for step in steps]
 
     flips = len(_factor_sites(L)) % 2
@@ -334,6 +369,33 @@ def _stacked_period(states: np.ndarray, L: int, theta: float,
     return stepped
 
 
+def _start(initial: StateVector) -> tuple[np.ndarray, tuple]:
+    """``S initial`` as a new array, the loop's stack, and what the overlap keeps of it.
+
+    That is ``(support, conj)``: the indices of its non-zero amplitudes (a
+    slice when all are) and their conjugates.  From a basis state, such as
+    the polarized start, both hold one entry.
+    """
+    stack = _in_frame(initial.amplitudes, initial.L)
+    support = np.flatnonzero(stack)
+    if support.size == stack.size:
+        support = slice(None)
+    return stack, (support, stack[support].conj())
+
+
+def _overlap(start: tuple, amps: np.ndarray, idle: np.ndarray) -> complex:
+    """``<start|amps>`` for a ``start`` from ``_start``, using the idle buffer ``idle`` as scratch.
+
+    The products go into ``idle`` and numpy sums them pairwise, so the bits
+    do not depend on the BLAS thread count.  From a basis state it is one
+    exact product.
+    """
+    support, conj = start
+    products = idle[:conj.size]
+    np.multiply(conj, amps[support], out=products)
+    return products.sum()
+
+
 def _in_frame(amps: np.ndarray, L: int) -> np.ndarray:
     """``S amps`` as a new array."""
     moved = np.array(amps, dtype=np.complex128)
@@ -354,7 +416,10 @@ def apply_global_x_rotation(state: StateVector, theta: float) -> StateVector:
 def apply_zz_phase(state: StateVector, params: FloquetParams) -> StateVector:
     """Multiply each basis amplitude by exp(-i (JT/4) bond_sum(index))."""
     _require_same_sites(state, params)
-    return StateVector(state.L, state.amplitudes * _zz_phase_table(params.L, params.jt))
+    phased = np.empty_like(state.amplitudes)
+    for args in _phase_calls(state.amplitudes, phased, _zz_phase_table(params.L, params.jt)):
+        np.multiply(*args)
+    return StateVector(state.L, phased)
 
 
 def floquet_step(state: StateVector, params: FloquetParams) -> StateVector:
@@ -376,21 +441,23 @@ def evolve_stroboscopic(initial: StateVector, params: FloquetParams,
         raise ValueError(f"n_periods must be >= 1, got {n_periods}")
     L = params.L
     _require_bytes(L, 8 * L * n_periods, f"the sz series of {n_periods} periods")
-    psi0 = _in_frame(initial.amplitudes, L)
-    _zz_phase_table(L, params.jt)  # its temporaries come and go before the loop's copy of psi0
+    stack, start = _start(initial)
+    _zz_phase_table(L, params.jt)  # its temporaries come and go beside one state
+    spare = np.empty_like(stack)
     p_out = np.empty(n_periods)
     sz_out = np.empty((n_periods, L))
-    weights = np.empty(1 << L)
-    with _threads(psi0.size) as threads:
+    with _threads(stack.size) as threads:
         count, run = threads
         halve = _split_halving(run) if count > 1 else _halve
-        loop = _periods(psi0.copy(), L, params.theta, params.jt, threads)
+        loop = _periods(stack, L, params.theta, params.jt, threads, spare)
         for j, amps in zip(range(n_periods), loop):
-            p_out[j] = abs(np.vdot(psi0, amps)) ** 2
+            idle = spare if amps is stack else stack
+            p_out[j] = abs(_overlap(start, amps, idle)) ** 2
+            weights = idle.view(np.float64)[:amps.size]
             run(_weights, list(zip(_cuts(amps, count), _cuts(weights, count))))
             sz_out[j] = _sz_profile(weights, L, halve)
 
-    drift = abs(_norm(amps) - 1.0)
+    drift = abs(_norm(amps, idle.view(np.float64)) - 1.0)
     return StroboscopicSeries(
         params=params,
         n=np.arange(1, n_periods + 1),
@@ -410,6 +477,7 @@ def iter_return_probability(initial: StateVector, params: FloquetParams):
     the stream tests, and the name perfbench's tracer wraps.
     """
     _require_same_sites(initial, params)
-    psi0 = _in_frame(initial.amplitudes, params.L)
-    for amps in _periods(psi0.copy(), params.L, params.theta, params.jt):
-        yield float(abs(np.vdot(psi0, amps)) ** 2)
+    stack, start = _start(initial)
+    spare = np.empty_like(stack)
+    for amps in _periods(stack, params.L, params.theta, params.jt, spare=spare):
+        yield float(abs(_overlap(start, amps, spare if amps is stack else stack)) ** 2)

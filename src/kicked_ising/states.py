@@ -33,13 +33,20 @@ class CapacityError(ValueError):
     """A requested chain size needs an array larger than ``MAX_ARRAY_BYTES``."""
 
 
-def _norm(amps: np.ndarray) -> float:
+def _norm(amps: np.ndarray, scratch: np.ndarray | None = None) -> float:
     """2-norm by pairwise sums (np.linalg.norm is 2.1e-12 off on a kicked 20-site state).
 
     Blocks of 2**16 reals keep the temporary of squares small, so peak memory does not grow.
+    A float64 ``scratch`` of at least twice the amplitudes takes the squares instead, and
+    nothing is allocated.
     """
     x = amps.view(np.float64)
-    return math.sqrt(sum(np.sum(np.square(x[i:i + 65536])) for i in range(0, x.size, 65536)))
+
+    def block(i: int) -> float:
+        out = None if scratch is None else scratch[i:i + 65536]
+        return np.sum(np.square(x[i:i + 65536], out=out))
+
+    return math.sqrt(sum(map(block, range(0, x.size, 65536))))
 
 
 #: Set bits of every byte value.
@@ -215,25 +222,34 @@ def bond_sum(index: int, L: int) -> int:
     return L - 2 * flipped
 
 
-def bond_sum_table(L: int) -> np.ndarray:
-    """``bond_sum`` for every basis index, as an int64 array of length 2**L.
+def _domain_walls(L: int) -> np.ndarray:
+    """The domain walls (anti-aligned bonds) of the lower half of the basis, spin L-1 down, in uint8.
 
-    The domain walls (anti-aligned bonds) are counted in uint8 by doubling
-    over the sites: the table of an open chain of m sites is copied for spin
-    m down and up, and each copy counts the new bond where spin m-1 differs.
-    The wrap-around bond between spins L-1 and 0 is added last.
+    A global spin flip keeps every bond and maps index k to 2**L - 1 - k,
+    so the upper half's walls are these reversed.  They are counted by
+    doubling over the sites: the walls of an open chain of m sites are
+    copied for spin m down and up, and each copy counts the new bond where
+    spin m-1 differs.  Spin L-1 adds the bond to spin L-2, then the
+    wrap-around bond to spin 0.
     """
     _require_state(L)
-    walls = np.zeros(1 << L, dtype=np.uint8)
-    for m in range(1, L):
+    walls = np.zeros(1 << (L - 1), dtype=np.uint8)
+    for m in range(1, L - 1):
         half = 1 << m
         walls[half:2 * half] = walls[:half]
         walls[half >> 1:half] += 1  # spin m down, spin m-1 up
         walls[half:half + (half >> 1)] += 1  # spin m up, spin m-1 down
-    ends = walls.reshape(2, -1, 2)  # spin L-1, the spins between, spin 0
-    ends[0, :, 1] += 1
-    ends[1, :, 0] += 1
-    table = walls.astype(np.int64)
+    walls[walls.size >> 1:] += 1  # spin L-1 down, spin L-2 up
+    walls[1::2] += 1  # spin L-1 down, spin 0 up
+    return walls
+
+
+def bond_sum_table(L: int) -> np.ndarray:
+    """``bond_sum`` for every basis index, as an int64 array of length 2**L: L minus twice the walls."""
+    walls = _domain_walls(L)
+    table = np.empty(1 << L, dtype=np.int64)
+    table[:walls.size] = walls
+    table[walls.size:] = walls[::-1]
     table *= -2
     table += L
     return table

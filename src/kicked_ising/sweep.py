@@ -58,7 +58,6 @@ import itertools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -284,6 +283,9 @@ def _sweep_point(task) -> dict:
 def _run_points(worker, tasks: list[tuple], jobs: int) -> list[dict]:
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
+    # Imported here, as only a pool needs it: multiprocessing would cost every launch's start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     # A forked worker keeps the OpenBLAS thread count chosen for the whole machine, so
     # workers multiplying at once would oversubscribe the cores: one thread apiece.
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=blas.set_threads,

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 import kicked_ising
-from kicked_ising import sweep
+from kicked_ising import cli, sweep
 from kicked_ising.cli import main
 
 from conftest import read_result_csv
@@ -261,3 +261,26 @@ def test_cli_import_leaves_scipy_linalg_out():
         capture_output=True, text=True, timeout=120, env=_child_env(),
     )
     assert completed.returncode == 0, completed.stderr
+
+
+def test_cli_import_leaves_scipy_and_multiprocessing_out():
+    """A launch imports neither scipy (only a BLAS thread count needs it) nor the process
+    pool (only ``--jobs`` > 1 runs one)."""
+    completed = subprocess.run(
+        [sys.executable, "-c", "import sys, kicked_ising.cli; "
+                               "print(sorted({'scipy', 'multiprocessing'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120, env=_child_env(),
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
+
+
+def test_other_runtime_errors_propagate(monkeypatch):
+    """Only a broken pool exits 5; any other RuntimeError leaves ``main`` as it was raised."""
+    def fail(config):
+        raise RuntimeError("not a pool")
+
+    monkeypatch.setattr(cli, "run_sweep", fail)
+    with pytest.raises(RuntimeError, match="not a pool"):
+        main(["evolve", "-L", "3", "--jt-over-pi", "0.9", "--epsilon-over-pi", "0.1",
+              "--periods", "4"])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,13 +76,34 @@ def test_one_phase_table_is_cached():
     assert engine._zz_phase_table.cache_info().currsize == 1
 
 
-@pytest.mark.parametrize("L", [2, 3, 8, 13])
+PHASE_JTS = (0.0, 0.37, 0.9 * math.pi, math.pi, 5.1)
+
+
+@pytest.mark.parametrize("L", range(2, 21))
 def test_phase_table_is_the_exponential_of_the_bond_sums(L):
-    """The L + 1 distinct phases, looked up by bond sum, are the table's entries bit for bit."""
-    for jt in (0.0, 0.37, 0.9 * math.pi, math.pi, 5.1):
+    """The cached lower half and its mirror are the exponentials of the whole bond-sum
+    table, bit for bit: the L + 1 distinct phases are looked up by wall count."""
+    bonds = bond_sum_table(L)
+    for jt in PHASE_JTS:
         engine._zz_phase_table.cache_clear()
-        expected = np.exp(-0.25j * jt * bond_sum_table(L))
-        assert engine._zz_phase_table(L, jt).tobytes() == expected.tobytes()
+        half = engine._zz_phase_table(L, jt)
+        assert half.size == 1 << (L - 1)
+        expected = np.exp(-0.25j * jt * bonds)
+        assert np.concatenate((half, half[::-1])).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("L", [2, 3, 8, 13, 18])
+def test_apply_zz_phase_is_the_product_with_the_whole_table(L, rng):
+    """Both halves of a state multiplied by the half table and its mirror view give the
+    product with the whole table, bit for bit."""
+    state = StateVector(L, random_state(L, rng))
+    for jt in PHASE_JTS:
+        params = FloquetParams(L=L, jt=jt, epsilon=0.1)
+        # Named: numpy would multiply a large temporary in place, with the operands of the
+        # complex product swapped, which moves the last bit of some imaginary parts.
+        table = np.exp(-0.25j * jt * bond_sum_table(L))
+        expected = state.amplitudes * table
+        assert apply_zz_phase(state, params).amplitudes.tobytes() == expected.tobytes()
 
 
 def test_perfect_kick_is_a_global_spin_flip():
@@ -413,3 +435,36 @@ def test_slices_of_a_period_equal_the_whole(L, count, rng):
         *_, sliced = itertools.islice(
             _periods(start.copy(), L, params.theta, params.jt, (count, in_turn)), 5)
         assert np.array_equal(whole, sliced)
+
+
+@pytest.mark.parametrize("L", [_SPLIT_L - 2, _SPLIT_L])
+def test_evolve_holds_two_states_and_half_a_table(L):
+    """From the polarized start, evolve_stroboscopic allocates at most 2.75 states while it
+    runs (tracemalloc), its phase table included: the loop's two buffers, the half table,
+    and nothing of the start's size beside them.  The larger L runs the split loop when
+    OpenBLAS runs more than one thread."""
+    params = FloquetParams.from_dimensionless(L, 0.9, 0.1)
+    initial = polarized_state(L)
+    engine._zz_phase_table.cache_clear()
+    tracemalloc.start()
+    try:
+        evolve_stroboscopic(initial, params, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * 16 * (1 << L)
+
+
+@pytest.mark.parametrize("L", [14, 16])
+def test_overlap_does_not_depend_on_the_blas_threads(L, rng):
+    """From a random start, P is the same bits under the BLAS's own thread count and under
+    one thread, for the stored series and the stream."""
+    params = FloquetParams.from_dimensionless(L, 0.9, 0.1)
+    initial = StateVector(L, random_state(L, rng))
+    threaded = evolve_stroboscopic(initial, params, 5).return_probability
+    stream = list(itertools.islice(iter_return_probability(initial, params), 5))
+    with blas.one_thread():
+        one = evolve_stroboscopic(initial, params, 5).return_probability
+        one_stream = list(itertools.islice(iter_return_probability(initial, params), 5))
+    assert np.array_equal(threaded, one)
+    assert stream == one_stream == threaded.tolist()

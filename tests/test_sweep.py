@@ -1,5 +1,6 @@
 """Configuration parsing, sweep runners, and the CSV output format."""
 
+import concurrent.futures
 import ctypes
 import importlib.util
 import json
@@ -363,7 +364,7 @@ def test_pool_never_asks_for_more_workers_than_points(monkeypatch, tmp_path):
         def map(self, worker, tasks):
             return map(worker, tasks)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     argv = ["lifetime-scan", "-L", "4", "--jt-over-pi", "0.9", "--epsilon-over-pi", "0.1,0.2",
             "--periods", "10", "--jobs", "64", "--out", str(tmp_path / "scan.csv")]
     assert cli.main(argv) == 0
