@@ -10,12 +10,12 @@ diagonal phase, split over OpenBLAS's threads from 18 sites on.  The
 chain's free fermions give the rest in closed form, from the two parity
 sectors: the return probability of the all-up start, behind the lifetime,
 phase-diagram and Fourier sweeps, with no 2**L array, and every
-quasi-energy level as a sum of mode phases; eigenvectors come from
-the translation-momentum blocks.  No array may exceed ``MAX_ARRAY_BYTES``
-(256 MiB), which allows states up to 24 sites, spectra up to 25, their
-eigenvectors up to 12 and the closed-form stream up to 32767.  A drive is
-``FloquetParams(L, jt, epsilon)``: time is counted in periods, so
-quasi-energies are in units of ``1/T`` on ``(-pi, pi]``.
+quasi-energy level as a sum of mode phases; eigenvectors come from the
+dense propagator's Schur decomposition.  No array may exceed
+``MAX_ARRAY_BYTES`` (256 MiB), which allows states up to 24 sites, spectra
+up to 25, their eigenvectors up to 12 and the closed-form stream up to
+32767.  A drive is ``FloquetParams(L, jt, epsilon)``: time is counted in
+periods, so quasi-energies are in units of ``1/T`` on ``(-pi, pi]``.
 
 Quick start::
 
@@ -40,14 +40,15 @@ from .states import (
     product_state,
 )
 from .engine import (
+    DensePropagator,
     StroboscopicSeries,
     apply_global_x_rotation,
     apply_zz_phase,
+    build_dense_propagator,
     evolve_stroboscopic,
     floquet_step,
     iter_return_probability,
 )
-from .sectors import DensePropagator, build_dense_propagator
 from .observables import (
     FourierSpectrum,
     LifetimeResult,
@@ -94,10 +95,8 @@ __all__ = [
     "StateVector", "bond_sum", "bond_sum_table", "overlap", "polarized_state",
     "product_state",
     # engine
-    "StroboscopicSeries", "apply_global_x_rotation", "apply_zz_phase",
-    "evolve_stroboscopic", "floquet_step", "iter_return_probability",
-    # sectors
-    "DensePropagator", "build_dense_propagator",
+    "DensePropagator", "StroboscopicSeries", "apply_global_x_rotation", "apply_zz_phase",
+    "build_dense_propagator", "evolve_stroboscopic", "floquet_step", "iter_return_probability",
     # observables
     "FourierSpectrum", "LifetimeResult", "average_return", "first_crossing",
     "fourier_spectrum", "lifetime", "local_sz", "return_probability",

@@ -7,10 +7,6 @@ thread-count functions are exported under the names of their builds: with a
 build) in current wheels, plain ``openblas_`` in older ones.  A BLAS found
 nowhere there is left as it is.
 
-The momentum blocks behind kept eigenvectors hold a few hundred states
-each, too few for threads to pay: their Schur decompositions run under
-``one_thread``, which at 10 and 11 sites is at least twice as fast as two.
-
 The engine's period loop reads ``threads`` to decide how many slices a large
 stack is cut into, and then runs the slices on threads of its own with
 OpenBLAS held at one thread (``one_thread``) for as long as the loop runs,

@@ -36,11 +36,10 @@ basis: a global spin flip keeps every bond sum, so the upper half of a
 state takes the same table reversed.
 ``_stacked_period`` is the loop's first period on spin-basis states, moved
 into the frame and back within the one call.  ``floquet_step``,
-``apply_global_x_rotation`` (the kick alone) and
-``sectors.OrbitBasis.propagator`` run it; the last builds every propagator
-matrix, the dense one included (the block of the trivial group), from
-batches of orbit states.  So the frame, the factor layout and the phase
-table stay in this module.
+``apply_global_x_rotation`` (the kick alone) and ``build_dense_propagator``
+run it; the last steps the rows of the identity in batches, so the dense
+matrix's columns are ``floquet_step`` of the basis states, bit for bit.  So
+the frame, the factor layout and the phase table stay in this module.
 
 A stack of at least ``_SPLIT_AMPS`` amplitudes (a lone state of 18 sites or
 more) is split over threads when OpenBLAS runs more than one.  The loop then
@@ -66,7 +65,8 @@ import numpy as np
 
 from . import blas
 from .observables import _halve, _sz_profile
-from .states import FloquetParams, StateVector, _domain_walls, _norm, _popcount, _require_bytes
+from .states import (FloquetParams, StateVector, _domain_walls, _norm, _popcount, _require_bytes,
+                     _require_matrix)
 # perfbench/tracer.py wraps engine.bond_sum_table; its install fails without the name.
 from .states import bond_sum_table  # noqa: F401
 
@@ -138,7 +138,7 @@ def _factor_sites(L: int) -> tuple[int, ...]:
 
 #: ``i**m`` for m = 0, 1, 2, 3.
 _UNITS = np.array([1, 1j, -1, -1j])
-#: Sites whose frame phases one table holds: all of a chain the blocks build (L <= 12).
+#: Sites whose frame phases one table holds: all of a dense propagator's chain (L <= 12).
 _FRAME_SITES = 12
 
 
@@ -427,6 +427,44 @@ def floquet_step(state: StateVector, params: FloquetParams) -> StateVector:
     _require_same_sites(state, params)
     stepped = _stacked_period(state.amplitudes.copy(), state.L, params.theta, params.jt)
     return StateVector(state.L, stepped)
+
+
+#: Amplitudes stepped together while the dense propagator is built: ``max(1, _BATCH >> L)``
+#: rows of the identity.
+_BATCH = 1 << 17
+
+
+@dataclass(frozen=True)
+class DensePropagator:
+    """Explicit 2**L x 2**L one-period propagator matrix."""
+
+    L: int
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
+        if m.shape != (1 << self.L, 1 << self.L):
+            raise ValueError(f"expected a {1 << self.L}x{1 << self.L} matrix, got {m.shape}")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+
+def build_dense_propagator(params: FloquetParams) -> DensePropagator:
+    """Materialize the one-period propagator D*K as an explicit matrix.
+
+    The rows of the identity are stepped one period, ``max(1, _BATCH >> L)``
+    at a time as one stack (``_stacked_period``), and each batch's transpose
+    fills as many columns, bit for bit those of ``floquet_step``.
+    """
+    L = params.L
+    _require_matrix(L, "a dense propagator")
+    dim = 1 << L
+    batch = max(1, _BATCH >> L)
+    U = np.empty((dim, dim), dtype=np.complex128)
+    for start in range(0, dim, batch):
+        rows = np.eye(min(batch, dim - start), dim, start, dtype=np.complex128)
+        U[:, start:start + batch] = _stacked_period(rows, L, params.theta, params.jt).T
+    return DensePropagator(L, U)
 
 
 def evolve_stroboscopic(initial: StateVector, params: FloquetParams,

@@ -1,4 +1,4 @@
-"""Symmetry blocks: the all-up return amplitude and the levels in closed form; momentum blocks.
+"""The two parity sectors: the all-up return amplitude and the levels in closed form.
 
 The drive has no longitudinal field, so the Jordan-Wigner transformation with
 ``X_j = 1 - 2 n_j`` makes both of its factors quadratic in fermions (Lieb,
@@ -38,166 +38,21 @@ eigenvectors of ``V_k`` with eigenphases ``beta_k -+ eps_k``, hence
 
 O(L) numbers at any L, and no 2**L array.  The same modes give all 2**L
 levels of one period (``free_fermion_levels``) as sums of mode phases.
-
-The translations alone split the whole space into L momentum blocks,
-``k = 2 pi m / L``.  The momentum state of an orbit of size ``N_r``,
-
-    |r,k> = N_r**-1/2 * sum_j exp(i k j) |s_j>,   s_j shifted j sites onto r,
-
-exists when ``m N_r`` is a multiple of L, and block m holds exactly those
-orbits, so the block sizes add up to 2**L (about 2**L / L each; 108 states
-at most for L = 10).  Their Schur vectors, lifted, are the eigenvectors of
-``spectral.propagator_spectrum(keep_vectors=True)``.
-
-Every block comes from one builder, ``orbit_basis(images, characters)``:
-the group enters as one row of basis-index images per element and one
-character per element; block m is the L rotations with characters
-``exp(i k j)``.  ``OrbitBasis.propagator`` builds a block's operator: the
-orbit states are stepped one period by the structured engine, a batch of
-them as rows of one stack (``engine._stacked_period``, the first period of
-the engine's one period loop, about 2**17 amplitudes at a time), and read
-back at the orbit representatives.  It is the one propagator builder: the
-dense 2**L x 2**L oracle, ``build_dense_propagator``, is the block of the
-trivial group, one orbit per basis state.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _stacked_period
-from .states import FloquetParams, _pow2, _require_bytes, _require_matrix
+from .states import FloquetParams, _pow2, _require_bytes
 
-#: Amplitudes stepped together while a block propagator is built: ``max(1, _BATCH >> L)``
-#: orbit states, one per row.
-_BATCH = 1 << 17
 #: Periods evaluated per chunk in ``sector_return_probability`` (the columns of
 #: its phase table, a power of two).
 _CHUNK = 512
 #: Rows of that table rotated at once.
 _ROWS = 256
-
-
-@dataclass(frozen=True)
-class OrbitBasis:
-    """Orthonormal states, one per orbit, each spread over the basis indices of its orbit.
-
-    ``members`` lists the basis indices orbit by orbit, each orbit led by its
-    representative (its smallest index), and ``amplitudes`` the state's
-    entry on each of them; ``sizes`` holds the orbit sizes ``N_r``.  A
-    representative's entry is ``N_r**-1/2``.  The states span a subspace
-    that the propagator maps into itself.
-    """
-
-    L: int
-    members: np.ndarray
-    sizes: np.ndarray
-    amplitudes: np.ndarray
-
-    def _columns(self) -> np.ndarray:
-        """The orbit (column) of every entry of ``members``."""
-        return np.repeat(np.arange(self.sizes.size), self.sizes)
-
-    def propagator(self, params: FloquetParams) -> np.ndarray:
-        """One-period propagator on this basis, orbits in the order of ``members``.
-
-        Entry ``[r', r] = sqrt(N_r') * (U|r>)[r']``, since ``U|r>`` lies in
-        the span and each state's entry at its representative is
-        ``N_r'**-1/2``.  The states are stepped in batches of spin-basis
-        rows by ``engine._stacked_period``, one period of the engine's loop.
-        """
-        L = params.L
-        bounds = np.concatenate(([0], np.cumsum(self.sizes)))
-        reps = self.members[bounds[:-1]]
-        orbit = self._columns()
-        scale = np.sqrt(self.sizes)
-        M = self.sizes.size
-        batch = max(1, _BATCH >> L)
-        U = np.empty((M, M), dtype=np.complex128)
-        for start in range(0, M, batch):
-            stop = min(start + batch, M)
-            part = slice(bounds[start], bounds[stop])
-            states = np.zeros((stop - start, 1 << L), dtype=np.complex128)
-            states[orbit[part] - start, self.members[part]] = self.amplitudes[part]
-            stepped = _stacked_period(states, L, params.theta, params.jt)
-            np.multiply(stepped[:, reps], scale, out=U[:, start:stop].T)
-        return U
-
-    def lift(self, vectors: np.ndarray) -> np.ndarray:
-        """Columns of coefficients on this basis as columns of 2**L spin-basis amplitudes."""
-        lifted = np.zeros((1 << self.L, vectors.shape[1]), dtype=np.complex128)
-        lifted[self.members] = self.amplitudes[:, None] * vectors[self._columns()]
-        return lifted
-
-
-def orbit_basis(images: np.ndarray, characters: np.ndarray) -> OrbitBasis:
-    """The orbit states of a group that permutes the basis, one per orbit that survives.
-
-    Row g of ``images`` holds the image of every basis index under group
-    element g, the identity first, and ``characters[g]`` is its character.
-    An orbit's representative is its first smallest image, and a member's
-    entry is the character of the first element that maps it onto the
-    representative, over ``sqrt(N_r)``.  The characters of a stabilizer add
-    up to its order or cancel to zero, and an orbit is kept when they do
-    not cancel.  Members are ordered by representative (a stable sort).
-    """
-    group, dim = images.shape
-    first = np.argmin(images, axis=0)
-    representative = images[first, np.arange(dim)]
-    fixed = images == np.arange(dim)
-    size = group // np.count_nonzero(fixed, axis=0)
-    kept = np.abs(np.where(fixed, characters[:, None], 0).sum(axis=0)) > 0.5
-    members = np.argsort(representative, kind="stable")
-    members = members[kept[members]]
-    sizes = size[members[representative[members] == members]]
-    amplitudes = characters[first[members]] / np.sqrt(size[members])
-    for shared in (members, sizes, amplitudes):  # the basis is frozen, and so are its arrays
-        shared.flags.writeable = False
-    return OrbitBasis(dim.bit_length() - 1, members, sizes, amplitudes)
-
-
-@dataclass(frozen=True)
-class DensePropagator:
-    """Explicit 2**L x 2**L one-period propagator matrix."""
-
-    L: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        if m.shape != (1 << self.L, 1 << self.L):
-            raise ValueError(f"expected a {1 << self.L}x{1 << self.L} matrix, got {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def build_dense_propagator(params: FloquetParams) -> DensePropagator:
-    """Materialize the one-period propagator D*K as an explicit matrix.
-
-    It is the block of the trivial group: every basis state is its own
-    orbit, so the block's columns are the propagated basis states, bit for
-    bit those of ``engine.floquet_step``.
-    """
-    L = params.L
-    _require_matrix(L, "a dense propagator")
-    trivial = orbit_basis(np.arange(1 << L)[None, :], np.ones(1))
-    return DensePropagator(L, trivial.propagator(params))
-
-
-def momentum_blocks(L: int):
-    """Yield the orbit bases of the L momentum blocks, ``k = 2 pi m / L`` for m = 0 .. L-1.
-
-    Block m is the L rotations with characters ``exp(i k j)``; it holds the
-    momentum states ``|r,k>`` of the orbits with ``m N_r`` a multiple of L.
-    """
-    index = np.arange(1 << L)
-    mask = (1 << L) - 1
-    rotations = np.stack([((index << j) | (index >> (L - j))) & mask for j in range(L)])
-    for m in range(L):
-        yield orbit_basis(rotations, np.exp(2j * np.pi * m / L * np.arange(L)))
 
 
 def _parity_sectors(params: FloquetParams) -> list[tuple[float, np.ndarray, np.ndarray]]:

@@ -21,13 +21,9 @@ Free-fermion levels
 -------------------
 The drive is quadratic in Jordan-Wigner fermions, so ``propagator_spectrum``
 takes every level from ``sectors.free_fermion_levels`` as a sum of mode
-phases, with no matrix and no eigensolver.  Kept eigenvectors come from the
-L momentum blocks of ``sectors.momentum_blocks`` (about 2**L / L states
-each): each block's Schur vectors, lifted to the spin basis.  A block is
-built by stepping its orbit states through one period of the structured
-engine, a batch of them at a time as the rows of one stack.
-``quasi_energies`` of the full matrix of ``build_dense_propagator``, the
-trivial group's block in ``sectors``, is the dense oracle.
+phases, with no matrix and no eigensolver.  ``quasi_energies`` of the full
+matrix of ``engine.build_dense_propagator`` is the dense oracle, and kept
+eigenvectors are its Schur vectors.
 """
 
 from __future__ import annotations
@@ -39,10 +35,9 @@ import math
 
 import numpy as np
 
-from . import blas
-# perfbench/tracer.py wraps spectral.build_dense_propagator; its install fails without the name.
-from .sectors import build_dense_propagator, free_fermion_levels, momentum_blocks  # noqa: F401
-from .states import FloquetParams, StateVector, _require_matrix, _require_unitary
+from .engine import build_dense_propagator
+from .sectors import free_fermion_levels
+from .states import FloquetParams, StateVector, _require_unitary
 
 #: Quasi-energies closer than this to an anchor count as exactly degenerate.
 EXACT_PAIR_TOL = 1e-10
@@ -138,21 +133,14 @@ def propagator_spectrum(params: FloquetParams, keep_vectors: bool = False) -> Qu
     aligned configuration, i.e. of ``exp(+i JT L / 4) U``; see the module
     docstring.  The levels are the free-fermion eigenphases of
     ``sectors.free_fermion_levels``.  With ``keep_vectors`` they are the
-    momentum blocks' Schur spectra instead, and column j of the eigenvectors
-    is the lifted Schur vector of level j; the vectors form a dense
-    ``2**L x 2**L`` matrix, checked against the array budget before any
-    block is built.
+    Schur spectrum of the dense propagator instead, and column j of the
+    eigenvectors is the Schur vector of level j; the builder checks the
+    ``2**L x 2**L`` matrix against the array budget before it allocates.
     """
     eigenvectors = None
     if keep_vectors:
-        _require_matrix(params.L, "the matrix of lifted eigenvectors")
-        energies, vectors = [], []
-        with blas.one_thread():  # blocks this small diagonalize faster on one thread
-            for basis in momentum_blocks(params.L):
-                block = quasi_energies(basis.propagator(params), keep_vectors=True)
-                energies.append(block.energies)
-                vectors.append(basis.lift(block.eigenvectors))
-        energies, eigenvectors = np.concatenate(energies), np.hstack(vectors)
+        dense = quasi_energies(build_dense_propagator(params).matrix, keep_vectors=True)
+        energies, eigenvectors = dense.energies, dense.eigenvectors
     else:
         energies = -free_fermion_levels(params)
     energies = fold_to_branch(energies - 0.25 * params.jt * params.L)

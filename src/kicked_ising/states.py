@@ -195,7 +195,7 @@ def product_state(L: int, orientations) -> StateVector:
         # Index 0 of a site block is spin down, index 1 spin up (bit convention).
         site = np.array([np.exp(1j * phi) * np.sin(theta / 2), np.cos(theta / 2)])
         vec = np.outer(site, vec).reshape(-1)  # site i above the lower sites
-    vec /= np.linalg.norm(vec)
+    vec /= _norm(vec)  # pairwise sums: the bits do not depend on the BLAS thread count
     return StateVector(L, vec)
 
 

@@ -1,10 +1,18 @@
-"""Shared fixtures and an independent dense oracle for the drive.
+"""Shared fixtures and independent oracles for the drive.
 
-The oracle builds the one-period propagator from explicit Pauli Kronecker
-products and ``scipy.linalg.expm`` — no phase tables, no bit tricks — so the
-structured engine and the oracle share no code paths beyond numpy itself.
-Beside it, ``reflection_operator`` is the dense matrix of the time-reflection
-check's spin flip.
+The dense oracle builds the one-period propagator from explicit Pauli
+Kronecker products and ``scipy.linalg.expm`` — no phase tables, no bit
+tricks — so the structured engine and the oracle share no code paths beyond
+numpy itself.  Beside it, ``reflection_operator`` is the dense matrix of the
+time-reflection check's spin flip.
+
+The transfer-matrix oracle reaches any L.  Swapping the roles of space and
+time, a trace of the kicked ring factorizes along the ring into one small
+matrix per site, over that site's spin history (Akila, Waltner, Gutkin &
+Guhr, J. Phys. A 49, 375101 (2016); Bertini, Kos & Prosen, PRL 121, 264101
+(2018)): ``Tr U**m = Tr T_m**L`` (``transfer_trace``), and the all-up return
+amplitude is the trace over histories pinned up at both ends
+(``transfer_return_amplitude``).
 """
 
 import csv
@@ -64,6 +72,46 @@ def oracle_kick(L: int, theta: float, states: np.ndarray) -> np.ndarray:
         )
         out = embedded @ out
     return out
+
+
+def _histories(steps: int) -> np.ndarray:
+    """Every spin history of one site over ``steps`` times, one row each: +1 up, -1 down."""
+    return 1 - 2 * ((np.arange(1 << steps)[:, None] >> np.arange(steps)) & 1)
+
+
+def _kick_weights(histories: np.ndarray, theta: float) -> np.ndarray:
+    """Product of the kick entries along each row, times in order: ``cos theta`` where the
+    spin stays, ``-i sin theta`` where it flips."""
+    flips = np.count_nonzero(histories[:, 1:] != histories[:, :-1], axis=1)
+    steps = histories.shape[1] - 1
+    return np.cos(theta) ** (steps - flips) * (-1j * np.sin(theta)) ** flips
+
+
+def transfer_trace(L: int, jt: float, epsilon: float, m: int) -> complex:
+    """Tr U**m of the L-site ring as Tr T**L over one site's history ``s = (s^1 .. s^m)``.
+
+    ``T[s, s'] = w(s) exp(-i (JT/4) s.s')``: ``w(s)`` takes the kick entries
+    ``k[s^t, s^(t+1)]`` cyclically in t, and ``s.s'`` sums one bond's Ising
+    products over the m periods.  T has 2**m rows at any L; at L = 2 the
+    trace takes the one physical bond twice, as the package does.
+    """
+    s = _histories(m)
+    weights = _kick_weights(np.hstack([s, s[:, :1]]), np.pi / 2 - epsilon)
+    T = weights[:, None] * np.exp(-0.25j * jt * (s @ s.T))
+    return complex(np.trace(np.linalg.matrix_power(T, L)))
+
+
+def transfer_return_amplitude(L: int, jt: float, epsilon: float, n: int) -> complex:
+    """<up|U**n|up> as Tr T**L over the histories pinned up at times 0 and n.
+
+    The free spins are those of times 1 .. n-1, so T has 2**(n-1) rows; the
+    Ising phase of time n, both spins up, adds 1 to every ``s.s'``.
+    """
+    s = _histories(n - 1)
+    up = np.ones((s.shape[0], 1), dtype=s.dtype)
+    weights = _kick_weights(np.hstack([up, s, up]), np.pi / 2 - epsilon)
+    T = weights[:, None] * np.exp(-0.25j * jt * (s @ s.T + 1))
+    return complex(np.trace(np.linalg.matrix_power(T, L)))
 
 
 def reflection_operator(L: int) -> np.ndarray:

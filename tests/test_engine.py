@@ -26,7 +26,7 @@ from kicked_ising import (
     return_probability,
 )
 
-from kicked_ising import blas, engine, sectors
+from kicked_ising import blas, engine
 from kicked_ising.engine import _factor_sites, _frame, _in_frame, _periods, _stacked_period
 
 from conftest import oracle_kick, oracle_propagator, random_state
@@ -240,7 +240,7 @@ def sweep_kick(amps: np.ndarray, L: int, theta) -> np.ndarray:
 def test_kick_matches_the_oracle(L, rng):
     """Every factor split of L = 2..12, on one random state.
 
-    The blocks step batches of rows; ``test_dense_propagator_matches_oracle``
+    The dense builder steps batches of rows; ``test_dense_propagator_matches_oracle``
     holds that path to the same oracle.
     """
     assert sum(_factor_sites(L)) == L
@@ -354,8 +354,8 @@ def test_floquet_steps_are_the_period_loop(L, rng):
 
 @pytest.mark.parametrize("L", [2, 5, 6, 8, 11])
 def test_dense_propagator_columns_are_floquet_steps(L):
-    """One, two and three site factors: the trivial group's block, stepped in batches
-    of rows, equals the basis states stepped one by one, bit for bit."""
+    """One, two and three site factors: the identity's rows, stepped in batches, equal the
+    basis states stepped one by one, bit for bit."""
     for eps_over_pi in (0.1, 0.0, -0.23):
         params = FloquetParams.from_dimensionless(L, 0.9, eps_over_pi)
         U = build_dense_propagator(params).matrix
@@ -372,10 +372,10 @@ def test_dense_propagator_capacity(monkeypatch):
                                             "256 MiB array capacity"):
         build_dense_propagator(FloquetParams.from_dimensionless(13, 1.0, 0.1))
 
-    def past_the_check(images, characters):
+    def past_the_check(*args):
         raise LookupError("the capacity check passed")
 
-    monkeypatch.setattr(sectors, "orbit_basis", past_the_check)
+    monkeypatch.setattr(engine, "_stacked_period", past_the_check)
     with pytest.raises(LookupError, match="capacity check passed"):
         build_dense_propagator(FloquetParams.from_dimensionless(12, 1.0, 0.1))
 

@@ -1,6 +1,5 @@
 """Quasi-energy extraction, pairing statistics, and the reflection symmetry."""
 
-import itertools
 import math
 
 import numpy as np
@@ -27,10 +26,11 @@ from kicked_ising import (
     quasi_energies,
 )
 
-from kicked_ising import blas, engine, sectors, spectral, states
+from kicked_ising import engine, sectors, states
 from kicked_ising.engine import _kick_factor
 
-from conftest import random_state, reflection_operator
+from conftest import (oracle_propagator, random_state, reflection_operator,
+                      transfer_return_amplitude, transfer_trace)
 
 #: (JT/pi, epsilon/pi) drive points of the time-reflection comparisons.
 DRIVES = ((1.0, 0.1), (0.5, 0.1), (1.0, 0.0), (0.2, 0.35), (0.0, 0.0), (1.3, 0.2341))
@@ -175,52 +175,40 @@ class TestMomentumBlocks:
             assert np.max(np.linalg.norm(U @ V - V * eigenvalues, axis=0)) <= 1e-12
 
     def test_lifted_vectors_capacity(self, monkeypatch):
-        """The lifted vectors are one 2**L x 2**L matrix, 16 * 4**L bytes: 12 sites fit, 13 do not,
-        though 13 sites of levels alone fit, and they need no block."""
+        """Kept vectors come from the dense 2**L x 2**L propagator, 16 * 4**L bytes: 12 sites
+        fit, 13 do not, though 13 sites of levels alone fit, and they need no matrix."""
         params = FloquetParams.from_dimensionless(13, 1.0, 0.1)
-        with pytest.raises(CapacityError, match="L=13: the matrix of lifted eigenvectors needs "
+        with pytest.raises(CapacityError, match="L=13: a dense propagator needs "
                                                 "1024 MiB, over the 256 MiB array capacity"):
             propagator_spectrum(params, keep_vectors=True)
 
-        def past_the_check(L):
+        def past_the_check(*args):
             raise LookupError("the capacity check passed")
 
-        monkeypatch.setattr(spectral, "momentum_blocks", past_the_check)
+        monkeypatch.setattr(engine, "_stacked_period", past_the_check)
         with pytest.raises(LookupError, match="capacity check passed"):
             propagator_spectrum(FloquetParams.from_dimensionless(12, 1.0, 0.1), keep_vectors=True)
         assert propagator_spectrum(params).dim == 2**13
 
 
-#: (JT/pi, eps/pi): the drives of the levels' comparison with the blocks past the dense oracle.
-LEVEL_DRIVES = tuple(itertools.product((0.0, 0.5, 0.9, 1.0, 1.3, 2.0),
-                                       (0.0, 0.1, -0.2, 0.2341, 0.3)))
+#: (JT/pi, eps/pi) of the level traces: the locked point, the bare kick and a generic drive.
+TRACE_DRIVES = ((1.0, 0.1), (0.0, 0.1), (0.5, 0.2341))
+#: Bound on |sum_j exp(i m phi_j) - Tr T_m**L| over 2**L: at most 6.7e-15 measured over these
+#: drives, m = 1..8 and L = 11-16, 20 and 22.  Perfect kicks (eps = 0) reach 2.8e-14.
+LEVEL_TRACE_TOL = 5e-14
 
 
 class TestFreeFermionLevels:
-    @staticmethod
-    def _blocks(params):
-        """The momentum blocks' spectra, merged: the levels ``keep_vectors`` lifts, from eigvals."""
-        with blas.one_thread():
-            energies = np.concatenate([quasi_energies(basis.propagator(params)).energies
-                                       for basis in sectors.momentum_blocks(params.L)])
-        aligned = fold_to_branch(energies - 0.25 * params.jt * params.L)
-        return QuasiEnergySpectrum(params.L, np.sort(aligned))
-
-    @pytest.mark.parametrize("L", (11, 12))
-    @pytest.mark.parametrize("jt_over_pi", sorted({jt for jt, _ in LEVEL_DRIVES}))
-    def test_levels_match_the_blocks_past_the_dense_oracle(self, L, jt_over_pi):
-        for eps_over_pi in (eps for jt, eps in LEVEL_DRIVES if jt == jt_over_pi):
+    @pytest.mark.parametrize("L", (*range(11, 17), 20))
+    def test_level_traces_match_the_transfer_matrix(self, L):
+        """``sum_j exp(i m phi_j) = Tr U**m = Tr T_m**L`` (``conftest.transfer_trace``) for
+        m = 1..8, past the dense oracle.  One mode phase off by 1e-9 misses the bound."""
+        for jt_over_pi, eps_over_pi in TRACE_DRIVES:
             params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
-            levels, blocks = propagator_spectrum(params), self._blocks(params)
-            assert _circular_mismatch(levels.energies, blocks.energies) <= 1e-12
-            assert count_exact_pi_pairs(levels) == count_exact_pi_pairs(blocks)
-            ours, theirs = gap_statistics(levels), gap_statistics(blocks)
-            assert abs(ours.delta0_mean - theirs.delta0_mean) <= 1e-12
-            assert abs(ours.delta_pi_mean - theirs.delta_pi_mean) <= 1e-12
-            if theirs.ratio > 1e-3:
-                assert ours.ratio == pytest.approx(theirs.ratio, rel=1e-12, abs=0)
-            else:
-                assert abs(ours.ratio - theirs.ratio) <= 1e-11
+            levels = sectors.free_fermion_levels(params)
+            for m in range(1, 9):
+                traced = transfer_trace(L, params.jt, params.epsilon, m)
+                assert abs(np.exp(1j * m * levels).sum() - traced) <= LEVEL_TRACE_TOL * 2**L, m
 
     @pytest.mark.parametrize("L, anchored", [(14, 432), (18, 2592)])
     def test_exact_pairing_past_the_blocks(self, L, anchored):
@@ -229,6 +217,24 @@ class TestFreeFermionLevels:
         assert spec.dim == 2**L and np.all(np.diff(spec.energies) >= 0)
         assert gap_statistics(spec).delta_pi_mean <= EXACT_PAIR_TOL
         assert count_exact_pi_pairs(spec) == PairCounts(anchored, anchored)
+
+
+class TestTransferMatrix:
+    """The transfer-matrix traces of ``conftest`` against powers of the expm oracle."""
+
+    @pytest.mark.parametrize("L", range(2, 8))
+    def test_traces_are_those_of_the_dense_powers(self, L):
+        for jt_over_pi, eps_over_pi in (*TRACE_DRIVES, (1.3, -0.3), (0.9, 0.0)):
+            params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
+            U = oracle_propagator(L, params.jt, params.epsilon)
+            power = np.eye(2**L)
+            for m in range(1, 11):
+                power = U @ power
+                if m <= 8:
+                    traced = transfer_trace(L, params.jt, params.epsilon, m)
+                    assert abs(np.trace(power) - traced) <= 1e-13 * 2**L
+                amplitude = transfer_return_amplitude(L, params.jt, params.epsilon, m)
+                assert abs(power[-1, -1] - amplitude) <= 1e-13  # all up: the last index
 
 
 class TestReflectionOperator:

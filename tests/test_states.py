@@ -20,6 +20,7 @@ from kicked_ising import (
     product_state,
 )
 
+from kicked_ising import blas
 from kicked_ising.states import _popcount
 
 from conftest import random_state
@@ -136,6 +137,14 @@ class TestPolarizedAndProduct:
     def test_orientation_count_must_match(self):
         with pytest.raises(ValueError):
             product_state(3, [(0.0, 0.0)] * 2)
+
+    def test_bits_do_not_depend_on_the_blas_threads(self):
+        """The norm is a pairwise sum, so an 18-site state is the same bits on one BLAS thread
+        and on the default count (``np.linalg.norm``'s threaded sum moved them from 16 sites)."""
+        orientations = [(0.3, 0.2)] * 18
+        threaded = product_state(18, orientations).amplitudes
+        with blas.one_thread():
+            assert np.array_equal(product_state(18, orientations).amplitudes, threaded)
 
 
 class TestOverlap:

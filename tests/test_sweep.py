@@ -530,7 +530,7 @@ class TestSpectrumReport:
 
     def test_no_dense_build_per_point(self, tmp_path, monkeypatch):
         """Neither the free-fermion levels nor the factored reflection check builds a dense U,
-        and no point builds a momentum block or runs an eigensolver."""
+        and no point runs an eigensolver."""
         built = []
         build = spectral.build_dense_propagator
 
@@ -542,7 +542,6 @@ class TestSpectrumReport:
             raise AssertionError("a spectrum point ran an eigensolver")
 
         monkeypatch.setattr(spectral, "build_dense_propagator", counted)
-        monkeypatch.setattr(spectral, "momentum_blocks", refused)
         monkeypatch.setattr(spectral, "quasi_energies", refused)
         config = make_config(mode="spectrum", lengths=(4, 6), jt_over_pi=(1.0, 0.5),
                              epsilon_over_pi=(0.2341,), out=str(tmp_path / "spec.csv"))
