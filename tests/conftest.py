@@ -4,7 +4,8 @@ The dense oracle builds the one-period propagator from explicit Pauli
 Kronecker products and ``scipy.linalg.expm`` — no phase tables, no bit
 tricks — so the structured engine and the oracle share no code paths beyond
 numpy itself.  Beside it, ``reflection_operator`` is the dense matrix of the
-time-reflection check's spin flip.
+time-reflection check's spin flip, and ``momentum_blocks`` cuts a dense
+translation-invariant matrix into its translation-momentum blocks.
 
 The transfer-matrix oracle reaches any L.  Swapping the roles of space and
 time, a trace of the kicked ring factorizes along the ring into one small
@@ -112,6 +113,38 @@ def transfer_return_amplitude(L: int, jt: float, epsilon: float, n: int) -> comp
     weights = _kick_weights(np.hstack([up, s, up]), np.pi / 2 - epsilon)
     T = weights[:, None] * np.exp(-0.25j * jt * (s @ s.T + 1))
     return complex(np.trace(np.linalg.matrix_power(T, L)))
+
+
+def momentum_blocks(U: np.ndarray, L: int) -> list[np.ndarray]:
+    """The translation-momentum blocks of a translation-invariant ``2**L x 2**L`` matrix.
+
+    T rotates the bits of a basis state by one.  An orbit with smallest member
+    r and n_r members spans ``|r, q> = n_r**-1/2 sum_j exp(-2 pi i q j / L) T**j |r>``
+    where ``q n_r / L`` is whole, and
+    ``<r', q|U|r, q> = sqrt(n_r / n_r') sum_(s = T**j r') exp(2 pi i q j / L) U[s, r]``.
+    The blocks of q = 0 .. L-1 together have 2**L rows.
+    """
+    dim = 1 << L
+    states = np.arange(dim)
+    rotations = [states]
+    for _ in range(L):
+        s = rotations[-1]
+        rotations.append(((s << 1) | (s >> (L - 1))) & (dim - 1))
+    rotations = np.stack(rotations)  # rotations[j, s] = T**j s; row L is s again
+    nearest = np.argmin(rotations[:L], axis=0)
+    shift = (L - nearest) % L  # s = T**shift rep(s)
+    size = np.argmax(rotations[1:] == states, axis=0) + 1
+    reps = np.flatnonzero(nearest == 0)
+    by_orbit = np.argsort(rotations[nearest, states], kind="stable")  # orbits in order of reps
+    starts = np.concatenate([[0], np.cumsum(size[reps])[:-1]])
+    blocks = []
+    for q in range(L):
+        rows = (q * size[reps]) % L == 0
+        kept = reps[rows]
+        phased = np.exp(2j * np.pi * q * shift[by_orbit] / L)[:, None] * U[np.ix_(by_orbit, kept)]
+        summed = np.add.reduceat(phased, starts, axis=0)
+        blocks.append(summed[rows] * np.sqrt(size[kept][None, :] / size[kept][:, None]))
+    return blocks
 
 
 def reflection_operator(L: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Quasi-energy extraction, pairing statistics, and the reflection symmetry."""
 
+import itertools
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from kicked_ising import (
 from kicked_ising import engine, sectors, states
 from kicked_ising.engine import _kick_factor
 
-from conftest import (oracle_propagator, random_state, reflection_operator,
+from conftest import (momentum_blocks, oracle_propagator, random_state, reflection_operator,
                       transfer_return_amplitude, transfer_trace)
 
 #: (JT/pi, epsilon/pi) drive points of the time-reflection comparisons.
@@ -196,9 +197,38 @@ TRACE_DRIVES = ((1.0, 0.1), (0.0, 0.1), (0.5, 0.2341))
 #: Bound on |sum_j exp(i m phi_j) - Tr T_m**L| over 2**L: at most 6.7e-15 measured over these
 #: drives, m = 1..8 and L = 11-16, 20 and 22.  Perfect kicks (eps = 0) reach 2.8e-14.
 LEVEL_TRACE_TOL = 5e-14
+#: (JT/pi, eps/pi) of the level comparison with the momentum blocks.
+LEVEL_DRIVES = tuple(itertools.product((0.0, 0.5, 0.9, 1.0, 1.3, 2.0),
+                                       (0.0, 0.1, -0.2, 0.2341, 0.3)))
 
 
 class TestFreeFermionLevels:
+    @staticmethod
+    def _blocks(params):
+        """The spectra of the dense propagator's momentum blocks (``conftest.momentum_blocks``),
+        merged and aligned, from eigvals."""
+        U = build_dense_propagator(params).matrix
+        energies = np.concatenate([quasi_energies(block).energies
+                                   for block in momentum_blocks(U, params.L)])
+        aligned = fold_to_branch(energies - 0.25 * params.jt * params.L)
+        return QuasiEnergySpectrum(params.L, np.sort(aligned))
+
+    @pytest.mark.parametrize("L", (11, 12))
+    @pytest.mark.parametrize("jt_over_pi", sorted({jt for jt, _ in LEVEL_DRIVES}))
+    def test_levels_match_the_blocks_past_the_dense_oracle(self, L, jt_over_pi):
+        for eps_over_pi in (eps for jt, eps in LEVEL_DRIVES if jt == jt_over_pi):
+            params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
+            levels, blocks = propagator_spectrum(params), self._blocks(params)
+            assert _circular_mismatch(levels.energies, blocks.energies) <= 1e-12
+            assert count_exact_pi_pairs(levels) == count_exact_pi_pairs(blocks)
+            ours, theirs = gap_statistics(levels), gap_statistics(blocks)
+            assert abs(ours.delta0_mean - theirs.delta0_mean) <= 1e-12
+            assert abs(ours.delta_pi_mean - theirs.delta_pi_mean) <= 1e-12
+            if theirs.ratio > 1e-3:
+                assert ours.ratio == pytest.approx(theirs.ratio, rel=1e-12, abs=0)
+            else:
+                assert abs(ours.ratio - theirs.ratio) <= 1e-11
+
     @pytest.mark.parametrize("L", (*range(11, 17), 20))
     def test_level_traces_match_the_transfer_matrix(self, L):
         """``sum_j exp(i m phi_j) = Tr U**m = Tr T_m**L`` (``conftest.transfer_trace``) for
@@ -235,6 +265,20 @@ class TestTransferMatrix:
                     assert abs(np.trace(power) - traced) <= 1e-13 * 2**L
                 amplitude = transfer_return_amplitude(L, params.jt, params.epsilon, m)
                 assert abs(power[-1, -1] - amplitude) <= 1e-13  # all up: the last index
+
+
+class TestMomentumBlockOracle:
+    """``conftest.momentum_blocks`` against the whole dense spectrum."""
+
+    @pytest.mark.parametrize("L", range(2, 9))
+    def test_blocks_partition_the_dense_spectrum(self, L):
+        for jt_over_pi, eps_over_pi in ((1.0, 0.1), (0.5, 0.2341), (1.3, -0.3)):
+            params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
+            U = oracle_propagator(L, params.jt, params.epsilon)
+            blocks = momentum_blocks(U, L)
+            assert sum(block.shape[0] for block in blocks) == 2**L
+            merged = np.sort(np.concatenate([quasi_energies(b).energies for b in blocks]))
+            assert _circular_mismatch(merged, quasi_energies(U).energies) <= 1e-12
 
 
 class TestReflectionOperator:
