@@ -46,10 +46,10 @@ more) is split over threads when OpenBLAS runs more than one.  The loop then
 owns the BLAS thread count: it holds OpenBLAS at one thread for as long as
 it runs, and runs every product and the phase multiply as slices, one on
 the calling thread and the rest on a pool, one slice per BLAS thread (one
-half-table per slice at two).  ``evolve_stroboscopic`` runs |amp|**2 and
-the top halvings of its sz tree on the same threads.  Slices sum in the
-same order as the whole, and the overlap is a numpy sum on one thread, so
-the results do not depend on the thread count.  The count comes from
+half-table per slice at two).  ``evolve_stroboscopic`` runs |amp|**2 on
+the same threads; its sz tree and the overlap are numpy sums on the calling
+thread.  Slices sum in the same order as the whole, so the results do not
+depend on the thread count.  The count comes from
 ``OPENBLAS_NUM_THREADS`` or from ``blas.set_threads`` (sweep pool workers
 run one thread, so they never split).
 """
@@ -64,8 +64,8 @@ from typing import Optional
 import numpy as np
 
 from . import blas
-from .observables import _halve, _sz_profile
-from .states import (FloquetParams, StateVector, _domain_walls, _norm, _popcount, _require_bytes,
+from .observables import _sz_profile
+from .states import (FloquetParams, StateVector, _domain_walls, _norm, _require_bytes,
                      _require_matrix)
 # perfbench/tracer.py wraps engine.bond_sum_table; its install fails without the name.
 from .states import bond_sum_table  # noqa: F401
@@ -144,8 +144,14 @@ _FRAME_SITES = 12
 
 @lru_cache(maxsize=None)
 def _frame_table(sites: int, inverse: bool) -> np.ndarray:
-    """The unit phases ``i**popcount(b)`` of ``sites`` sites (conjugated for S^-1), read-only."""
-    table = _UNITS[_popcount(np.arange(1 << sites)) & np.uint64(3)]
+    """The unit phases ``i**popcount(b)`` of ``sites`` sites (conjugated for S^-1), read-only.
+
+    The set bits are counted in uint8 by doubling over the sites: setting bit m adds one.
+    """
+    counts = np.zeros(1 << sites, dtype=np.uint8)
+    for m in range(sites):
+        counts[1 << m:2 << m] = counts[:1 << m] + 1
+    table = _UNITS[counts & 3]
     if inverse:
         table = table.conj()
     table.setflags(write=False)
@@ -340,21 +346,6 @@ def _weights(amps: np.ndarray, out: np.ndarray) -> None:
     np.square(out, out=out)
 
 
-def _split_halving(run):
-    """A halving of the sz tree that runs on the halves of both halves as two calls of ``run``
-    while they hold at least ``_SPLIT_AMPS / 4`` entries.
-
-    numpy sums a power-of-two length pairwise, so the sum of its halves' sums is its sum, bit
-    for bit.
-    """
-    def halve(lower, upper):
-        if 2 * lower.size < _SPLIT_AMPS:
-            return _halve(lower, upper)
-        first, second = run(_halve, list(zip(_cuts(lower, 2), _cuts(upper, 2))))
-        return first + second
-    return halve
-
-
 def _stacked_period(states: np.ndarray, L: int, theta: float,
                     jt: Optional[float] = None) -> np.ndarray:
     """One period on every row of the C-contiguous stack ``states`` (..., 2**L) of spin-basis states.
@@ -486,14 +477,13 @@ def evolve_stroboscopic(initial: StateVector, params: FloquetParams,
     sz_out = np.empty((n_periods, L))
     with _threads(stack.size) as threads:
         count, run = threads
-        halve = _split_halving(run) if count > 1 else _halve
         loop = _periods(stack, L, params.theta, params.jt, threads, spare)
         for j, amps in zip(range(n_periods), loop):
             idle = spare if amps is stack else stack
             p_out[j] = abs(_overlap(start, amps, idle)) ** 2
             weights = idle.view(np.float64)[:amps.size]
             run(_weights, list(zip(_cuts(amps, count), _cuts(weights, count))))
-            sz_out[j] = _sz_profile(weights, L, halve)
+            sz_out[j] = _sz_profile(weights, L)
 
     drift = abs(_norm(amps, idle.view(np.float64)) - 1.0)
     return StroboscopicSeries(

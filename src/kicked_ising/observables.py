@@ -66,26 +66,20 @@ def return_probability(current: StateVector, initial: StateVector) -> float:
     return float(abs(np.vdot(initial.amplitudes, current.amplitudes)) ** 2)
 
 
-def _halve(lower: np.ndarray, upper: np.ndarray) -> float:
-    """Add ``upper`` into ``lower``; return the sum of ``upper``."""
-    total = upper.sum()
-    np.add(lower, upper, out=lower)
-    return total
-
-
-def _sz_profile(weights: np.ndarray, L: int, halve=_halve) -> np.ndarray:
+def _sz_profile(weights: np.ndarray, L: int) -> np.ndarray:
     """sigma^z on every site from the basis weights |amp|^2, in one pass; overwrites ``weights``.
 
     A marginal tree: the upper half of the weights is the up weight of the
     highest site left, and the two halves added are the weights of the sites
-    below it.  Halving down to one entry leaves the total.  Each halving is
-    ``halve(lower, upper)``, which may run it in slices.
+    below it.  Halving down to one entry leaves the total.
     """
     up = np.empty(L)
     size = weights.size
     for site in reversed(range(L)):
         size //= 2
-        up[site] = halve(weights[:size], weights[size:2 * size])
+        lower, upper = weights[:size], weights[size:2 * size]
+        up[site] = upper.sum()
+        lower += upper
     return 2.0 * up - weights[0]
 
 

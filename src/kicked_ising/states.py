@@ -49,23 +49,6 @@ def _norm(amps: np.ndarray, scratch: np.ndarray | None = None) -> float:
     return math.sqrt(sum(map(block, range(0, x.size, 65536))))
 
 
-#: Set bits of every byte value.
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each entry of a non-negative integer array, as a new uint64 array.
-
-    Each byte is counted by a 256-entry uint8 table; one multiply by 0x0101...01 adds
-    the eight byte counts (at most 64) into the top byte of each word.
-    """
-    counts = _BYTE_POPCOUNT[np.ascontiguousarray(words, dtype=np.uint64).view(np.uint8)]
-    counts = counts.view(np.uint64)
-    counts *= np.uint64(0x0101010101010101)
-    counts >>= np.uint64(56)
-    return counts
-
-
 def _require_sites(L: int) -> None:
     if not isinstance(L, (int, np.integer)):
         raise TypeError(f"site count must be an integer, got {L!r}")

@@ -129,6 +129,8 @@ class SweepConfig:
             problems.append(f"threshold must lie strictly between 0 and 1, got {self.threshold}")
         if not self.out:
             problems.append("no output path given (--out)")
+        if self.dump_spectra and self.mode != "spectrum":
+            problems.append(f"dump_spectra: only spectrum dumps spectra, not {self.mode}")
         if self.mode == "phase-diagram":
             if len(set(self.lengths)) > 1:
                 problems.append("phase-diagram runs at a single chain length")

@@ -41,6 +41,14 @@ def test_config_error_returns_two(tmp_path, capsys):
     )
     assert code == 2
     assert "invalid configuration" in capsys.readouterr().err
+    # only spectrum takes the switch: a config file giving it to another mode is refused
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"dump-spectra": True}))
+    code = main(["evolve", "-L", "3", "--jt-over-pi", "0.9", "--epsilon-over-pi", "0.1",
+                 "--config", str(config_file), "--out", str(tmp_path / "e.csv")])
+    assert code == 2
+    assert "dump_spectra: only spectrum dumps spectra, not evolve" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config_file]
 
 
 def test_capacity_error_returns_three(tmp_path, capsys):
@@ -263,13 +271,20 @@ def test_cli_import_leaves_scipy_linalg_out():
     assert completed.returncode == 0, completed.stderr
 
 
-def test_cli_import_leaves_scipy_and_multiprocessing_out():
-    """A launch imports neither scipy (only a BLAS thread count needs it) nor the process
-    pool (only ``--jobs`` > 1 runs one)."""
+#: One period of an 18-site evolve: ``_threads`` then reads the BLAS thread count.
+_EVOLVE_18 = ("from kicked_ising import FloquetParams, evolve_stroboscopic, polarized_state; "
+              "evolve_stroboscopic(polarized_state(18), FloquetParams(18, 0.9, 0.1), 1); ")
+
+
+@pytest.mark.parametrize("script", ["", _EVOLVE_18], ids=["launch", "evolve-18"])
+def test_cli_import_leaves_scipy_and_multiprocessing_out(script):
+    """Neither a launch nor an evolve split over two BLAS threads imports scipy (only the Schur
+    of kept eigenvectors needs it) or the process pool (only ``--jobs`` > 1 runs one)."""
     completed = subprocess.run(
-        [sys.executable, "-c", "import sys, kicked_ising.cli; "
+        [sys.executable, "-c", "import sys, kicked_ising.cli; " + script +
                                "print(sorted({'scipy', 'multiprocessing'} & set(sys.modules)))"],
-        capture_output=True, text=True, timeout=120, env=_child_env(),
+        capture_output=True, text=True, timeout=120,
+        env={**_child_env(), "OPENBLAS_NUM_THREADS": "2"},
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "[]"

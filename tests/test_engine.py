@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,7 +382,14 @@ def test_dense_propagator_capacity(monkeypatch):
 
 
 def _blas_counts() -> list[int]:
-    return [get() for get, _ in blas._thread_functions()]
+    return [blas.threads()] if blas._thread_functions() else []
+
+
+def test_numpy_openblas_is_found():
+    """``blas`` holds a library exactly when the numpy wheel bundles an OpenBLAS, whatever
+    the names of its build's thread-count functions."""
+    bundled = any((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*"))
+    assert (blas._thread_functions() is not None) == bundled
 
 
 #: The smallest chain whose state is split over threads.

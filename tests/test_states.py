@@ -21,7 +21,6 @@ from kicked_ising import (
 )
 
 from kicked_ising import blas
-from kicked_ising.states import _popcount
 
 from conftest import random_state
 
@@ -174,11 +173,6 @@ class TestBondSum:
     def test_two_site_chain_counts_the_bond_twice(self):
         assert bond_sum(0b00, 2) == 2
         assert bond_sum(0b01, 2) == -2
-
-    def test_popcount_of_whole_words(self, rng):
-        words = np.concatenate((rng.integers(0, 2**63, 1000, dtype=np.uint64) * np.uint64(2) + 1,
-                                np.array([0, 2**64 - 1, 2**63], dtype=np.uint64)))
-        assert _popcount(words).tolist() == [bin(int(w)).count("1") for w in words]
 
     def test_table_matches_scalar(self):
         for L in (2, 3, 5, 8):

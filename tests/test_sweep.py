@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from kicked_ising import (
     CapacityError,
@@ -435,24 +434,22 @@ def test_jobs_do_not_change_the_sector_bytes(tmp_path):
 
 
 def _blas_threads(_task=None) -> list[int]:
-    """OpenBLAS thread counts of this process, one per numpy/scipy wheel library."""
+    """OpenBLAS thread counts of this process, one per library in the numpy wheel."""
     counts = []
-    for package in (np, scipy):
-        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
-        for path in libs.glob("*openblas*"):
-            library = ctypes.CDLL(str(path))
-            for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                         "openblas_get_num_threads"):
-                if hasattr(library, name):
-                    counts.append(getattr(library, name)())
-                    break
+    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*"):
+        library = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(library, name):
+                counts.append(getattr(library, name)())
+                break
     return counts
 
 
 def test_pool_workers_run_one_blas_thread():
     parent = _blas_threads()
     if not parent:
-        pytest.skip("no OpenBLAS in the numpy or scipy wheel directories")
+        pytest.skip("no OpenBLAS in the numpy wheel directory")
     assert sweep._run_points(_blas_threads, [0, 1], 2) == [[1] * len(parent)] * 2
     assert _blas_threads() == parent
     with blas.one_thread():
