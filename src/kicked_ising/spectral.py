@@ -22,8 +22,9 @@ Free-fermion levels
 The drive is quadratic in Jordan-Wigner fermions, so ``propagator_spectrum``
 takes every level from ``sectors.free_fermion_levels`` as a sum of mode
 phases, with no matrix and no eigensolver.  ``quasi_energies`` of the full
-matrix of ``engine.build_dense_propagator`` is the dense oracle, and kept
-eigenvectors are its Schur vectors.
+matrix of ``engine.build_dense_propagator`` is the dense oracle, and
+``propagator_spectrum`` keeps eigenvectors from that matrix's Schur
+decomposition.
 """
 
 from __future__ import annotations
@@ -92,38 +93,19 @@ class PairCounts:
     n_pi: int
 
 
-def quasi_energies(U: np.ndarray, keep_vectors: bool = False) -> QuasiEnergySpectrum:
-    """Diagonalize a unitary matrix and return quasi-energies e = -arg(lambda), sorted.
+def quasi_energies(U: np.ndarray) -> QuasiEnergySpectrum:
+    """Eigenvalues of a unitary matrix as quasi-energies e = -arg(lambda), sorted.
 
-    With ``keep_vectors`` the (complex) Schur decomposition is used, so the
-    returned eigenvector columns are orthonormal even inside degenerate
-    clusters — exactly what pair-manifold projections need.
+    The dense oracle of the levels: ``eigvals``, with no eigenvectors.
     """
     m = np.asarray(U, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    dim = m.shape[0]
     _require_unitary(m, "matrix")
-
-    if keep_vectors:
-        # Imported here only: no sweep mode needs it, and it more than doubles the CLI's import time.
-        import scipy.linalg
-
-        triangular, vectors = scipy.linalg.schur(m, output="complex")
-        eigenvalues = np.diag(triangular)
-    else:
-        vectors = None
-        eigenvalues = np.linalg.eigvals(m)
-
-    energies = fold_to_branch(-np.angle(eigenvalues))
-    order = np.argsort(energies, kind="stable")
-    energies = np.ascontiguousarray(energies[order])
+    energies = fold_to_branch(-np.angle(np.linalg.eigvals(m)))
+    energies.sort(kind="stable")
     energies.setflags(write=False)
-    if vectors is not None:
-        vectors = np.ascontiguousarray(vectors[:, order])
-        vectors.setflags(write=False)
-    L = dim.bit_length() - 1
-    return QuasiEnergySpectrum(L=L, energies=energies, eigenvectors=vectors)
+    return QuasiEnergySpectrum(L=m.shape[0].bit_length() - 1, energies=energies)
 
 
 def propagator_spectrum(params: FloquetParams, keep_vectors: bool = False) -> QuasiEnergySpectrum:
@@ -132,25 +114,31 @@ def propagator_spectrum(params: FloquetParams, keep_vectors: bool = False) -> Qu
     Quasi-energies are measured relative to the Ising phase of the fully
     aligned configuration, i.e. of ``exp(+i JT L / 4) U``; see the module
     docstring.  The levels are the free-fermion eigenphases of
-    ``sectors.free_fermion_levels``.  With ``keep_vectors`` they are the
-    Schur spectrum of the dense propagator instead, and column j of the
-    eigenvectors is the Schur vector of level j; the builder checks the
+    ``sectors.free_fermion_levels``.  With ``keep_vectors`` they come from
+    the complex Schur decomposition of the dense propagator instead, so the
+    eigenvector columns are orthonormal even inside degenerate clusters, and
+    column j is the Schur vector of level j; the builder checks the
     ``2**L x 2**L`` matrix against the array budget before it allocates.
     """
-    eigenvectors = None
-    if keep_vectors:
-        dense = quasi_energies(build_dense_propagator(params).matrix, keep_vectors=True)
-        energies, eigenvectors = dense.energies, dense.eigenvectors
-    else:
-        energies = -free_fermion_levels(params)
-    energies = fold_to_branch(energies - 0.25 * params.jt * params.L)
-    order = np.argsort(energies, kind="stable")
-    energies = energies[order]
+    shift = 0.25 * params.jt * params.L
+    if not keep_vectors:
+        energies = fold_to_branch(-free_fermion_levels(params) - shift)
+        energies.sort(kind="stable")
+        energies.setflags(write=False)
+        return QuasiEnergySpectrum(L=params.L, energies=energies)
+    U = build_dense_propagator(params).matrix
+    _require_unitary(U, "matrix")
+    # Imported here only: no sweep mode needs it, and it more than doubles the CLI's import time.
+    import scipy.linalg
+
+    triangular, vectors = scipy.linalg.schur(U, output="complex")
+    raw = fold_to_branch(-np.angle(np.diag(triangular)))
+    aligned = fold_to_branch(raw - shift)
+    order = np.lexsort((raw, aligned))  # by aligned level, ties by raw level, then by index
+    energies, vectors = aligned[order], vectors[:, order]
     energies.setflags(write=False)
-    if keep_vectors:
-        eigenvectors = eigenvectors[:, order]
-        eigenvectors.setflags(write=False)
-    return QuasiEnergySpectrum(L=params.L, energies=energies, eigenvectors=eigenvectors)
+    vectors.setflags(write=False)
+    return QuasiEnergySpectrum(L=params.L, energies=energies, eigenvectors=vectors)
 
 
 def gap_statistics(spec: QuasiEnergySpectrum) -> GapStatistics:

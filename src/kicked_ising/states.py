@@ -109,6 +109,9 @@ class FloquetParams:
 
     def __post_init__(self) -> None:
         _require_sites(self.L)
+        if not (math.isfinite(self.jt) and math.isfinite(self.epsilon)):
+            raise ValueError("drive parameters must be finite, "
+                             f"got jt={self.jt}, epsilon={self.epsilon}")
 
     @property
     def theta(self) -> float:

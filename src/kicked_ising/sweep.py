@@ -115,7 +115,7 @@ class SweepConfig:
             problems.append("no interaction phase given (--jt-over-pi)")
         if not self.epsilon_over_pi:
             problems.append("no kick imperfection given (--epsilon-over-pi)")
-        non_finite = [x for x in self.jt_over_pi + self.epsilon_over_pi if not np.isfinite(x)]
+        non_finite = [x for x in self.jt_over_pi + self.epsilon_over_pi if not np.isfinite(np.pi * x)]
         if non_finite:
             problems.append(f"drive parameters must be finite, got {non_finite}")
         for key, value in (("periods", self.n_periods), ("window", self.window),

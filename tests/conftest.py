@@ -4,8 +4,9 @@ The dense oracle builds the one-period propagator from explicit Pauli
 Kronecker products and ``scipy.linalg.expm`` — no phase tables, no bit
 tricks — so the structured engine and the oracle share no code paths beyond
 numpy itself.  Beside it, ``reflection_operator`` is the dense matrix of the
-time-reflection check's spin flip, and ``momentum_blocks`` cuts a dense
-translation-invariant matrix into its translation-momentum blocks.
+time-reflection check's spin flip, and ``momentum_blocks`` cuts a matrix
+that commutes with translation and the global spin flip into the blocks of
+both, from the columns of the orbit representatives alone.
 
 The transfer-matrix oracle reaches any L.  Swapping the roles of space and
 time, a trace of the kicked ring factorizes along the ring into one small
@@ -115,35 +116,48 @@ def transfer_return_amplitude(L: int, jt: float, epsilon: float, n: int) -> comp
     return complex(np.trace(np.linalg.matrix_power(T, L)))
 
 
-def momentum_blocks(U: np.ndarray, L: int) -> list[np.ndarray]:
-    """The translation-momentum blocks of a translation-invariant ``2**L x 2**L`` matrix.
-
-    T rotates the bits of a basis state by one.  An orbit with smallest member
-    r and n_r members spans ``|r, q> = n_r**-1/2 sum_j exp(-2 pi i q j / L) T**j |r>``
-    where ``q n_r / L`` is whole, and
-    ``<r', q|U|r, q> = sqrt(n_r / n_r') sum_(s = T**j r') exp(2 pi i q j / L) U[s, r]``.
-    The blocks of q = 0 .. L-1 together have 2**L rows.
-    """
+def _images(L: int) -> np.ndarray:
+    """``images[f, j, s] = T**j F**f s``: T rotates the bits of a basis state by one, and the
+    global spin flip F (the product of every sigma^x) inverts them all."""
     dim = 1 << L
-    states = np.arange(dim)
-    rotations = [states]
-    for _ in range(L):
+    rotations = [np.arange(dim)]
+    for _ in range(L - 1):
         s = rotations[-1]
         rotations.append(((s << 1) | (s >> (L - 1))) & (dim - 1))
-    rotations = np.stack(rotations)  # rotations[j, s] = T**j s; row L is s again
-    nearest = np.argmin(rotations[:L], axis=0)
-    shift = (L - nearest) % L  # s = T**shift rep(s)
-    size = np.argmax(rotations[1:] == states, axis=0) + 1
-    reps = np.flatnonzero(nearest == 0)
-    by_orbit = np.argsort(rotations[nearest, states], kind="stable")  # orbits in order of reps
-    starts = np.concatenate([[0], np.cumsum(size[reps])[:-1]])
+    rotations = np.stack(rotations)
+    return np.stack([rotations, rotations ^ (dim - 1)])
+
+
+def orbit_representatives(L: int) -> np.ndarray:
+    """The smallest member of every orbit of the basis states under T and F, ascending."""
+    return np.flatnonzero(_images(L).min(axis=(0, 1)) == np.arange(1 << L))
+
+
+def momentum_blocks(columns: np.ndarray, L: int) -> list[np.ndarray]:
+    """The translation-momentum blocks of a ``2**L x 2**L`` matrix U that commutes with T and
+    F, each split by F, from ``columns = U[:, orbit_representatives(L)]`` alone.
+
+    T and F generate a group G of 2 L elements ``g = T**j F**f`` with the characters
+    ``chi(g) = exp(2 pi i q j / L) sigma**f``, q = 0 .. L-1 and sigma = +1, -1 (index 0, 1).
+    An orbit with smallest member r and n_r members spans one state of character chi if chi
+    is 1 on the stabilizer of r, and
+    ``<r', chi|U|r, chi> = sqrt(n_r n_r') / (2 L) sum_g chi(g) U[g r', r]``.
+    The nonempty blocks of the 2 L characters together have 2**L rows.
+    """
+    images = _images(L)
+    reps = orbit_representatives(L)
+    waves = np.exp(2j * np.pi * np.outer(np.arange(L), np.arange(L)) / L)
+    chi = waves[:, None, None, :] * np.array([[1, 1], [1, -1]])[None, :, :, None]  # [q, sigma, f, j]
+    fixed = images[:, :, reps] == reps  # fixed[f, j, r]: g leaves r where it is
+    on_stabilizer = np.abs(np.tensordot(chi, fixed, axes=2)) > 0.5  # [q, sigma, r]
+    size = 2 * L / fixed.sum(axis=(0, 1))
+    summed = np.tensordot(chi, columns[images[:, :, reps], :], axes=2)  # [q, sigma, r', r]
+    summed *= np.sqrt(np.outer(size, size)) / (2 * L)
     blocks = []
-    for q in range(L):
-        rows = (q * size[reps]) % L == 0
-        kept = reps[rows]
-        phased = np.exp(2j * np.pi * q * shift[by_orbit] / L)[:, None] * U[np.ix_(by_orbit, kept)]
-        summed = np.add.reduceat(phased, starts, axis=0)
-        blocks.append(summed[rows] * np.sqrt(size[kept][None, :] / size[kept][:, None]))
+    for q, sigma in np.ndindex(L, 2):
+        kept = on_stabilizer[q, sigma]
+        if kept.any():
+            blocks.append(summed[q, sigma][np.ix_(kept, kept)])
     return blocks
 
 

@@ -262,7 +262,8 @@ def test_module_invocation(tmp_path):
 
 
 def test_cli_import_leaves_scipy_linalg_out():
-    """Only the Schur of ``quasi_energies(keep_vectors=True)`` imports scipy.linalg; no mode runs it."""
+    """Only the Schur of ``propagator_spectrum(keep_vectors=True)`` imports scipy.linalg;
+    no mode runs it."""
     completed = subprocess.run(
         [sys.executable, "-c", "import sys, kicked_ising.cli; "
                                "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'"],

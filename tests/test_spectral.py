@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kicked_ising import (
     EXACT_PAIR_TOL,
@@ -30,8 +31,8 @@ from kicked_ising import (
 from kicked_ising import engine, sectors, states
 from kicked_ising.engine import _kick_factor
 
-from conftest import (momentum_blocks, oracle_propagator, random_state, reflection_operator,
-                      transfer_return_amplitude, transfer_trace)
+from conftest import (momentum_blocks, oracle_propagator, orbit_representatives, random_state,
+                      reflection_operator, transfer_return_amplitude, transfer_trace)
 
 #: (JT/pi, epsilon/pi) drive points of the time-reflection comparisons.
 DRIVES = ((1.0, 0.1), (0.5, 0.1), (1.0, 0.0), (0.2, 0.35), (0.0, 0.0), (1.3, 0.2341))
@@ -74,19 +75,36 @@ class TestQuasiEnergies:
     def test_eigvals_and_schur_paths_agree(self):
         params = FloquetParams.from_dimensionless(5, 0.83, 0.12)
         U = build_dense_propagator(params).matrix
-        fast = quasi_energies(U)
-        full = quasi_energies(U, keep_vectors=True)
+        fast = quasi_energies(np.exp(0.25j * params.jt * params.L) * U)
+        full = propagator_spectrum(params, keep_vectors=True)
         assert fast.eigenvectors is None
         assert np.max(np.abs(fast.energies - full.energies)) < 1e-10
 
     def test_reconstruction_from_schur_vectors(self):
         params = FloquetParams.from_dimensionless(5, 0.83, 0.12)
         U = build_dense_propagator(params).matrix
-        spec = quasi_energies(U, keep_vectors=True)
+        spec = propagator_spectrum(params, keep_vectors=True)
         V = spec.eigenvectors
         assert np.max(np.abs(V.conj().T @ V - np.eye(spec.dim))) < 1e-12
         rebuilt = V @ np.diag(np.exp(-1j * spec.energies)) @ V.conj().T
-        assert np.max(np.abs(rebuilt - U)) < 1e-9
+        assert np.max(np.abs(np.exp(-0.25j * params.jt * params.L) * rebuilt - U)) < 1e-9
+
+    @pytest.mark.parametrize("L", range(2, 9))
+    def test_kept_schur_vectors_are_sorted_by_one_permutation(self, L):
+        """Kept levels and vectors are the dense propagator's Schur, sorted by raw level,
+        aligned, and sorted again, both sorts stable: ties in the aligned level fall to the
+        raw level, then to the Schur order.  The drives have degenerate clusters."""
+        for jt_over_pi, eps_over_pi in ((1.0, 0.0), (1.0, 0.1), (0.0, 0.0)):
+            params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
+            U = build_dense_propagator(params).matrix
+            triangular, vectors = scipy.linalg.schur(U, output="complex")
+            raw = fold_to_branch(-np.angle(np.diag(triangular)))
+            first = np.argsort(raw, kind="stable")
+            aligned = fold_to_branch(raw[first] - 0.25 * params.jt * L)
+            second = np.argsort(aligned, kind="stable")
+            spec = propagator_spectrum(params, keep_vectors=True)
+            assert np.array_equal(spec.energies, aligned[second])
+            assert np.array_equal(spec.eigenvectors, vectors[:, first][:, second])
 
 
 class TestGapStatistics:
@@ -205,11 +223,16 @@ LEVEL_DRIVES = tuple(itertools.product((0.0, 0.5, 0.9, 1.0, 1.3, 2.0),
 class TestFreeFermionLevels:
     @staticmethod
     def _blocks(params):
-        """The spectra of the dense propagator's momentum blocks (``conftest.momentum_blocks``),
-        merged and aligned, from eigvals."""
-        U = build_dense_propagator(params).matrix
+        """The spectra of the propagator's momentum blocks, split by the spin flip
+        (``conftest.momentum_blocks``), merged and aligned, from eigvals.  Only the columns of
+        the orbit representatives are stepped, as the dense builder steps all of them."""
+        L = params.L
+        reps = orbit_representatives(L)
+        basis = np.zeros((reps.size, 1 << L), dtype=complex)
+        basis[np.arange(reps.size), reps] = 1.0
+        columns = engine._stacked_period(basis, L, params.theta, params.jt).T
         energies = np.concatenate([quasi_energies(block).energies
-                                   for block in momentum_blocks(U, params.L)])
+                                   for block in momentum_blocks(columns, L)])
         aligned = fold_to_branch(energies - 0.25 * params.jt * params.L)
         return QuasiEnergySpectrum(params.L, np.sort(aligned))
 
@@ -275,7 +298,7 @@ class TestMomentumBlockOracle:
         for jt_over_pi, eps_over_pi in ((1.0, 0.1), (0.5, 0.2341), (1.3, -0.3)):
             params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
             U = oracle_propagator(L, params.jt, params.epsilon)
-            blocks = momentum_blocks(U, L)
+            blocks = momentum_blocks(U[:, orbit_representatives(L)], L)
             assert sum(block.shape[0] for block in blocks) == 2**L
             merged = np.sort(np.concatenate([quasi_energies(b).energies for b in blocks]))
             assert _circular_mismatch(merged, quasi_energies(U).energies) <= 1e-12

@@ -46,6 +46,13 @@ class TestFloquetParams:
         with pytest.raises(TypeError):
             FloquetParams(L=4, jt=1.0, epsilon=0.0, boundary="open")
 
+    def test_drive_must_be_finite(self):
+        for jt, epsilon in ((math.inf, 0.1), (0.9, math.nan), (-math.inf, 0.0)):
+            with pytest.raises(ValueError, match="drive parameters must be finite"):
+                FloquetParams(L=4, jt=jt, epsilon=epsilon)
+        with pytest.raises(ValueError, match="drive parameters must be finite"):
+            FloquetParams.from_dimensionless(4, 1e308, 0.1)  # finite in units of pi, not in radians
+
     def test_capacity_error_is_a_value_error(self):
         assert issubclass(CapacityError, ValueError)
 

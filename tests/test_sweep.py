@@ -225,7 +225,7 @@ class TestParseConfig:
 
 
 class TestSweepConfigValidation:
-    @pytest.mark.parametrize("value", ["nan", "inf", "0:inf:3"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0:inf:3", "1e308"])
     def test_non_finite_drive_parameters_exit_two(self, tmp_path, value):
         for flag in ("--jt-over-pi", "--epsilon-over-pi"):
             argv = ["evolve", "-L", "4", "--jt-over-pi", "0.9", "--epsilon-over-pi", "0.1",
