@@ -14,6 +14,8 @@ stack is cut into, and then runs the slices on threads of its own with
 OpenBLAS held at one thread (``one_thread``) for as long as the loop runs,
 including while an ``iter_return_probability`` generator is suspended
 between periods; the count is restored when the loop ends or is closed.
+The sweep's process pool forks its workers inside ``one_thread`` too, so
+each worker starts at one thread.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def threads() -> int:
 
 
 def set_threads(count: int) -> None:
-    """Set numpy's OpenBLAS, if any, to ``count`` threads (pool initializer)."""
+    """Set numpy's OpenBLAS, if any, to ``count`` threads."""
     functions = _thread_functions()
     if functions:
         functions[1](count)

@@ -17,46 +17,54 @@ real and imaginary parts ride along as columns; that halves the
 multiply-adds of a complex product for every factor but the lowest, which
 is one product with ``kron(F^T, I_2)``.  That one has twice the
 multiply-adds of the others, which is why the factors stop at four sites.
-``_kick_products`` is the only code that knows the factors and their order.
-A stack of states is just more leading rows, so one product per factor
-serves any number of them.
+``_split_factors`` and ``_period_passes`` are the only code that knows the
+factors and their order.  A stack of states is just more leading rows, so
+one product per factor serves any number of them.
 
-There is one period loop, ``_periods``, on a stack of frame states.  It
-alternates between the stack and one spare buffer (``np.matmul(..., out=)``)
-and multiplies the phase in place, so a period allocates nothing, and the
-stack it yields is overwritten by the next period; until then the other
-buffer is idle.  ``evolve_stroboscopic`` and ``iter_return_probability``
-move the start state into the frame once, and hold two states and half a
-table while they run.  The frame start becomes the loop's stack, and the
-overlap keeps only the start's non-zero amplitudes: one for the polarized
-start, whose overlap is then one exact product, and a copy of them all for
-a dense start.  The overlap's products, |amp|**2, the sz tree and the final
-norm go into the idle buffer.  The phase table holds the lower half of the
-basis: a global spin flip keeps every bond sum, so the upper half of a
-state takes the same table reversed.
+There is one period loop, ``_periods``, on a stack of frame states, which
+it steps in place in two cache-blocked passes (Haner and Steiger, "0.5
+Petabyte Simulation of a 45-Qubit Quantum Circuit", SC17, arXiv:1704.01127).
+Pass 1 runs each contiguous chunk of the stack through the factors of the
+low sites, at most 12 of them; pass 2 runs each block of the low index's
+columns, across all the high indices, through the factors of the high sites
+and multiplies it by its Ising phases.  Both go through two small scratch
+buffers per slice, so the loop holds the stack and a few 64ths of it, and
+the stack it yields is overwritten by the next period.  The phases are
+looked up by the uint8 wall counts of the lower half of the basis
+(``states._domain_walls``, ``2**(L-1)`` bytes for every JT at one L): a
+global spin flip keeps every bond sum, so the upper half takes the lower
+half's counts reversed.  ``evolve_stroboscopic`` and
+``iter_return_probability`` move the start state into the frame once, and
+the frame start becomes the loop's stack.  The overlap keeps only the
+start's non-zero amplitudes and a buffer for their products: one for the
+polarized start, whose overlap is then one exact product, and copies of
+them all for a dense start.  ``evolve_stroboscopic`` adds half a state of
+float weights for the sz tree, and squares the final state in place for its
+norm.
 ``_stacked_period`` is the loop's first period on spin-basis states, moved
 into the frame and back within the one call.  ``floquet_step``,
 ``apply_global_x_rotation`` (the kick alone) and ``build_dense_propagator``
 run it; the last steps the rows of the identity in batches, so the dense
 matrix's columns are ``floquet_step`` of the basis states, bit for bit.  So
-the frame, the factor layout and the phase table stay in this module.
+the frame, the factor layout and the phase lookup stay in this module.
 
 A stack of at least ``_SPLIT_AMPS`` amplitudes (a lone state of 18 sites or
 more) is split over threads when OpenBLAS runs more than one.  The loop then
 owns the BLAS thread count: it holds OpenBLAS at one thread for as long as
-it runs, and runs every product and the phase multiply as slices, one on
-the calling thread and the rest on a pool, one slice per BLAS thread (one
-half-table per slice at two).  ``evolve_stroboscopic`` runs |amp|**2 on
-the same threads; its sz tree and the overlap are numpy sums on the calling
-thread.  Slices sum in the same order as the whole, so the results do not
-depend on the thread count.  The count comes from
-``OPENBLAS_NUM_THREADS`` or from ``blas.set_threads`` (sweep pool workers
-run one thread, so they never split).
+it runs, and runs each pass as slices of its chunks or blocks, one on the
+calling thread and the rest on a pool, one slice per BLAS thread.
+``evolve_stroboscopic`` runs |amp|**2 on the same threads; its sz tree and
+the overlap are numpy sums on the calling thread.  Every chunk and block
+sums as the whole stack would, so the results do not depend on the thread
+count.  The count comes from ``OPENBLAS_NUM_THREADS`` or from
+``blas.set_threads`` (sweep pool workers are forked inside
+``blas.one_thread``, so they never split).
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -88,38 +96,26 @@ class StroboscopicSeries:
     norm_drift: float
 
 
-@lru_cache(maxsize=1)
-def _zz_phase_table(L: int, jt: float) -> np.ndarray:
-    """``exp(-i (JT/4) bond_sum)`` over the lower half of the basis (spin L-1 down), read-only.
+def _zz_phases(L: int, jt: float) -> np.ndarray:
+    """The L + 1 Ising phases ``exp(-i (JT/4) (L - 2 w))`` of the wall counts w = 0 .. L.
 
-    One table is cached, as every reuse repeats the last (L, JT).  A global
-    spin flip keeps every bond sum and maps index k to 2**L - 1 - k, so the
-    upper half's phases are this table reversed (``_phase_calls``).  A bond
-    sum is L minus twice the domain walls, so the L + 1 phases are computed
-    once each and looked up by the uint8 wall counts.
+    A bond sum is L minus twice the domain walls, so a basis state's phase is
+    this array at its wall count (``states._domain_walls``).
     """
-    table = np.exp(-0.25j * jt * (L - 2 * np.arange(L + 1)))[_domain_walls(L)]
-    table.setflags(write=False)
-    return table
+    return np.exp(-0.25j * jt * (L - 2 * np.arange(L + 1)))
 
 
-def _phase_calls(amps: np.ndarray, out: np.ndarray, table: np.ndarray,
-                 pieces: int = 1) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The ``np.multiply`` calls ``(a, phase, out)`` that put the Ising phase times every row
-    of the stack ``amps`` (..., 2**L) into ``out``, which may be ``amps``.
+def _phase_gathers(phases: np.ndarray, walls: np.ndarray, columns, out: np.ndarray) -> list:
+    """The ``np.take`` calls that put the phases of some columns of the basis into ``out``.
 
-    A row's lower half takes ``table`` (``_zz_phase_table``) and its upper
-    half the mirror view ``table[::-1]``; each half is cut into ``pieces``
-    calls.  The phases equal the whole table's, so the products are its
-    products bit for bit; the state stays the first operand, as numpy's
-    complex product may round otherwise with its operands swapped.
+    ``walls`` holds the wall counts of the lower half of the basis as rows of
+    the low index, and ``columns`` is the slice of it taken; ``out`` (2, rows,
+    columns) takes the lower half's phases, then the upper half's.  A global
+    spin flip keeps every bond and maps index k to 2**L - 1 - k, so the upper
+    half's walls are ``walls`` reversed in both axes.
     """
-    half = table.size
-    calls = []
-    for side, phases in enumerate((table, table[::-1])):
-        a, o = (x.reshape(-1, 2, half)[:, side] for x in (amps, out))
-        calls += zip(_cuts(a, pieces, -1), _cuts(phases, pieces), _cuts(o, pieces, -1))
-    return calls
+    sides = (walls[:, columns], walls[::-1, ::-1][:, columns])
+    return [(np.take, (phases, side, None, o, "clip")) for side, o in zip(sides, out)]
 
 
 #: Largest number of sites in one Kronecker factor of the kick.
@@ -236,11 +232,15 @@ def _threads(size: int):
         yield count, run
 
 
-#: Widest column block of a factor's product.  At 20 sites the top factor's product took
-#: 2.4-3.4 ms on one thread in blocks of 1024 columns against 4.5-4.8 ms whole.  The blocks
-#: are powers of two: OpenBLAS sums a product's edge columns in another order unless their
-#: count is a multiple of its kernel width (8 doubles for AVX-512 dgemm).
-_CHUNK = 1024
+#: Most sites of the factors that pass 1 applies to a chunk of the stack; a chunk holds
+#: whole multiples of their 2**12 amplitudes, and the whole chain of a dense propagator.
+_LOW_SITES = 12
+#: Chunks (pass 1) and column blocks (pass 2) a large stack is cut into.  A slice's two
+#: scratch buffers then hold a 64th of the stack each: at 20 sites chunks of 2**14
+#: amplitudes and blocks of 128 real columns.  A block's width is a power of two, at least
+#: 8: OpenBLAS sums a product's edge columns in another order unless their count is a
+#: multiple of its kernel width (8 doubles for AVX-512 dgemm).
+_PARTS = 64
 
 
 def _cuts(array: np.ndarray, count: int, axis: int = 0) -> list[np.ndarray]:
@@ -248,96 +248,157 @@ def _cuts(array: np.ndarray, count: int, axis: int = 0) -> list[np.ndarray]:
     return np.array_split(array, count, axis) if count > 1 else [array]
 
 
-def _kick_products(amps: np.ndarray, spare: np.ndarray, L: int, theta: float,
-                   count: int) -> list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """The products that apply ``r^{(x)L}`` to every row of the stack ``amps`` (..., 2**L).
+def _split_factors(L: int) -> tuple[list[int], list[int]]:
+    """The site counts of the kick's factors, lowest sites first, as (low, high).
 
-    One float64 matrix product per site factor, lowest sites first, over the
-    real views of the two buffers, whose last axis carries real and imaginary
-    parts (and the lower sites) along, and whose leading axis the higher
-    sites and the rows.  Above the lowest factor the columns come in blocks
-    of at most ``_CHUNK``, each its own matrix of a batch.  Each product is a
-    list of ``count`` calls ``(a, b, out)`` for ``np.matmul(a, b, out)``, one
-    per slice of the state: the rows of the lowest product's 2-D view, and
-    the leading axis of the others' batch, or the blocks when the leading
-    axis is shorter than ``count`` (a lone state's top factor).  A slice
-    holds whole rows or whole matrices, so it sums as the whole does.  The
-    products write alternately into ``spare`` and ``amps``: the result lands
-    in ``amps`` after an even number of factors, else in ``spare``.
+    The low factors are the longest run that fits in ``_LOW_SITES`` sites:
+    every factor of a chain of at most 12 sites.
     """
-    buffers = (amps.view(np.float64), spare.view(np.float64))
-    products = []
-    low = 0
-    for step, n in enumerate(reversed(_factor_sites(L))):
-        src, dst = buffers[step % 2], buffers[1 - step % 2]
-        if low == 0:
-            shape = (-1, 2 << n)
-            factor = _lowest_factor(n, theta)
-            slices = zip(_cuts(src.reshape(shape), count), _cuts(dst.reshape(shape), count))
-            products.append([(a, factor, out) for a, out in slices])
+    factors = _factor_sites(L)[::-1]
+    reach = list(itertools.accumulate(factors))
+    low = sum(1 for sites in reach if sites <= _LOW_SITES)
+    return list(factors[:low]), list(factors[low:])
+
+
+def _product(src: np.ndarray, dst: np.ndarray, n: int, columns: int, theta: float) -> tuple:
+    """The call ``(np.matmul, args)`` that applies ``r^{(x)n}`` to the real view ``src`` into ``dst``.
+
+    ``columns`` is the number of real columns that ride along with each row
+    of the factor: the real and imaginary parts and the sites below it.  The
+    lowest factor (``columns`` 2) is one product on the right with
+    ``kron(F^T, I_2)``; any other is a batch of products on the left, one
+    matrix of ``columns`` columns per value of the sites above it.
+    """
+    if columns == 2:
+        shape = (-1, 2 << n)
+        return np.matmul, (src.reshape(shape), _lowest_factor(n, theta), dst.reshape(shape))
+    shape = (-1, 1 << n, columns)
+    return np.matmul, (_kick_factor(n, theta), src.reshape(shape), dst.reshape(shape))
+
+
+def _period_passes(amps: np.ndarray, L: int, theta: float, jt: Optional[float],
+                   count: int) -> list[list[list[tuple]]]:
+    """The calls of one period on the stack ``amps`` (..., 2**L), in place: a list of passes,
+    each a list of up to ``count`` slices, each a list of ``(fn, args)`` to call in turn.
+
+    Pass 1 runs each contiguous chunk of at least ``2**Lb`` amplitudes
+    through every low factor (sites 0 .. Lb-1, ``_split_factors``), through
+    the slice's two scratch buffers, and the last product writes back into
+    the chunk.  When the low factors are the whole kick (L <= 12) the chunks
+    hold whole rows, and pass 1 multiplies them by their phases instead.
+    Pass 2 takes a block of the low index's real columns across all
+    ``2**(L-Lb)`` high indices through the high factors in scratch, then
+    multiplies it by its phases (looked up by wall count) and writes it back.
+    The state stays the first operand of the phase product: numpy's complex
+    product may round otherwise with its operands swapped.
+
+    Each chunk and block is a whole matrix of every product's batch, whose
+    column count is a power of two, so it sums as it would in a whole-stack
+    product, on whichever slice it runs: the states do not depend on the
+    count.  A slice's scratch is allocated here, once per loop.
+    """
+    low, high = _split_factors(L)
+    sites = sum(low)
+    phases = None if jt is None else _zz_phases(L, jt)
+    flat = amps.reshape(-1)
+    unit = 1 << sites
+    chunk = unit * max(1, flat.size // (_PARTS * unit))
+    rows = 1 << (L - sites)
+    width = 0
+    if high:
+        width = 1 << max(3, min(sites + 1, (2 * chunk // rows).bit_length() - 1))
+    size = max(2 * min(chunk, flat.size), rows * width)
+    chunks = [flat[i:i + chunk] for i in range(0, flat.size, chunk)]
+    states = amps.reshape(-1, rows, unit).view(np.float64)
+    blocks = [(r, c) for r in range(len(states)) for c in range(0, 2 << sites, width)] if high else []
+    # The wall counts of the lower half of the basis, as rows of the low index (one row of
+    # half a state when pass 1 applies the phases).
+    walls = _domain_walls(L).reshape(-1, unit if high else unit >> 1)
+
+    def chunk_calls(part: np.ndarray, scratch) -> list:
+        x = part.view(np.float64)
+        buffers = [s[:x.size] for s in scratch]
+        kick_only = high or phases is None
+        calls, src, below = [], x, 0
+        for i, n in enumerate(low):
+            dst = x if kick_only and 0 < i == len(low) - 1 else buffers[i % 2]
+            calls.append(_product(src, dst, n, 2 << below, theta))
+            src, below = dst, below + n
+        if src is not x:
+            if kick_only:
+                calls.append((np.copyto, (x, src)))
+            else:
+                out = buffers[len(low) % 2].view(np.complex128)[:1 << L]
+                calls += _phase_gathers(phases, walls, slice(None), out.reshape(2, 1, -1))
+                calls.append((np.multiply, (src.view(np.complex128).reshape(-1, 1 << L), out,
+                                            part.reshape(-1, 1 << L))))
+        return calls
+
+    def block_calls(block: tuple[int, int], scratch) -> list:
+        r, c = block
+        target = states[r, :, c:c + width]
+        buffers = [s[:rows * width].reshape(rows, width) for s in scratch]
+        calls, src, below = [], target, 0
+        for i, n in enumerate(high):
+            dst = buffers[i % 2]
+            calls.append(_product(src, dst, n, width << below, theta))
+            src, below = dst, below + n
+        if phases is None:
+            calls.append((np.copyto, (target, src)))
         else:
-            # The factor's sites are the third axis; the lower sites ride along in the last,
-            # in chunks of at most _CHUNK columns.
-            width = min(2 << low, _CHUNK)
-            shape = (-1, 1 << n, (2 << low) // width, width)
-            src, dst = (x.reshape(shape).transpose(0, 2, 1, 3) for x in (src, dst))
-            axis = 0 if len(src) >= count else 1
-            factor = _kick_factor(n, theta)
-            slices = zip(_cuts(src, count, axis), _cuts(dst, count, axis))
-            products.append([(factor, b, out) for b, out in slices])
-        low += n
-    return products
+            out = buffers[len(high) % 2].view(np.complex128)
+            calls += _phase_gathers(phases, walls, slice(c // 2, (c + width) // 2),
+                                    out.reshape(2, rows // 2, -1))
+            # Into the contiguous phases, as a ufunc into a strided view allocates a buffer.
+            calls.append((np.multiply, (src.view(np.complex128), out, out)))
+            calls.append((np.copyto, (target, buffers[len(high) % 2])))
+        return calls
+
+    slices = min(count, max(len(chunks), len(blocks)))
+    scratch = [(np.empty(size), np.empty(size)) for _ in range(slices)]
+    passes = []
+    for items, calls_of in ((chunks, chunk_calls), (blocks, block_calls)):
+        if items:
+            cuts = np.array_split(np.arange(len(items)), slices)
+            passes.append([[call for i in cut for call in calls_of(items[i], buffers)]
+                           for cut, buffers in zip(cuts, scratch) if cut.size])
+    return passes
 
 
-def _periods(amps: np.ndarray, L: int, theta: float, jt: Optional[float] = None, threads=None,
-             spare: Optional[np.ndarray] = None):
+def _in_turn(calls: list) -> None:
+    for fn, args in calls:
+        fn(*args)
+
+
+def _periods(amps: np.ndarray, L: int, theta: float, jt: Optional[float] = None, threads=None):
     """Yield the C-contiguous stack ``amps`` (..., 2**L) of frame states after each period, indefinitely.
 
     The one period loop: the real kick ``r^{(x)L}``, then the Ising phase of
-    ``jt`` (the kick alone when ``jt`` is None), on every row.  It alternates
-    between ``amps`` and a spare buffer of its shape (``spare``, else one of
-    its own), so every yielded array is overwritten by the next period: a
-    caller keeps what it copies, and ``_frame(..., inverse=True)`` maps that
-    back to the spin basis.  Between a yield and the next period the buffer
-    not yielded is idle: a caller that passed ``spare`` may use it as
-    scratch.
+    ``jt`` (the kick alone when ``jt`` is None), on every row, in place
+    (``_period_passes``).  Every yield is ``amps`` itself, overwritten by the
+    next period: a caller keeps what it copies, and
+    ``_frame(..., inverse=True)`` maps that back to the spin basis.
 
-    Every product and the phase multiply run as the slices of ``threads``,
-    the ``(count, run)`` of a caller's ``_threads`` context, which then
-    serves the caller between periods too.  Without it the loop holds a
-    context of its own until it is closed.  The states do not depend on the
-    count (see ``_kick_products``).  The phase multiply cuts each half-table
-    into half the count, rounded up: at two slices one half each.
+    Each pass runs as the slices of ``threads``, the ``(count, run)`` of a
+    caller's ``_threads`` context, which then serves the caller between
+    periods too.  Without it the loop holds a context of its own until it is
+    closed.
     """
     if threads is None:
         with _threads(amps.size) as threads:
-            yield from _periods(amps, L, theta, jt, threads, spare)
+            yield from _periods(amps, L, theta, jt, threads)
         return
     count, run = threads
-    buffers = (amps, np.empty_like(amps) if spare is None else spare)
-    table = None if jt is None else _zz_phase_table(L, jt)
-
-    def plan(start: int) -> list:
-        """The ``(fn, args)`` calls of a period that starts in ``buffers[start]``."""
-        products = _kick_products(buffers[start], buffers[1 - start], L, theta, count)
-        steps = [(np.matmul, calls) for calls in products]
-        if table is not None:
-            end = buffers[(start + len(products)) % 2]
-            steps.append((np.multiply, _phase_calls(end, end, table, -(-count // 2))))
-        # One slice is called directly, as ``run`` would in turn.
-        if count == 1:
-            return [(fn, args) for fn, calls in steps for args in calls]
-        return [(run, step) for step in steps]
-
-    flips = len(_factor_sites(L)) % 2
-    # Built once; the second plan serves only when a period ends in the spare.
-    plans = (plan(0), plan(1) if flips else None)
-    current = 0
+    passes = _period_passes(amps, L, theta, jt, count)
+    if count == 1:  # one slice is called directly, as ``run`` would in turn
+        calls = [call for slices in passes for call in slices[0]]
+        while True:
+            _in_turn(calls)
+            yield amps
     while True:
-        for fn, args in plans[current]:
-            fn(*args)
-        current ^= flips
-        yield buffers[current]
+        for slices in passes:
+            run(_in_turn, [(calls,) for calls in slices])
+        yield amps
 
 
 def _weights(amps: np.ndarray, out: np.ndarray) -> None:
@@ -346,43 +407,51 @@ def _weights(amps: np.ndarray, out: np.ndarray) -> None:
     np.square(out, out=out)
 
 
+def _add_weights(amps: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """``out += |amps|**2``, through ``scratch`` a piece at a time."""
+    piece = scratch.size
+    for i in range(0, amps.size, piece):
+        w = scratch[:amps[i:i + piece].size]
+        _weights(amps[i:i + piece], w)
+        out[i:i + piece] += w
+
+
 def _stacked_period(states: np.ndarray, L: int, theta: float,
                     jt: Optional[float] = None) -> np.ndarray:
     """One period on every row of the C-contiguous stack ``states`` (..., 2**L) of spin-basis states.
 
     The frame S, the first period of ``_periods`` (the kick alone when
-    ``jt`` is None), then S^-1.  ``states`` is overwritten; the result is it
-    or a new array of its shape.
+    ``jt`` is None), then S^-1, all in place; returns ``states``.
     """
     _frame(states, L)
-    stepped = next(_periods(states, L, theta, jt))
-    _frame(stepped, L, inverse=True)
-    return stepped
+    next(_periods(states, L, theta, jt))
+    _frame(states, L, inverse=True)
+    return states
 
 
 def _start(initial: StateVector) -> tuple[np.ndarray, tuple]:
     """``S initial`` as a new array, the loop's stack, and what the overlap keeps of it.
 
-    That is ``(support, conj)``: the indices of its non-zero amplitudes (a
-    slice when all are) and their conjugates.  From a basis state, such as
-    the polarized start, both hold one entry.
+    That is ``(support, conj, products)``: the indices of its non-zero
+    amplitudes (a slice when all are), their conjugates, and a buffer for
+    their products.  From a basis state, such as the polarized start, each
+    holds one entry.
     """
     stack = _in_frame(initial.amplitudes, initial.L)
     support = np.flatnonzero(stack)
     if support.size == stack.size:
         support = slice(None)
-    return stack, (support, stack[support].conj())
+    conj = stack[support].conj()
+    return stack, (support, conj, np.empty_like(conj))
 
 
-def _overlap(start: tuple, amps: np.ndarray, idle: np.ndarray) -> complex:
-    """``<start|amps>`` for a ``start`` from ``_start``, using the idle buffer ``idle`` as scratch.
+def _overlap(start: tuple, amps: np.ndarray) -> complex:
+    """``<start|amps>`` for a ``start`` from ``_start``.
 
-    The products go into ``idle`` and numpy sums them pairwise, so the bits
-    do not depend on the BLAS thread count.  From a basis state it is one
-    exact product.
+    numpy sums the products pairwise, so the bits do not depend on the BLAS
+    thread count.  From a basis state it is one exact product.
     """
-    support, conj = start
-    products = idle[:conj.size]
+    support, conj, products = start
     np.multiply(conj, amps[support], out=products)
     return products.sum()
 
@@ -407,10 +476,13 @@ def apply_global_x_rotation(state: StateVector, theta: float) -> StateVector:
 def apply_zz_phase(state: StateVector, params: FloquetParams) -> StateVector:
     """Multiply each basis amplitude by exp(-i (JT/4) bond_sum(index))."""
     _require_same_sites(state, params)
+    L = params.L
     phased = np.empty_like(state.amplitudes)
-    for args in _phase_calls(state.amplitudes, phased, _zz_phase_table(params.L, params.jt)):
-        np.multiply(*args)
-    return StateVector(state.L, phased)
+    halves = phased.reshape(2, 1, -1)
+    walls = _domain_walls(L).reshape(1, -1)
+    _in_turn(_phase_gathers(_zz_phases(L, params.jt), walls, slice(None), halves))
+    np.multiply(state.amplitudes, phased, out=phased)
+    return StateVector(L, phased)
 
 
 def floquet_step(state: StateVector, params: FloquetParams) -> StateVector:
@@ -471,21 +543,25 @@ def evolve_stroboscopic(initial: StateVector, params: FloquetParams,
     L = params.L
     _require_bytes(L, 8 * L * n_periods, f"the sz series of {n_periods} periods")
     stack, start = _start(initial)
-    _zz_phase_table(L, params.jt)  # its temporaries come and go beside one state
-    spare = np.empty_like(stack)
+    weights = np.empty(stack.size // 2)
     p_out = np.empty(n_periods)
     sz_out = np.empty((n_periods, L))
     with _threads(stack.size) as threads:
         count, run = threads
-        loop = _periods(stack, L, params.theta, params.jt, threads, spare)
-        for j, amps in zip(range(n_periods), loop):
-            idle = spare if amps is stack else stack
-            p_out[j] = abs(_overlap(start, amps, idle)) ** 2
-            weights = idle.view(np.float64)[:amps.size]
-            run(_weights, list(zip(_cuts(amps, count), _cuts(weights, count))))
-            sz_out[j] = _sz_profile(weights, L)
-
-    drift = abs(_norm(amps, idle.view(np.float64)) - 1.0)
+        lower, upper = stack.reshape(2, -1)
+        parts = list(zip(_cuts(lower, count), _cuts(upper, count), _cuts(weights, count)))
+        # Its scratch holds a piece of a 64th of the state (an 8th of a piece at 16 sites).
+        pieces = [(low, w, np.empty(-(-lower.size // (_PARTS // 2)))) for low, _, w in parts]
+        for n, amps in zip(range(n_periods), _periods(stack, L, params.theta, params.jt, threads)):
+            p_out[n] = abs(_overlap(start, amps)) ** 2
+            # The upper half's |amp|**2 sums to the top site's up weight; the lower half's,
+            # added in, gives the lower sites' marginal, as lower + upper would.
+            run(_weights, [(up, w) for _, up, w in parts])
+            top = weights.sum()
+            run(_add_weights, pieces)
+            sz_out[n] = _sz_profile(weights, top)
+    # The final state is not kept, so its norm squares it in place.
+    drift = abs(_norm(stack, stack.view(np.float64)) - 1.0)
     return StroboscopicSeries(
         params=params,
         n=np.arange(1, n_periods + 1),
@@ -506,6 +582,5 @@ def iter_return_probability(initial: StateVector, params: FloquetParams):
     """
     _require_same_sites(initial, params)
     stack, start = _start(initial)
-    spare = np.empty_like(stack)
-    for amps in _periods(stack, params.L, params.theta, params.jt, spare=spare):
-        yield float(abs(_overlap(start, amps, spare if amps is stack else stack)) ** 2)
+    for amps in _periods(stack, params.L, params.theta, params.jt):
+        yield float(abs(_overlap(start, amps)) ** 2)

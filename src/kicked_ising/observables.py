@@ -66,16 +66,21 @@ def return_probability(current: StateVector, initial: StateVector) -> float:
     return float(abs(np.vdot(initial.amplitudes, current.amplitudes)) ** 2)
 
 
-def _sz_profile(weights: np.ndarray, L: int) -> np.ndarray:
-    """sigma^z on every site from the basis weights |amp|^2, in one pass; overwrites ``weights``.
+def _sz_profile(weights: np.ndarray, top: float) -> np.ndarray:
+    """sigma^z on every site of an L-site chain, in one pass; overwrites ``weights``.
 
-    A marginal tree: the upper half of the weights is the up weight of the
-    highest site left, and the two halves added are the weights of the sites
-    below it.  Halving down to one entry leaves the total.
+    ``weights`` holds the marginal weights of the lower L - 1 sites, the two
+    halves of the basis weights |amp|^2 added, and ``top`` the up weight of
+    site L - 1, the upper half's sum.  A marginal tree: the upper half of
+    the weights is the up weight of the highest site left, and the two
+    halves added are the weights of the sites below it.  Halving down to one
+    entry leaves the total.
     """
+    L = weights.size.bit_length()
     up = np.empty(L)
+    up[-1] = top
     size = weights.size
-    for site in reversed(range(L)):
+    for site in reversed(range(L - 1)):
         size //= 2
         lower, upper = weights[:size], weights[size:2 * size]
         up[site] = upper.sum()

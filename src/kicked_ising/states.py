@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -208,8 +209,12 @@ def bond_sum(index: int, L: int) -> int:
     return L - 2 * flipped
 
 
+@lru_cache(maxsize=1)
 def _domain_walls(L: int) -> np.ndarray:
     """The domain walls (anti-aligned bonds) of the lower half of the basis, spin L-1 down, in uint8.
+
+    One array is cached, read-only: the period loop looks up the Ising phases
+    of every JT of a sweep at one L by these counts.
 
     A global spin flip keeps every bond and maps index k to 2**L - 1 - k,
     so the upper half's walls are these reversed.  They are counted by
@@ -227,6 +232,7 @@ def _domain_walls(L: int) -> np.ndarray:
         walls[half:half + (half >> 1)] += 1  # spin m up, spin m-1 down
     walls[walls.size >> 1:] += 1  # spin L-1 down, spin L-2 up
     walls[1::2] += 1  # spin L-1 down, spin 0 up
+    walls.setflags(write=False)
     return walls
 
 

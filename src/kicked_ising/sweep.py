@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import itertools
 import json
 import os
@@ -115,9 +116,13 @@ class SweepConfig:
             problems.append("no interaction phase given (--jt-over-pi)")
         if not self.epsilon_over_pi:
             problems.append("no kick imperfection given (--epsilon-over-pi)")
-        non_finite = [x for x in self.jt_over_pi + self.epsilon_over_pi if not np.isfinite(np.pi * x)]
+        drives = self.jt_over_pi + self.epsilon_over_pi
+        non_finite = [x for x in drives if not np.isfinite(x)]
         if non_finite:
             problems.append(f"drive parameters must be finite, got {non_finite}")
+        overflowing = [x for x in drives if np.isfinite(x) and not np.isfinite(np.pi * x)]
+        if overflowing:
+            problems.append(f"pi times a drive parameter overflows a float, got {overflowing}")
         for key, value in (("periods", self.n_periods), ("window", self.window),
                            ("jobs", self.jobs)):
             if value < 1:
@@ -282,17 +287,29 @@ def _sweep_point(task) -> dict:
     return row
 
 
+def _run_share(share: tuple) -> list[dict]:
+    """``worker`` over its ``tasks``, in turn: one pool worker's items."""
+    worker, tasks = share
+    return [worker(task) for task in tasks]
+
+
 def _run_points(worker, tasks: list[tuple], jobs: int) -> list[dict]:
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
     # Imported here, as only a pool needs it: multiprocessing would cost every launch's start-up.
     from concurrent.futures import ProcessPoolExecutor
 
-    # A forked worker keeps the OpenBLAS thread count chosen for the whole machine, so
-    # workers multiplying at once would oversubscribe the cores: one thread apiece.
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=blas.set_threads,
-                             initargs=(1,)) as pool:
-        return list(pool.map(worker, tasks))
+    # One item per worker: worker k runs tasks[k::workers], so a grid of short points pays
+    # the pool's round trip once per worker, not once per point.  The workers fork inside
+    # one_thread, so each starts with OpenBLAS at one thread, and workers multiplying at
+    # once do not oversubscribe the cores.
+    workers = min(jobs, len(tasks))
+    rows = [None] * len(tasks)
+    with blas.one_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
+        shares = pool.map(_run_share, [(worker, tasks[k::workers]) for k in range(workers)])
+        for k, share in enumerate(shares):
+            rows[k::workers] = share
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -349,9 +366,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     config.validate()
     started = time.perf_counter()
     columns, _, engine, _, kind, *_ = _MODES[config.mode]
+    out = Path(config.out)
+    if not out.parent.is_dir():  # the error the summary's write would raise, before any point
+        tmp = out.with_name(out.name + ".tmp")
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(tmp))
     tasks = [(L, jt, eps, config) for L, jt, eps in config.grid()]
     rows = _run_points(_sweep_point, tasks, config.jobs)
-    out = Path(config.out)
     aux_files = []
     try:
         for index, row in enumerate(rows):

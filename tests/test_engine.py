@@ -27,7 +27,7 @@ from kicked_ising import (
     return_probability,
 )
 
-from kicked_ising import blas, engine
+from kicked_ising import blas, engine, states
 from kicked_ising.engine import _factor_sites, _frame, _in_frame, _periods, _stacked_period
 
 from conftest import oracle_kick, oracle_propagator, random_state
@@ -69,12 +69,15 @@ def test_zz_phase_on_basis_states():
         assert phased.amplitudes[index] == pytest.approx(expected)
 
 
-def test_one_phase_table_is_cached():
-    """Only the last (L, JT) keeps its 2**L phase table."""
-    engine._zz_phase_table.cache_clear()
+def test_one_wall_array_is_cached():
+    """Only the last L keeps its wall counts, read-only, and every JT looks phases up in them."""
+    states._domain_walls.cache_clear()
     for jt_over_pi in (0.7, 0.9):
         apply_zz_phase(polarized_state(6), FloquetParams.from_dimensionless(6, jt_over_pi, 0.0))
-    assert engine._zz_phase_table.cache_info().currsize == 1
+    assert states._domain_walls.cache_info()[:2] == (1, 1)  # one hit, one miss
+    assert not states._domain_walls(6).flags.writeable
+    apply_zz_phase(polarized_state(7), FloquetParams.from_dimensionless(7, 0.9, 0.0))
+    assert states._domain_walls.cache_info().currsize == 1
 
 
 PHASE_JTS = (0.0, 0.37, 0.9 * math.pi, math.pi, 5.1)
@@ -82,20 +85,23 @@ PHASE_JTS = (0.0, 0.37, 0.9 * math.pi, math.pi, 5.1)
 
 @pytest.mark.parametrize("L", range(2, 21))
 def test_phase_table_is_the_exponential_of_the_bond_sums(L):
-    """The cached lower half and its mirror are the exponentials of the whole bond-sum
-    table, bit for bit: the L + 1 distinct phases are looked up by wall count."""
+    """The phases the loop looks up by wall count, for the lower half and its mirror, are
+    the exponentials of the whole bond-sum table, bit for bit: the L + 1 distinct phases
+    are looked up by the uint8 walls of half the basis."""
     bonds = bond_sum_table(L)
+    walls = states._domain_walls(L)
     for jt in PHASE_JTS:
-        engine._zz_phase_table.cache_clear()
-        half = engine._zz_phase_table(L, jt)
-        assert half.size == 1 << (L - 1)
+        assert walls.size == 1 << (L - 1)
+        looked_up = np.empty((2, 1, walls.size), dtype=np.complex128)
+        engine._in_turn(engine._phase_gathers(engine._zz_phases(L, jt), walls.reshape(1, -1),
+                                              slice(None), looked_up))
         expected = np.exp(-0.25j * jt * bonds)
-        assert np.concatenate((half, half[::-1])).tobytes() == expected.tobytes()
+        assert looked_up.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("L", [2, 3, 8, 13, 18])
 def test_apply_zz_phase_is_the_product_with_the_whole_table(L, rng):
-    """Both halves of a state multiplied by the half table and its mirror view give the
+    """Both halves of a state multiplied by the phases looked up by wall count give the
     product with the whole table, bit for bit."""
     state = StateVector(L, random_state(L, rng))
     for jt in PHASE_JTS:
@@ -426,41 +432,52 @@ def test_split_periods_equal_the_unsplit_loop(L, rng):
     assert _blas_counts() == before
 
 
+#: (``_PARTS``, ``_LOW_SITES``): the default chunks and blocks, wider ones, and the narrowest
+#: blocks (8 real columns) with pass 2 on a chain of 12 sites.
+_WIDTHS = [(64, 12), (4, 12), (16, 10), (1024, 8)]
+
+
 @pytest.mark.parametrize("count", [2, 3])
-@pytest.mark.parametrize("L", [12, 15])
-def test_slices_of_a_period_equal_the_whole(L, count, rng):
-    """The loop's slices, run in turn on one thread, give the whole period's bits: two and
-    three slices (uneven ones) of a lone state and of a stack of three rows.  A lone
-    state's top factor has one column block at L = 12 (a cut through its 512 columns
-    would change the bits) and four at L = 15."""
+@pytest.mark.parametrize("L", [12, 15, 20])
+def test_slices_of_a_period_equal_the_whole(L, count, rng, monkeypatch):
+    """The loop's slices, run in turn on one thread, give the whole period's bits, whatever
+    the widths of its chunks and column blocks: two and three slices (uneven ones) of a
+    lone state and, below 20 sites, of a stack of three rows, against one slice of the
+    default widths."""
     params = FloquetParams.from_dimensionless(L, 0.9, 0.1)
     in_turn = lambda fn, calls: [fn(*args) for args in calls]  # noqa: E731
-    lone = _in_frame(random_state(L, rng), L)
-    stack = np.stack([_in_frame(random_state(L, rng), L) for _ in range(3)])
-    for start in (lone, stack):
+    starts = [_in_frame(random_state(L, rng), L)]
+    if L < 20:
+        starts.append(np.stack([_in_frame(random_state(L, rng), L) for _ in range(3)]))
+    periods = 5 if L < 20 else 2
+    for start in starts:
         *_, whole = itertools.islice(
-            _periods(start.copy(), L, params.theta, params.jt, (1, in_turn)), 5)
-        *_, sliced = itertools.islice(
-            _periods(start.copy(), L, params.theta, params.jt, (count, in_turn)), 5)
-        assert np.array_equal(whole, sliced)
+            _periods(start.copy(), L, params.theta, params.jt, (1, in_turn)), periods)
+        for parts, low_sites in _WIDTHS:
+            monkeypatch.setattr(engine, "_PARTS", parts)
+            monkeypatch.setattr(engine, "_LOW_SITES", low_sites)
+            *_, sliced = itertools.islice(
+                _periods(start.copy(), L, params.theta, params.jt, (count, in_turn)), periods)
+            assert np.array_equal(whole, sliced)
 
 
 @pytest.mark.parametrize("L", [_SPLIT_L - 2, _SPLIT_L])
-def test_evolve_holds_two_states_and_half_a_table(L):
-    """From the polarized start, evolve_stroboscopic allocates at most 2.75 states while it
-    runs (tracemalloc), its phase table included: the loop's two buffers, the half table,
-    and nothing of the start's size beside them.  The larger L runs the split loop when
-    OpenBLAS runs more than one thread."""
+def test_evolve_holds_one_state(L):
+    """From the polarized start, evolve_stroboscopic allocates at most 1.5 states while it
+    runs (tracemalloc): the loop's stack, half a state of float weights, and the scratch
+    of the period's slices.  The tables every run at this L shares, the wall counts and
+    the frame's unit phases, are built by a first run.  The larger L runs the split loop
+    when OpenBLAS runs more than one thread."""
     params = FloquetParams.from_dimensionless(L, 0.9, 0.1)
     initial = polarized_state(L)
-    engine._zz_phase_table.cache_clear()
+    evolve_stroboscopic(initial, params, 1)
     tracemalloc.start()
     try:
         evolve_stroboscopic(initial, params, 4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.75 * 16 * (1 << L)
+    assert peak <= 1.5 * 16 * (1 << L)
 
 
 @pytest.mark.parametrize("L", [14, 16])

@@ -148,7 +148,8 @@ class TestStateDiagnostics:
         """The one-pass marginal tree gives every site's sigma^z of a random state."""
         for _ in range(3):
             state = StateVector(L, random_state(L, rng))
-            profile = _sz_profile(np.abs(state.amplitudes) ** 2, L)
+            lower, upper = np.abs(state.amplitudes.reshape(2, -1)) ** 2
+            profile = _sz_profile(lower + upper, upper.sum())
             expected = [local_sz(state, site) for site in range(L)]
             assert np.max(np.abs(profile - expected)) <= 1e-14
 

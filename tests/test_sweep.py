@@ -227,11 +227,13 @@ class TestParseConfig:
 class TestSweepConfigValidation:
     @pytest.mark.parametrize("value", ["nan", "inf", "0:inf:3", "1e308"])
     def test_non_finite_drive_parameters_exit_two(self, tmp_path, value):
+        message = ("pi times a drive parameter overflows a float, got \\[1e\\+308\\]"
+                   if value == "1e308" else "drive parameters must be finite")
         for flag in ("--jt-over-pi", "--epsilon-over-pi"):
             argv = ["evolve", "-L", "4", "--jt-over-pi", "0.9", "--epsilon-over-pi", "0.1",
                     "--periods", "4", "--out", str(tmp_path / "e.csv")]
             argv[argv.index(flag) + 1] = value
-            with pytest.raises(ConfigError, match="drive parameters must be finite"):
+            with pytest.raises(ConfigError, match=message):
                 parse_config(argv)
             assert cli.main(argv) == 2
         assert list(tmp_path.iterdir()) == []
@@ -351,7 +353,7 @@ def test_pool_never_asks_for_more_workers_than_points(monkeypatch, tmp_path):
     asked = []
 
     class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             asked.append(max_workers)
 
         def __enter__(self):
@@ -368,6 +370,22 @@ def test_pool_never_asks_for_more_workers_than_points(monkeypatch, tmp_path):
             "--periods", "10", "--jobs", "64", "--out", str(tmp_path / "scan.csv")]
     assert cli.main(argv) == 0
     assert asked == [2]
+
+
+def test_a_missing_output_directory_stops_before_any_point(monkeypatch, tmp_path, capsys):
+    """Exit 4 with the error the summary's write would raise, and no point computed."""
+    def refuse(*args):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(sweep, "_run_points", refuse)
+    out = tmp_path / "missing" / "s.csv"
+    argv = ["spectrum", "-L", "4", "--jt-over-pi", "1.0", "--epsilon-over-pi", "0.1",
+            "--out", str(out)]
+    with pytest.raises(FileNotFoundError, match="s.csv.tmp"):
+        run_sweep(parse_config(argv))
+    assert cli.main(argv) == 4
+    assert "cannot write results" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("case", list(JOBS_CASES))
