@@ -27,9 +27,9 @@ Petabyte Simulation of a 45-Qubit Quantum Circuit", SC17, arXiv:1704.01127).
 Pass 1 runs each contiguous chunk of the stack through the factors of the
 low sites, at most 12 of them; pass 2 runs each block of the low index's
 columns, across all the high indices, through the factors of the high sites
-and multiplies it by its Ising phases.  Both go through two small scratch
-buffers per slice, so the loop holds the stack and a few 64ths of it, and
-the stack it yields is overwritten by the next period.  The phases are
+and multiplies it by its Ising phases.  Both go through two scratch buffers
+per slice, which hold an eighth of a large stack together, and the stack
+the loop yields is overwritten by the next period.  The phases are
 looked up by the uint8 wall counts of the lower half of the basis
 (``states._domain_walls``, ``2**(L-1)`` bytes for every JT at one L): a
 global spin flip keeps every bond sum, so the upper half takes the lower
@@ -235,12 +235,15 @@ def _threads(size: int):
 #: Most sites of the factors that pass 1 applies to a chunk of the stack; a chunk holds
 #: whole multiples of their 2**12 amplitudes, and the whole chain of a dense propagator.
 _LOW_SITES = 12
-#: Chunks (pass 1) and column blocks (pass 2) a large stack is cut into.  A slice's two
-#: scratch buffers then hold a 64th of the stack each: at 20 sites chunks of 2**14
-#: amplitudes and blocks of 128 real columns.  A block's width is a power of two, at least
-#: 8: OpenBLAS sums a product's edge columns in another order unless their count is a
-#: multiple of its kernel width (8 doubles for AVX-512 dgemm).
-_PARTS = 64
+#: Most amplitudes in a chunk: with its two scratch buffers 1.5 MiB, within a core's L2.
+#: A stack of at most this many is one chunk (and one block).
+_CHUNK = 1 << 15
+#: Share of a larger stack that the slices' scratch buffers hold together, two per slice:
+#: at 20 sites on two threads, chunks of 2**15 amplitudes (pass 1) and blocks of 256 real
+#: columns (pass 2).  A block's width is a power of two, at least 8: OpenBLAS sums a
+#: product's edge columns in another order unless their count is a multiple of its kernel
+#: width (8 doubles for AVX-512 dgemm).
+_SCRATCH = 1 / 8
 
 
 def _cuts(array: np.ndarray, count: int, axis: int = 0) -> list[np.ndarray]:
@@ -302,12 +305,12 @@ def _period_passes(amps: np.ndarray, L: int, theta: float, jt: Optional[float],
     phases = None if jt is None else _zz_phases(L, jt)
     flat = amps.reshape(-1)
     unit = 1 << sites
-    chunk = unit * max(1, flat.size // (_PARTS * unit))
+    chunk = flat.size
+    if chunk > _CHUNK:
+        chunk = unit * max(1, min(int(flat.size * _SCRATCH) // (2 * count), _CHUNK) // unit)
     rows = 1 << (L - sites)
-    width = 0
-    if high:
-        width = 1 << max(3, min(sites + 1, (2 * chunk // rows).bit_length() - 1))
-    size = max(2 * min(chunk, flat.size), rows * width)
+    width = 1 << max(3, min(sites + 1, (2 * chunk // rows).bit_length() - 1)) if high else 0
+    size = max(2 * chunk, rows * width)
     chunks = [flat[i:i + chunk] for i in range(0, flat.size, chunk)]
     states = amps.reshape(-1, rows, unit).view(np.float64)
     blocks = [(r, c) for r in range(len(states)) for c in range(0, 2 << sites, width)] if high else []
@@ -318,20 +321,21 @@ def _period_passes(amps: np.ndarray, L: int, theta: float, jt: Optional[float],
     def chunk_calls(part: np.ndarray, scratch) -> list:
         x = part.view(np.float64)
         buffers = [s[:x.size] for s in scratch]
-        kick_only = high or phases is None
+        phased = not high and phases is not None
         calls, src, below = [], x, 0
         for i, n in enumerate(low):
-            dst = x if kick_only and 0 < i == len(low) - 1 else buffers[i % 2]
+            # The last product writes back, unless the phases follow or it reads the chunk.
+            last = i == len(low) - 1 and i > 0 and not phased
+            dst = x if last else buffers[i % 2]
             calls.append(_product(src, dst, n, 2 << below, theta))
             src, below = dst, below + n
-        if src is not x:
-            if kick_only:
-                calls.append((np.copyto, (x, src)))
-            else:
-                out = buffers[len(low) % 2].view(np.complex128)[:1 << L]
-                calls += _phase_gathers(phases, walls, slice(None), out.reshape(2, 1, -1))
-                calls.append((np.multiply, (src.view(np.complex128).reshape(-1, 1 << L), out,
-                                            part.reshape(-1, 1 << L))))
+        if phased:
+            out = buffers[len(low) % 2].view(np.complex128)[:1 << L]
+            calls += _phase_gathers(phases, walls, slice(None), out.reshape(2, 1, -1))
+            calls.append((np.multiply, (src.view(np.complex128).reshape(-1, 1 << L), out,
+                                        part.reshape(-1, 1 << L))))
+        elif src is not x:
+            calls.append((np.copyto, (x, src)))
         return calls
 
     def block_calls(block: tuple[int, int], scratch) -> list:
@@ -550,8 +554,8 @@ def evolve_stroboscopic(initial: StateVector, params: FloquetParams,
         count, run = threads
         lower, upper = stack.reshape(2, -1)
         parts = list(zip(_cuts(lower, count), _cuts(upper, count), _cuts(weights, count)))
-        # Its scratch holds a piece of a 64th of the state (an 8th of a piece at 16 sites).
-        pieces = [(low, w, np.empty(-(-lower.size // (_PARTS // 2)))) for low, _, w in parts]
+        # The lower half's weights are added in 32 pieces, through a 128th of a state per slice.
+        pieces = [(low, w, np.empty(-(-lower.size // 32))) for low, _, w in parts]
         for n, amps in zip(range(n_periods), _periods(stack, L, params.theta, params.jt, threads)):
             p_out[n] = abs(_overlap(start, amps)) ** 2
             # The upper half's |amp|**2 sums to the top site's up weight; the lower half's,

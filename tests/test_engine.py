@@ -432,9 +432,10 @@ def test_split_periods_equal_the_unsplit_loop(L, rng):
     assert _blas_counts() == before
 
 
-#: (``_PARTS``, ``_LOW_SITES``): the default chunks and blocks, wider ones, and the narrowest
-#: blocks (8 real columns) with pass 2 on a chain of 12 sites.
-_WIDTHS = [(64, 12), (4, 12), (16, 10), (1024, 8)]
+#: (``_SCRATCH``, ``_CHUNK``, ``_LOW_SITES``): the default chunks and blocks, one chunk and
+#: one block, smaller ones, and the narrowest blocks (8 real columns at 15 and 20 sites)
+#: with a pass 2 on every chain.
+_WIDTHS = [(1 / 8, 1 << 15, 12), (1, 1 << 20, 12), (1 / 32, 1 << 12, 10), (1 / 512, 1 << 8, 8)]
 
 
 @pytest.mark.parametrize("count", [2, 3])
@@ -453,8 +454,9 @@ def test_slices_of_a_period_equal_the_whole(L, count, rng, monkeypatch):
     for start in starts:
         *_, whole = itertools.islice(
             _periods(start.copy(), L, params.theta, params.jt, (1, in_turn)), periods)
-        for parts, low_sites in _WIDTHS:
-            monkeypatch.setattr(engine, "_PARTS", parts)
+        for scratch, chunk, low_sites in _WIDTHS:
+            monkeypatch.setattr(engine, "_SCRATCH", scratch)
+            monkeypatch.setattr(engine, "_CHUNK", chunk)
             monkeypatch.setattr(engine, "_LOW_SITES", low_sites)
             *_, sliced = itertools.islice(
                 _periods(start.copy(), L, params.theta, params.jt, (count, in_turn)), periods)
