@@ -275,7 +275,7 @@ def _product(src: np.ndarray, dst: np.ndarray, n: int, columns: int, theta: floa
     if columns == 2:
         shape = (-1, 2 << n)
         return np.matmul, (src.reshape(shape), _lowest_factor(n, theta), dst.reshape(shape))
-    shape = (-1, 1 << n, columns)
+    shape = src.shape[:-2] + (-1, 1 << n, columns)  # a pass-2 pair keeps its leading axis
     return np.matmul, (_kick_factor(n, theta), src.reshape(shape), dst.reshape(shape))
 
 
@@ -309,11 +309,13 @@ def _period_passes(amps: np.ndarray, L: int, theta: float, jt: Optional[float],
     if chunk > _CHUNK:
         chunk = unit * max(1, min(int(flat.size * _SCRATCH) // (2 * count), _CHUNK) // unit)
     rows = 1 << (L - sites)
-    width = 1 << max(3, min(sites + 1, (2 * chunk // rows).bit_length() - 1)) if high else 0
-    size = max(2 * chunk, rows * width)
+    # A pair of blocks fills a scratch buffer of the chunk's size.
+    width = 1 << max(3, min(sites + 1, (chunk // rows).bit_length() - 1))
+    blocks = (2 << sites) // width
+    size = 2 * max(chunk, rows * width if high else 0)
     chunks = [flat[i:i + chunk] for i in range(0, flat.size, chunk)]
-    states = amps.reshape(-1, rows, unit).view(np.float64)
-    blocks = [(r, c) for r in range(len(states)) for c in range(0, 2 << sites, width)] if high else []
+    states = amps.reshape(-1, rows, blocks, width // 2).view(np.float64)
+    pairs = [(r, c) for r in range(len(states)) for c in range(max(1, blocks // 2))] if high else []
     # The wall counts of the lower half of the basis, as rows of the low index (one row of
     # half a state when pass 1 applies the phases).
     walls = _domain_walls(L).reshape(-1, unit if high else unit >> 1)
@@ -338,30 +340,35 @@ def _period_passes(amps: np.ndarray, L: int, theta: float, jt: Optional[float],
             calls.append((np.copyto, (x, src)))
         return calls
 
-    def block_calls(block: tuple[int, int], scratch) -> list:
-        r, c = block
-        target = states[r, :, c:c + width]
-        buffers = [s[:rows * width].reshape(rows, width) for s in scratch]
+    def pair_calls(pair: tuple[int, int], scratch) -> list:
+        r, c = pair
+        mirror = blocks - 1 - c
+        # Block c and its mirror image under the global spin flip, as a (pair, rows, width)
+        # view; a lone block spans the low index and is its own mirror.
+        view = states[r]
+        target = (view[:, c::mirror - c][:, :2] if mirror > c else view).transpose(1, 0, 2)
+        buffers = [s[:target.size].reshape(target.shape) for s in scratch]
         calls, src, below = [], target, 0
         for i, n in enumerate(high):
             dst = buffers[i % 2]
             calls.append(_product(src, dst, n, width << below, theta))
             src, below = dst, below + n
-        if phases is None:
-            calls.append((np.copyto, (target, src)))
-        else:
-            out = buffers[len(high) % 2].view(np.complex128)
-            calls += _phase_gathers(phases, walls, slice(c // 2, (c + width) // 2),
+        if phases is not None:
+            out = buffers[len(high) % 2][0].view(np.complex128)
+            calls += _phase_gathers(phases, walls, slice(c * width // 2, (c + 1) * width // 2),
                                     out.reshape(2, rows // 2, -1))
-            # Into the contiguous phases, as a ufunc into a strided view allocates a buffer.
-            calls.append((np.multiply, (src.view(np.complex128), out, out)))
-            calls.append((np.copyto, (target, buffers[len(high) % 2])))
+            # The mirror block's phases are block c's reversed in both axes.  The products
+            # go into the contiguous scratch, as a ufunc into a strided view allocates.
+            products = src.view(np.complex128)
+            for block, block_phases in zip(products, (out, out[::-1, ::-1])):
+                calls.append((np.multiply, (block, block_phases, block)))
+        calls.append((np.copyto, (target, src)))
         return calls
 
-    slices = min(count, max(len(chunks), len(blocks)))
+    slices = min(count, max(len(chunks), len(pairs)))
     scratch = [(np.empty(size), np.empty(size)) for _ in range(slices)]
     passes = []
-    for items, calls_of in ((chunks, chunk_calls), (blocks, block_calls)):
+    for items, calls_of in ((chunks, chunk_calls), (pairs, pair_calls)):
         if items:
             cuts = np.array_split(np.arange(len(items)), slices)
             passes.append([[call for i in cut for call in calls_of(items[i], buffers)]
