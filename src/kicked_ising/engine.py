@@ -26,14 +26,15 @@ it steps in place in two cache-blocked passes (Haner and Steiger, "0.5
 Petabyte Simulation of a 45-Qubit Quantum Circuit", SC17, arXiv:1704.01127).
 Pass 1 runs each contiguous chunk of the stack through the factors of the
 low sites, at most 12 of them; pass 2 runs each block of the low index's
-columns, across all the high indices, through the factors of the high sites
-and multiplies it by its Ising phases.  Both go through two scratch buffers
+columns, across all the high indices, with its mirror block under the global
+spin flip, through the factors of the high sites, and multiplies them by
+their Ising phases.  Both go through two scratch buffers
 per slice, which hold an eighth of a large stack together, and the stack
 the loop yields is overwritten by the next period.  The phases are
 looked up by the uint8 wall counts of the lower half of the basis
 (``states._domain_walls``, ``2**(L-1)`` bytes for every JT at one L): a
 global spin flip keeps every bond sum, so the upper half takes the lower
-half's counts reversed.  ``evolve_stroboscopic`` and
+half's counts reversed, and a mirror block its partner's phases reversed.  ``evolve_stroboscopic`` and
 ``iter_return_probability`` move the start state into the frame once, and
 the frame start becomes the loop's stack.  The overlap keeps only the
 start's non-zero amplitudes and a buffer for their products: one for the
@@ -236,11 +237,11 @@ def _threads(size: int):
 #: whole multiples of their 2**12 amplitudes, and the whole chain of a dense propagator.
 _LOW_SITES = 12
 #: Most amplitudes in a chunk: with its two scratch buffers 1.5 MiB, within a core's L2.
-#: A stack of at most this many is one chunk (and one block).
+#: A stack of at most this many is one chunk (and one block, or one pair of them).
 _CHUNK = 1 << 15
 #: Share of a larger stack that the slices' scratch buffers hold together, two per slice:
-#: at 20 sites on two threads, chunks of 2**15 amplitudes (pass 1) and blocks of 256 real
-#: columns (pass 2).  A block's width is a power of two, at least 8: OpenBLAS sums a
+#: at 20 sites on two threads, chunks of 2**15 amplitudes (pass 1) and pairs of blocks of
+#: 128 real columns (pass 2).  A block's width is a power of two, at least 8: OpenBLAS sums a
 #: product's edge columns in another order unless their count is a multiple of its kernel
 #: width (8 doubles for AVX-512 dgemm).
 _SCRATCH = 1 / 8
@@ -290,10 +291,13 @@ def _period_passes(amps: np.ndarray, L: int, theta: float, jt: Optional[float],
     the chunk.  When the low factors are the whole kick (L <= 12) the chunks
     hold whole rows, and pass 1 multiplies them by their phases instead.
     Pass 2 takes a block of the low index's real columns across all
-    ``2**(L-Lb)`` high indices through the high factors in scratch, then
-    multiplies it by its phases (looked up by wall count) and writes it back.
-    The state stays the first operand of the phase product: numpy's complex
-    product may round otherwise with its operands swapped.
+    ``2**(L-Lb)`` high indices, with its mirror block, through the high
+    factors in scratch, then multiplies both by their phases and writes them
+    back.  The phases are looked up by wall count for the first block; the
+    global spin flip maps it onto the mirror block, whose phases are the
+    first's reversed in both axes.  The state stays the first operand of the
+    phase product: numpy's complex product may round otherwise with its
+    operands swapped.
 
     Each chunk and block is a whole matrix of every product's batch, whose
     column count is a power of two, so it sums as it would in a whole-stack
@@ -406,9 +410,10 @@ def _periods(amps: np.ndarray, L: int, theta: float, jt: Optional[float] = None,
         while True:
             _in_turn(calls)
             yield amps
+    passes = [[(calls,) for calls in slices] for slices in passes]
     while True:
         for slices in passes:
-            run(_in_turn, [(calls,) for calls in slices])
+            run(_in_turn, slices)
         yield amps
 
 
