@@ -259,8 +259,7 @@ def _split_factors(L: int) -> tuple[list[int], list[int]]:
     every factor of a chain of at most 12 sites.
     """
     factors = _factor_sites(L)[::-1]
-    reach = list(itertools.accumulate(factors))
-    low = sum(1 for sites in reach if sites <= _LOW_SITES)
+    low = sum(1 for sites in itertools.accumulate(factors) if sites <= _LOW_SITES)
     return list(factors[:low]), list(factors[low:])
 
 
@@ -427,8 +426,9 @@ def _add_weights(amps: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None
     """``out += |amps|**2``, through ``scratch`` a piece at a time."""
     piece = scratch.size
     for i in range(0, amps.size, piece):
-        w = scratch[:amps[i:i + piece].size]
-        _weights(amps[i:i + piece], w)
+        part = amps[i:i + piece]
+        w = scratch[:part.size]
+        _weights(part, w)
         out[i:i + piece] += w
 
 
