@@ -308,12 +308,12 @@ def _period_passes(amps: np.ndarray, L: int, theta: float, jt: Optional[float],
     phases = None if jt is None else _zz_phases(L, jt)
     flat = amps.reshape(-1)
     unit = 1 << sites
-    chunk = flat.size
-    if chunk > _CHUNK:
-        chunk = unit * max(1, min(int(flat.size * _SCRATCH) // (2 * count), _CHUNK) // unit)
+    # Amplitudes of one scratch buffer: pass 1 uses at most _CHUNK of them, and a pair of
+    # blocks of pass 2 fills it.
+    share = int(flat.size * _SCRATCH) // (2 * count) if flat.size > _CHUNK else flat.size
+    chunk = unit * max(1, min(share, _CHUNK) // unit)
     rows = 1 << (L - sites)
-    # A pair of blocks fills a scratch buffer of the chunk's size.
-    width = 1 << max(3, min(sites + 1, (chunk // rows).bit_length() - 1))
+    width = 1 << max(3, min(sites + 1, (max(chunk, share) // rows).bit_length() - 1))
     blocks = (2 << sites) // width
     size = 2 * max(chunk, rows * width if high else 0)
     chunks = [flat[i:i + chunk] for i in range(0, flat.size, chunk)]
