@@ -26,15 +26,12 @@ it steps in place in two cache-blocked passes (Haner and Steiger, "0.5
 Petabyte Simulation of a 45-Qubit Quantum Circuit", SC17, arXiv:1704.01127).
 Pass 1 runs each contiguous chunk of the stack through the factors of the
 low sites, at most 12 of them; pass 2 runs each block of the low index's
-columns, across all the high indices, with its mirror block under the global
-spin flip, through the factors of the high sites, and multiplies them by
-their Ising phases.  Both go through two scratch buffers
-per slice, which hold an eighth of a large stack together, and the stack
-the loop yields is overwritten by the next period.  The phases are
-looked up by the uint8 wall counts of the lower half of the basis
-(``states._domain_walls``, ``2**(L-1)`` bytes for every JT at one L): a
-global spin flip keeps every bond sum, so the upper half takes the lower
-half's counts reversed, and a mirror block its partner's phases reversed.  ``evolve_stroboscopic`` and
+columns, across all the high indices, through the factors of the high
+sites, and multiplies it by its Ising phases.  Both go through two scratch
+buffers per slice, which hold an eighth of a large stack together, and the
+stack the loop yields is overwritten by the next period.  The phases are
+looked up by the uint8 wall counts of the basis (``states._domain_walls``,
+``2**L`` bytes for every JT at one L).  ``evolve_stroboscopic`` and
 ``iter_return_probability`` move the start state into the frame once, and
 the frame start becomes the loop's stack.  The overlap keeps only the
 start's non-zero amplitudes and a buffer for their products: one for the
@@ -104,19 +101,6 @@ def _zz_phases(L: int, jt: float) -> np.ndarray:
     this array at its wall count (``states._domain_walls``).
     """
     return np.exp(-0.25j * jt * (L - 2 * np.arange(L + 1)))
-
-
-def _phase_gathers(phases: np.ndarray, walls: np.ndarray, columns, out: np.ndarray) -> list:
-    """The ``np.take`` calls that put the phases of some columns of the basis into ``out``.
-
-    ``walls`` holds the wall counts of the lower half of the basis as rows of
-    the low index, and ``columns`` is the slice of it taken; ``out`` (2, rows,
-    columns) takes the lower half's phases, then the upper half's.  A global
-    spin flip keeps every bond and maps index k to 2**L - 1 - k, so the upper
-    half's walls are ``walls`` reversed in both axes.
-    """
-    sides = (walls[:, columns], walls[::-1, ::-1][:, columns])
-    return [(np.take, (phases, side, None, o, "clip")) for side, o in zip(sides, out)]
 
 
 #: Largest number of sites in one Kronecker factor of the kick.
@@ -237,11 +221,11 @@ def _threads(size: int):
 #: whole multiples of their 2**12 amplitudes, and the whole chain of a dense propagator.
 _LOW_SITES = 12
 #: Most amplitudes in a chunk: with its two scratch buffers 1.5 MiB, within a core's L2.
-#: A stack of at most this many is one chunk (and one block, or one pair of them).
+#: A stack of at most this many is one chunk (and one block).
 _CHUNK = 1 << 15
 #: Share of a larger stack that the slices' scratch buffers hold together, two per slice:
-#: at 20 sites on two threads, chunks of 2**15 amplitudes (pass 1) and pairs of blocks of
-#: 128 real columns (pass 2).  A block's width is a power of two, at least 8: OpenBLAS sums a
+#: at 20 sites on two threads, chunks of 2**15 amplitudes (pass 1) and blocks of 256 real
+#: columns (pass 2).  A block's width is a power of two, at least 8: OpenBLAS sums a
 #: product's edge columns in another order unless their count is a multiple of its kernel
 #: width (8 doubles for AVX-512 dgemm).
 _SCRATCH = 1 / 8
@@ -275,7 +259,7 @@ def _product(src: np.ndarray, dst: np.ndarray, n: int, columns: int, theta: floa
     if columns == 2:
         shape = (-1, 2 << n)
         return np.matmul, (src.reshape(shape), _lowest_factor(n, theta), dst.reshape(shape))
-    shape = src.shape[:-2] + (-1, 1 << n, columns)  # a pass-2 pair keeps its leading axis
+    shape = (-1, 1 << n, columns)
     return np.matmul, (_kick_factor(n, theta), src.reshape(shape), dst.reshape(shape))
 
 
@@ -290,13 +274,10 @@ def _period_passes(amps: np.ndarray, L: int, theta: float, jt: Optional[float],
     the chunk.  When the low factors are the whole kick (L <= 12) the chunks
     hold whole rows, and pass 1 multiplies them by their phases instead.
     Pass 2 takes a block of the low index's real columns across all
-    ``2**(L-Lb)`` high indices, with its mirror block, through the high
-    factors in scratch, then multiplies both by their phases and writes them
-    back.  The phases are looked up by wall count for the first block; the
-    global spin flip maps it onto the mirror block, whose phases are the
-    first's reversed in both axes.  The state stays the first operand of the
-    phase product: numpy's complex product may round otherwise with its
-    operands swapped.
+    ``2**(L-Lb)`` high indices through the high factors in scratch, then
+    multiplies it by its phases, looked up by the block's wall counts, and
+    writes it back.  The state stays the first operand of the phase product:
+    numpy's complex product may round otherwise with its operands swapped.
 
     Each chunk and block is a whole matrix of every product's batch, whose
     column count is a power of two, so it sums as it would in a whole-stack
@@ -308,20 +289,19 @@ def _period_passes(amps: np.ndarray, L: int, theta: float, jt: Optional[float],
     phases = None if jt is None else _zz_phases(L, jt)
     flat = amps.reshape(-1)
     unit = 1 << sites
-    # Amplitudes of one scratch buffer: pass 1 uses at most _CHUNK of them, and a pair of
-    # blocks of pass 2 fills it.
+    # Amplitudes of one scratch buffer: pass 1 uses at most _CHUNK of them, and a block of
+    # pass 2 fills it.
     share = int(flat.size * _SCRATCH) // (2 * count) if flat.size > _CHUNK else flat.size
     chunk = unit * max(1, min(share, _CHUNK) // unit)
     rows = 1 << (L - sites)
-    width = 1 << max(3, min(sites + 1, (max(chunk, share) // rows).bit_length() - 1))
-    blocks = (2 << sites) // width
-    size = 2 * max(chunk, rows * width if high else 0)
+    width = 1 << max(3, min(sites + 1, (2 * max(chunk, share) // rows).bit_length() - 1))
+    size = max(2 * chunk, rows * width if high else 0)
     chunks = [flat[i:i + chunk] for i in range(0, flat.size, chunk)]
-    states = amps.reshape(-1, rows, blocks, width // 2).view(np.float64)
-    pairs = [(r, c) for r in range(len(states)) for c in range(max(1, blocks // 2))] if high else []
-    # The wall counts of the lower half of the basis, as rows of the low index (one row of
-    # half a state when pass 1 applies the phases).
-    walls = _domain_walls(L).reshape(-1, unit if high else unit >> 1)
+    states = amps.reshape(-1, rows, (2 << sites) // width, width // 2).view(np.float64)
+    blocks = [(r, c) for r in range(len(states)) for c in range(states.shape[2])] if high else []
+    # The wall counts of the basis, as rows of the low index (one row when pass 1 applies
+    # the phases).
+    walls = _domain_walls(L).reshape(rows, unit)
 
     def chunk_calls(part: np.ndarray, scratch) -> list:
         x = part.view(np.float64)
@@ -335,21 +315,17 @@ def _period_passes(amps: np.ndarray, L: int, theta: float, jt: Optional[float],
             calls.append(_product(src, dst, n, 2 << below, theta))
             src, below = dst, below + n
         if phased:
-            out = buffers[len(low) % 2].view(np.complex128)[:1 << L]
-            calls += _phase_gathers(phases, walls, slice(None), out.reshape(2, 1, -1))
-            calls.append((np.multiply, (src.view(np.complex128).reshape(-1, 1 << L), out,
-                                        part.reshape(-1, 1 << L))))
+            out = buffers[len(low) % 2].view(np.complex128)[:1 << L].reshape(walls.shape)
+            calls += [(np.take, (phases, walls, None, out, "clip")),
+                      (np.multiply, (src.view(np.complex128).reshape(-1, 1 << L), out,
+                                     part.reshape(-1, 1 << L)))]
         elif src is not x:
             calls.append((np.copyto, (x, src)))
         return calls
 
-    def pair_calls(pair: tuple[int, int], scratch) -> list:
-        r, c = pair
-        mirror = blocks - 1 - c
-        # Block c and its mirror image under the global spin flip, as a (pair, rows, width)
-        # view; a lone block spans the low index and is its own mirror.
-        view = states[r]
-        target = (view[:, c::mirror - c][:, :2] if mirror > c else view).transpose(1, 0, 2)
+    def block_calls(block: tuple[int, int], scratch) -> list:
+        r, c = block
+        target = states[r, :, c]
         buffers = [s[:target.size].reshape(target.shape) for s in scratch]
         calls, src, below = [], target, 0
         for i, n in enumerate(high):
@@ -357,21 +333,20 @@ def _period_passes(amps: np.ndarray, L: int, theta: float, jt: Optional[float],
             calls.append(_product(src, dst, n, width << below, theta))
             src, below = dst, below + n
         if phases is not None:
-            out = buffers[len(high) % 2][0].view(np.complex128)
-            calls += _phase_gathers(phases, walls, slice(c * width // 2, (c + 1) * width // 2),
-                                    out.reshape(2, rows // 2, -1))
-            # The mirror block's phases are block c's reversed in both axes.  The products
-            # go into the contiguous scratch, as a ufunc into a strided view allocates.
+            # The products go into the contiguous scratch, as a ufunc into a strided view
+            # allocates.
+            out = buffers[len(high) % 2].view(np.complex128)
             products = src.view(np.complex128)
-            for block, block_phases in zip(products, (out, out[::-1, ::-1])):
-                calls.append((np.multiply, (block, block_phases, block)))
+            columns = walls[:, c * width // 2:(c + 1) * width // 2]
+            calls += [(np.take, (phases, columns, None, out, "clip")),
+                      (np.multiply, (products, out, products))]
         calls.append((np.copyto, (target, src)))
         return calls
 
-    slices = min(count, max(len(chunks), len(pairs)))
+    slices = min(count, max(len(chunks), len(blocks)))
     scratch = [(np.empty(size), np.empty(size)) for _ in range(slices)]
     passes = []
-    for items, calls_of in ((chunks, chunk_calls), (pairs, pair_calls)):
+    for items, calls_of in ((chunks, chunk_calls), (blocks, block_calls)):
         if items:
             cuts = np.array_split(np.arange(len(items)), slices)
             passes.append([[call for i in cut for call in calls_of(items[i], buffers)]
@@ -493,10 +468,7 @@ def apply_zz_phase(state: StateVector, params: FloquetParams) -> StateVector:
     """Multiply each basis amplitude by exp(-i (JT/4) bond_sum(index))."""
     _require_same_sites(state, params)
     L = params.L
-    phased = np.empty_like(state.amplitudes)
-    halves = phased.reshape(2, 1, -1)
-    walls = _domain_walls(L).reshape(1, -1)
-    _in_turn(_phase_gathers(_zz_phases(L, params.jt), walls, slice(None), halves))
+    phased = np.take(_zz_phases(L, params.jt), _domain_walls(L))
     np.multiply(state.amplitudes, phased, out=phased)
     return StateVector(L, phased)
 

@@ -38,14 +38,14 @@ def _norm(amps: np.ndarray, scratch: np.ndarray | None = None) -> float:
     """2-norm by pairwise sums (np.linalg.norm is 2.1e-12 off on a kicked 20-site state).
 
     Blocks of 2**16 reals keep the temporary of squares small, so peak memory does not grow.
-    A float64 ``scratch`` of at least twice the amplitudes takes the squares instead, and
-    nothing is allocated.
+    A float64 ``scratch`` of at least ``min(65536, 2 * amps.size)`` floats takes each block's
+    squares instead, and nothing is allocated.
     """
     x = amps.view(np.float64)
 
     def block(i: int) -> float:
-        out = None if scratch is None else scratch[i:i + 65536]
-        return np.sum(np.square(x[i:i + 65536], out=out))
+        part = x[i:i + 65536]
+        return np.sum(np.square(part, out=None if scratch is None else scratch[:part.size]))
 
     return math.sqrt(sum(map(block, range(0, x.size, 65536))))
 
@@ -211,37 +211,30 @@ def bond_sum(index: int, L: int) -> int:
 
 @lru_cache(maxsize=1)
 def _domain_walls(L: int) -> np.ndarray:
-    """The domain walls (anti-aligned bonds) of the lower half of the basis, spin L-1 down, in uint8.
+    """The domain walls (anti-aligned bonds) of every basis state, as ``2**L`` uint8 counts.
 
     One array is cached, read-only: the period loop looks up the Ising phases
     of every JT of a sweep at one L by these counts.
 
-    A global spin flip keeps every bond and maps index k to 2**L - 1 - k,
-    so the upper half's walls are these reversed.  They are counted by
-    doubling over the sites: the walls of an open chain of m sites are
-    copied for spin m down and up, and each copy counts the new bond where
-    spin m-1 differs.  Spin L-1 adds the bond to spin L-2, then the
-    wrap-around bond to spin 0.
+    They are counted by doubling over the sites: the walls of an open chain
+    of m sites are copied for spin m down and up, and each copy counts the
+    new bond where spin m-1 differs.  Then the wrap-around bond counts where
+    spin L-1 differs from spin 0.
     """
     _require_state(L)
-    walls = np.zeros(1 << (L - 1), dtype=np.uint8)
-    for m in range(1, L - 1):
+    walls = np.zeros(1 << L, dtype=np.uint8)
+    for m in range(1, L):
         half = 1 << m
         walls[half:2 * half] = walls[:half]
         walls[half >> 1:half] += 1  # spin m down, spin m-1 up
         walls[half:half + (half >> 1)] += 1  # spin m up, spin m-1 down
-    walls[walls.size >> 1:] += 1  # spin L-1 down, spin L-2 up
-    walls[1::2] += 1  # spin L-1 down, spin 0 up
+    half = walls.size >> 1
+    walls[1:half:2] += 1  # spin L-1 down, spin 0 up
+    walls[half::2] += 1  # spin L-1 up, spin 0 down
     walls.setflags(write=False)
     return walls
 
 
 def bond_sum_table(L: int) -> np.ndarray:
     """``bond_sum`` for every basis index, as an int64 array of length 2**L: L minus twice the walls."""
-    walls = _domain_walls(L)
-    table = np.empty(1 << L, dtype=np.int64)
-    table[:walls.size] = walls
-    table[walls.size:] = walls[::-1]
-    table *= -2
-    table += L
-    return table
+    return L - 2 * _domain_walls(L).astype(np.int64)

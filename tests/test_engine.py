@@ -85,24 +85,22 @@ PHASE_JTS = (0.0, 0.37, 0.9 * math.pi, math.pi, 5.1)
 
 @pytest.mark.parametrize("L", range(2, 21))
 def test_phase_table_is_the_exponential_of_the_bond_sums(L):
-    """The phases the loop looks up by wall count, for the lower half and its mirror, are
-    the exponentials of the whole bond-sum table, bit for bit: the L + 1 distinct phases
-    are looked up by the uint8 walls of half the basis."""
+    """The phases the loop looks up by wall count are the exponentials of the whole
+    bond-sum table, bit for bit: the L + 1 distinct phases are looked up by the uint8 walls
+    of every basis state."""
     bonds = bond_sum_table(L)
     walls = states._domain_walls(L)
     for jt in PHASE_JTS:
-        assert walls.size == 1 << (L - 1)
-        looked_up = np.empty((2, 1, walls.size), dtype=np.complex128)
-        engine._in_turn(engine._phase_gathers(engine._zz_phases(L, jt), walls.reshape(1, -1),
-                                              slice(None), looked_up))
+        assert walls.size == 1 << L
+        looked_up = np.take(engine._zz_phases(L, jt), walls)
         expected = np.exp(-0.25j * jt * bonds)
         assert looked_up.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("L", [2, 3, 8, 13, 18])
 def test_apply_zz_phase_is_the_product_with_the_whole_table(L, rng):
-    """Both halves of a state multiplied by the phases looked up by wall count give the
-    product with the whole table, bit for bit."""
+    """A state multiplied by the phases looked up by wall count gives the product with the
+    whole table, bit for bit."""
     state = StateVector(L, random_state(L, rng))
     for jt in PHASE_JTS:
         params = FloquetParams(L=L, jt=jt, epsilon=0.1)

@@ -373,8 +373,8 @@ class TestTimeReflection:
 
     @pytest.mark.parametrize("L", range(2, 17))
     def test_bond_sum_values_equal_the_phase_table(self, L):
-        """The L // 2 + 1 bond sums give the residual of the phases the loop looks up for half
-        the basis (the other half mirrors them), bit for bit."""
+        """The L // 2 + 1 bond sums give the residual of the phases the loop looks up for the
+        whole basis, bit for bit."""
         for jt_over_pi, eps_over_pi in DRIVES:
             params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
             d = engine._zz_phases(L, params.jt)[states._domain_walls(L)]

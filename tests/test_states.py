@@ -20,7 +20,7 @@ from kicked_ising import (
     product_state,
 )
 
-from kicked_ising import blas
+from kicked_ising import blas, states
 
 from conftest import random_state
 
@@ -103,6 +103,16 @@ class TestStateVector:
         state = StateVector(4, random_state(4, rng))
         assert state.dim == 16
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("L", [16, 18])
+    def test_norm_scratch_holds_one_block(self, L, rng):
+        """A scratch of one block of 2**16 reals, none, and the state's own real view (as
+        evolve_stroboscopic squares its final state) give the same norm, bit for bit."""
+        amps = random_state(L, rng)
+        plain = states._norm(amps)
+        assert states._norm(amps, np.empty(65536)) == plain
+        squared = amps.copy()
+        assert states._norm(squared, squared.view(np.float64)) == plain
 
     def test_kicked_polarized_state_at_twenty_sites_is_normalized(self):
         # np.linalg.norm puts this state 2.1e-12 off, above NORM_TOL = 1e-12.
