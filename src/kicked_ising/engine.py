@@ -28,17 +28,23 @@ Pass 1 runs each contiguous chunk of the stack through the factors of the
 low sites, at most 12 of them; pass 2 runs each block of the low index's
 columns, across all the high indices, through the factors of the high
 sites, and multiplies it by its Ising phases.  Both go through two scratch
-buffers per slice, which hold an eighth of a large stack together, and the
-stack the loop yields is overwritten by the next period.  The phases are
-looked up by the uint8 wall counts of the basis (``states._domain_walls``,
-``2**L`` bytes for every JT at one L).  ``evolve_stroboscopic`` and
-``iter_return_probability`` move the start state into the frame once, and
-the frame start becomes the loop's stack.  The overlap keeps only the
-start's non-zero amplitudes and a buffer for their products: one for the
-polarized start, whose overlap is then one exact product, and copies of
-them all for a dense start.  ``evolve_stroboscopic`` adds half a state of
-float weights for the sz tree, and squares the final state in place for its
-norm.
+buffers per slice, each a 32nd of a large stack, and the stack the loop
+yields is overwritten by the next period.  The chunks and blocks follow L
+and the stack's size alone (``_blocks``), never the slice count.  The
+phases are looked up by the uint8 wall counts of the basis
+(``states._domain_walls``, ``2**L`` bytes for every JT at one L), once per
+loop on a chain of at most 12 sites and once per block and period above.
+``evolve_stroboscopic`` and ``iter_return_probability`` move the start
+state into the frame once, and the frame start becomes the loop's stack.
+The overlap keeps only the start's non-zero amplitudes and a buffer for
+their products: one for the polarized start, whose overlap is then one
+exact product, and copies of them all for a dense start.  For
+``evolve_stroboscopic`` each block of pass 2 then writes its |amp|**2 into
+the scratch that held its phases and sums it by the low index and by the
+high index, two arrays of a few rows, whose marginal trees give every
+site's sz; up to 12 sites pass 1 squares the whole state instead.  So the
+state is read once a period, and the final state is squared in place for
+its norm.
 ``_stacked_period`` is the loop's first period on spin-basis states, moved
 into the frame and back within the one call.  ``floquet_step``,
 ``apply_global_x_rotation`` (the kick alone) and ``build_dense_propagator``
@@ -51,12 +57,12 @@ more) is split over threads when OpenBLAS runs more than one.  The loop then
 owns the BLAS thread count: it holds OpenBLAS at one thread for as long as
 it runs, and runs each pass as slices of its chunks or blocks, one on the
 calling thread and the rest on a pool, one slice per BLAS thread.
-``evolve_stroboscopic`` runs |amp|**2 on the same threads; its sz tree and
+The blocks' |amp|**2 and sums run on the same threads, and the sz trees and
 the overlap are numpy sums on the calling thread.  Every chunk and block
-sums as the whole stack would, so the results do not depend on the thread
-count.  The count comes from ``OPENBLAS_NUM_THREADS`` or from
-``blas.set_threads`` (sweep pool workers are forked inside
-``blas.one_thread``, so they never split).
+sums as the whole stack would, and the blocks do not follow the count, so
+no result depends on the thread count.  The count comes from
+``OPENBLAS_NUM_THREADS`` or from ``blas.set_threads`` (sweep pool workers
+are forked inside ``blas.one_thread``, so they never split).
 """
 
 from __future__ import annotations
@@ -223,17 +229,12 @@ _LOW_SITES = 12
 #: Most amplitudes in a chunk: with its two scratch buffers 1.5 MiB, within a core's L2.
 #: A stack of at most this many is one chunk (and one block).
 _CHUNK = 1 << 15
-#: Share of a larger stack that the slices' scratch buffers hold together, two per slice:
-#: at 20 sites on two threads, chunks of 2**15 amplitudes (pass 1) and blocks of 256 real
-#: columns (pass 2).  A block's width is a power of two, at least 8: OpenBLAS sums a
-#: product's edge columns in another order unless their count is a multiple of its kernel
-#: width (8 doubles for AVX-512 dgemm).
+#: Share of a larger stack that the scratch buffers of two slices hold together, two per
+#: slice, whatever the slice count: at 20 sites, chunks of 2**15 amplitudes (pass 1) and
+#: blocks of 256 real columns (pass 2).  A block's width is a power of two, at least 8:
+#: OpenBLAS sums a product's edge columns in another order unless their count is a multiple
+#: of its kernel width (8 doubles for AVX-512 dgemm).
 _SCRATCH = 1 / 8
-
-
-def _cuts(array: np.ndarray, count: int, axis: int = 0) -> list[np.ndarray]:
-    """``count`` near-equal views of ``array`` along ``axis``."""
-    return np.array_split(array, count, axis) if count > 1 else [array]
 
 
 def _split_factors(L: int) -> tuple[list[int], list[int]]:
@@ -245,6 +246,23 @@ def _split_factors(L: int) -> tuple[list[int], list[int]]:
     factors = _factor_sites(L)[::-1]
     low = sum(1 for sites in itertools.accumulate(factors) if sites <= _LOW_SITES)
     return list(factors[:low]), list(factors[low:])
+
+
+def _blocks(L: int, size: int) -> tuple[int, int, int]:
+    """``(sites, chunk, width)`` of the loop on a stack of ``size`` amplitudes: the low sites
+    of pass 1, the amplitudes of its chunks, and the real columns of a block of pass 2.
+
+    They follow from L and the stack's size alone, never from the slice count, so the
+    blocks' sums of |amp|**2, and the sz that ``evolve_stroboscopic`` takes from them, are
+    the same bits under any thread count.  A scratch buffer holds a 32nd of a stack larger
+    than ``_CHUNK`` (``_SCRATCH`` over two slices), or the whole of a smaller one.
+    """
+    sites = sum(_split_factors(L)[0])
+    unit = 1 << sites
+    share = int(size * _SCRATCH) // 4 if size > _CHUNK else size
+    chunk = unit * max(1, min(share, _CHUNK) // unit)
+    width = 1 << max(3, min(sites + 1, (2 * max(chunk, share) >> (L - sites)).bit_length() - 1))
+    return sites, chunk, width
 
 
 def _product(src: np.ndarray, dst: np.ndarray, n: int, columns: int, theta: float) -> tuple:
@@ -263,8 +281,9 @@ def _product(src: np.ndarray, dst: np.ndarray, n: int, columns: int, theta: floa
     return np.matmul, (_kick_factor(n, theta), src.reshape(shape), dst.reshape(shape))
 
 
-def _period_passes(amps: np.ndarray, L: int, theta: float, jt: Optional[float],
-                   count: int) -> list[list[list[tuple]]]:
+def _period_passes(amps: np.ndarray, L: int, theta: float, jt: Optional[float], count: int,
+                   sums: Optional[tuple[np.ndarray, np.ndarray]] = None
+                   ) -> list[list[list[tuple]]]:
     """The calls of one period on the stack ``amps`` (..., 2**L), in place: a list of passes,
     each a list of up to ``count`` slices, each a list of ``(fn, args)`` to call in turn.
 
@@ -272,55 +291,58 @@ def _period_passes(amps: np.ndarray, L: int, theta: float, jt: Optional[float],
     through every low factor (sites 0 .. Lb-1, ``_split_factors``), through
     the slice's two scratch buffers, and the last product writes back into
     the chunk.  When the low factors are the whole kick (L <= 12) the chunks
-    hold whole rows, and pass 1 multiplies them by their phases instead.
-    Pass 2 takes a block of the low index's real columns across all
-    ``2**(L-Lb)`` high indices through the high factors in scratch, then
-    multiplies it by its phases, looked up by the block's wall counts, and
-    writes it back.  The state stays the first operand of the phase product:
-    numpy's complex product may round otherwise with its operands swapped.
+    hold whole rows, and pass 1 multiplies them by their phases instead,
+    one table looked up here by the wall counts.  Pass 2 takes a block of
+    the low index's real columns across all ``2**(L-Lb)`` high indices
+    through the high factors in scratch, then multiplies it by its phases,
+    looked up by the block's wall counts, and writes it back.  The state
+    stays the first operand of the phase product: numpy's complex product
+    may round otherwise with its operands swapped.
+
+    With ``sums``, the arrays ``(low, high)`` for a lone state, each block
+    then writes its |amp|**2 into the scratch that held its phases, its
+    column sums into ``low`` (``2**Lb``, by the low index) and its row sums
+    into row c of ``high`` (blocks x ``2**(L-Lb)``, by the high index);
+    on a chain of at most 12 sites pass 1 writes the |amp|**2 of the whole
+    state into ``low`` and leaves ``high`` alone.
 
     Each chunk and block is a whole matrix of every product's batch, whose
     column count is a power of two, so it sums as it would in a whole-stack
     product, on whichever slice it runs: the states do not depend on the
-    count.  A slice's scratch is allocated here, once per loop.
+    count, and the blocks (``_blocks``) do not either.  A slice's scratch is
+    allocated here, once per loop.
     """
     low, high = _split_factors(L)
-    sites = sum(low)
+    sites, chunk, width = _blocks(L, amps.size)
     phases = None if jt is None else _zz_phases(L, jt)
     flat = amps.reshape(-1)
-    unit = 1 << sites
-    # Amplitudes of one scratch buffer: pass 1 uses at most _CHUNK of them, and a block of
-    # pass 2 fills it.
-    share = int(flat.size * _SCRATCH) // (2 * count) if flat.size > _CHUNK else flat.size
-    chunk = unit * max(1, min(share, _CHUNK) // unit)
     rows = 1 << (L - sites)
-    width = 1 << max(3, min(sites + 1, (2 * max(chunk, share) // rows).bit_length() - 1))
     size = max(2 * chunk, rows * width if high else 0)
     chunks = [flat[i:i + chunk] for i in range(0, flat.size, chunk)]
     states = amps.reshape(-1, rows, (2 << sites) // width, width // 2).view(np.float64)
     blocks = [(r, c) for r in range(len(states)) for c in range(states.shape[2])] if high else []
     # The wall counts of the basis, as rows of the low index (one row when pass 1 applies
-    # the phases).
-    walls = _domain_walls(L).reshape(rows, unit)
+    # the phases, whose table of at most 2**12 values is looked up once here).
+    walls = _domain_walls(L).reshape(rows, 1 << sites)
+    table = np.take(phases, walls) if not high and phases is not None else None
 
     def chunk_calls(part: np.ndarray, scratch) -> list:
         x = part.view(np.float64)
         buffers = [s[:x.size] for s in scratch]
-        phased = not high and phases is not None
         calls, src, below = [], x, 0
         for i, n in enumerate(low):
             # The last product writes back, unless the phases follow or it reads the chunk.
-            last = i == len(low) - 1 and i > 0 and not phased
+            last = i == len(low) - 1 and i > 0 and table is None
             dst = x if last else buffers[i % 2]
             calls.append(_product(src, dst, n, 2 << below, theta))
             src, below = dst, below + n
-        if phased:
-            out = buffers[len(low) % 2].view(np.complex128)[:1 << L].reshape(walls.shape)
-            calls += [(np.take, (phases, walls, None, out, "clip")),
-                      (np.multiply, (src.view(np.complex128).reshape(-1, 1 << L), out,
-                                     part.reshape(-1, 1 << L)))]
+        if table is not None:
+            calls.append((np.multiply, (src.view(np.complex128).reshape(-1, 1 << L), table,
+                                        part.reshape(-1, 1 << L))))
         elif src is not x:
             calls.append((np.copyto, (x, src)))
+        if sums and not high:
+            calls += [(np.abs, (part, sums[0])), (np.square, (sums[0], sums[0]))]
         return calls
 
     def block_calls(block: tuple[int, int], scratch) -> list:
@@ -332,19 +354,27 @@ def _period_passes(amps: np.ndarray, L: int, theta: float, jt: Optional[float],
             dst = buffers[i % 2]
             calls.append(_product(src, dst, n, width << below, theta))
             src, below = dst, below + n
+        # The products go into the contiguous scratch, as a ufunc into a strided view
+        # allocates, and so do the phases and then the weights.
+        free = buffers[len(high) % 2]
+        products = src.view(np.complex128)
+        columns = slice(c * width // 2, (c + 1) * width // 2)
         if phases is not None:
-            # The products go into the contiguous scratch, as a ufunc into a strided view
-            # allocates.
-            out = buffers[len(high) % 2].view(np.complex128)
-            products = src.view(np.complex128)
-            columns = walls[:, c * width // 2:(c + 1) * width // 2]
-            calls += [(np.take, (phases, columns, None, out, "clip")),
+            out = free.view(np.complex128)
+            calls += [(np.take, (phases, walls[:, columns], None, out, "clip")),
                       (np.multiply, (products, out, products))]
         calls.append((np.copyto, (target, src)))
+        if sums:
+            weights = free.reshape(-1)[:products.size].reshape(products.shape)
+            calls += [(np.abs, (products, weights)), (np.square, (weights, weights)),
+                      (np.add.reduce, (weights, 0, None, sums[0][columns])),
+                      (np.add.reduce, (weights, 1, None, sums[1][c]))]
         return calls
 
     slices = min(count, max(len(chunks), len(blocks)))
-    scratch = [(np.empty(size), np.empty(size)) for _ in range(slices)]
+    # A slice's two buffers are one allocation: at 20 sites two 512 KiB arrays stayed on the
+    # heap after the loop, where the next evolve's state reused (and zeroed) them.
+    scratch = [np.empty((2, size)) for _ in range(slices)]
     passes = []
     for items, calls_of in ((chunks, chunk_calls), (blocks, block_calls)):
         if items:
@@ -359,7 +389,8 @@ def _in_turn(calls: list) -> None:
         fn(*args)
 
 
-def _periods(amps: np.ndarray, L: int, theta: float, jt: Optional[float] = None, threads=None):
+def _periods(amps: np.ndarray, L: int, theta: float, jt: Optional[float] = None, threads=None,
+             sums: Optional[tuple[np.ndarray, np.ndarray]] = None):
     """Yield the C-contiguous stack ``amps`` (..., 2**L) of frame states after each period, indefinitely.
 
     The one period loop: the real kick ``r^{(x)L}``, then the Ising phase of
@@ -369,16 +400,16 @@ def _periods(amps: np.ndarray, L: int, theta: float, jt: Optional[float] = None,
     ``_frame(..., inverse=True)`` maps that back to the spin basis.
 
     Each pass runs as the slices of ``threads``, the ``(count, run)`` of a
-    caller's ``_threads`` context, which then serves the caller between
-    periods too.  Without it the loop holds a context of its own until it is
-    closed.
+    caller's ``_threads`` context.  Without it the loop holds a context of its
+    own until it is closed.  With ``sums`` every period also sums the
+    |amp|**2 of a lone state into them (``_period_passes``).
     """
     if threads is None:
         with _threads(amps.size) as threads:
-            yield from _periods(amps, L, theta, jt, threads)
+            yield from _periods(amps, L, theta, jt, threads, sums)
         return
     count, run = threads
-    passes = _period_passes(amps, L, theta, jt, count)
+    passes = _period_passes(amps, L, theta, jt, count, sums)
     if count == 1:  # one slice is called directly, as ``run`` would in turn
         calls = [call for slices in passes for call in slices[0]]
         while True:
@@ -389,22 +420,6 @@ def _periods(amps: np.ndarray, L: int, theta: float, jt: Optional[float] = None,
         for slices in passes:
             run(_in_turn, slices)
         yield amps
-
-
-def _weights(amps: np.ndarray, out: np.ndarray) -> None:
-    """``|amps|**2`` into ``out``."""
-    np.abs(amps, out=out)
-    np.square(out, out=out)
-
-
-def _add_weights(amps: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """``out += |amps|**2``, through ``scratch`` a piece at a time."""
-    piece = scratch.size
-    for i in range(0, amps.size, piece):
-        part = amps[i:i + piece]
-        w = scratch[:part.size]
-        _weights(part, w)
-        out[i:i + piece] += w
 
 
 def _stacked_period(states: np.ndarray, L: int, theta: float,
@@ -522,8 +537,13 @@ def evolve_stroboscopic(initial: StateVector, params: FloquetParams,
                         n_periods: int) -> StroboscopicSeries:
     """Iterate the one-period propagator, sampling P(nT) and every site's sz after each period.
 
-    The state is never renormalized; the accumulated norm drift is reported on
-    the result and stays far below 1e-9 over 1e5 periods in practice.
+    The loop sums each period's |amp|**2 as it goes (``_period_passes``): by
+    the low index, and by the high index in each block of pass 2.  Two
+    marginal trees over those sums give every site's sz
+    (``observables._sz_profile``), so the state is read once a period and no
+    array of weights grows with it.  The state is never renormalized; the
+    accumulated norm drift is reported on the result and stays far below
+    1e-9 over 1e5 periods in practice.
     """
     _require_same_sites(initial, params)
     if n_periods < 1:
@@ -531,23 +551,17 @@ def evolve_stroboscopic(initial: StateVector, params: FloquetParams,
     L = params.L
     _require_bytes(L, 8 * L * n_periods, f"the sz series of {n_periods} periods")
     stack, start = _start(initial)
-    weights = np.empty(stack.size // 2)
+    # The loop's sums of |amp|**2 over the high index (the low sites' marginal) and over
+    # each block's columns (summed over the blocks, the high sites' marginal).
+    sites, _, width = _blocks(L, stack.size)
+    sums = np.empty(1 << sites), np.zeros(((2 << sites) // width, 1 << (L - sites)))
     p_out = np.empty(n_periods)
     sz_out = np.empty((n_periods, L))
     with _threads(stack.size) as threads:
-        count, run = threads
-        lower, upper = stack.reshape(2, -1)
-        parts = list(zip(_cuts(lower, count), _cuts(upper, count), _cuts(weights, count)))
-        # The lower half's weights are added in 32 pieces, through a 128th of a state per slice.
-        pieces = [(low, w, np.empty(-(-lower.size // 32))) for low, _, w in parts]
-        for n, amps in zip(range(n_periods), _periods(stack, L, params.theta, params.jt, threads)):
+        periods = _periods(stack, L, params.theta, params.jt, threads, sums)
+        for n, amps in zip(range(n_periods), periods):
             p_out[n] = abs(_overlap(start, amps)) ** 2
-            # The upper half's |amp|**2 sums to the top site's up weight; the lower half's,
-            # added in, gives the lower sites' marginal, as lower + upper would.
-            run(_weights, [(up, w) for _, up, w in parts])
-            top = weights.sum()
-            run(_add_weights, pieces)
-            sz_out[n] = _sz_profile(weights, top)
+            sz_out[n] = _sz_profile(sums[0], sums[1].sum(axis=0))
     # The final state is not kept, so its norm squares it in place.
     drift = abs(_norm(stack, stack.view(np.float64)) - 1.0)
     return StroboscopicSeries(

@@ -66,26 +66,28 @@ def return_probability(current: StateVector, initial: StateVector) -> float:
     return float(abs(np.vdot(initial.amplitudes, current.amplitudes)) ** 2)
 
 
-def _sz_profile(weights: np.ndarray, top: float) -> np.ndarray:
-    """sigma^z on every site of an L-site chain, in one pass; overwrites ``weights``.
+def _sz_profile(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """sigma^z on every site of a chain from two marginals of its weights; overwrites both.
 
-    ``weights`` holds the marginal weights of the lower L - 1 sites, the two
-    halves of the basis weights |amp|^2 added, and ``top`` the up weight of
-    site L - 1, the upper half's sum.  A marginal tree: the upper half of
-    the weights is the up weight of the highest site left, and the two
-    halves added are the weights of the sites below it.  Halving down to one
-    entry leaves the total.
+    The chain's sites split into its low sites and the sites above them.
+    ``low`` holds the basis weights |amp|^2 summed over the high sites, one
+    entry per state of the low sites, and ``high`` the weights summed over
+    the low sites (one entry when there is no high site).  A marginal tree on
+    each, in one pass: the upper half of the weights is the up weight of the
+    highest site left, and the two halves added are the weights of the sites
+    below it.  Halving ``low`` down to one entry leaves the total.
     """
-    L = weights.size.bit_length()
-    up = np.empty(L)
-    up[-1] = top
-    size = weights.size
-    for site in reversed(range(L - 1)):
-        size //= 2
-        lower, upper = weights[:size], weights[size:2 * size]
-        up[site] = upper.sum()
-        lower += upper
-    return 2.0 * up - weights[0]
+    up = []
+    for weights in (low, high):
+        size = weights.size
+        ups = np.empty(size.bit_length() - 1)
+        for site in reversed(range(ups.size)):
+            size //= 2
+            lower, upper = weights[:size], weights[size:2 * size]
+            ups[site] = upper.sum()
+            lower += upper
+        up.append(ups)
+    return 2.0 * np.concatenate(up) - low[0]
 
 
 def local_sz(state: StateVector, site: int) -> float:

@@ -18,7 +18,7 @@ import kicked_ising
 from kicked_ising import cli, sweep
 from kicked_ising.cli import main
 
-from conftest import read_result_csv
+from conftest import file_without_provenance, read_result_csv
 
 
 def test_success_returns_zero(tmp_path, capsys):
@@ -289,6 +289,27 @@ def test_cli_import_leaves_scipy_and_multiprocessing_out(script):
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "[]"
+
+
+def test_evolve_data_do_not_depend_on_the_blas_threads(tmp_path):
+    """An 18-site evolve, whose loop is split over two BLAS threads or runs on one, writes the
+    same CSV data sections under either count: sz comes from the pass-2 blocks, whose
+    geometry follows L alone."""
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads / "e.csv"
+        out.parent.mkdir()
+        completed = subprocess.run(
+            [sys.executable, "-m", "kicked_ising.cli", "evolve", "-L", "18", "--jt-over-pi", "0.9",
+             "--epsilon-over-pi", "0.1", "--periods", "4", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**_child_env(), "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert completed.returncode == 0, completed.stderr
+        written[threads] = {path.name: file_without_provenance(path)
+                            for path in sorted(out.parent.iterdir())}
+    assert sorted(written["1"]) == ["e.csv", "e_series_000.csv"]
+    assert written["1"] == written["2"]
 
 
 def test_other_runtime_errors_propagate(monkeypatch):

@@ -145,13 +145,16 @@ class TestStateDiagnostics:
 
     @pytest.mark.parametrize("L", range(2, 13))
     def test_sz_profile_matches_local_sz(self, L, rng):
-        """The one-pass marginal tree gives every site's sigma^z of a random state."""
+        """The one-pass marginal trees give every site's sigma^z of a random state from the
+        weights summed over the high sites and over the low sites, for every split of the
+        chain, none of its sites high included."""
         for _ in range(3):
             state = StateVector(L, random_state(L, rng))
-            lower, upper = np.abs(state.amplitudes.reshape(2, -1)) ** 2
-            profile = _sz_profile(lower + upper, upper.sum())
             expected = [local_sz(state, site) for site in range(L)]
-            assert np.max(np.abs(profile - expected)) <= 1e-14
+            for high in range(L):
+                weights = (np.abs(state.amplitudes) ** 2).reshape(1 << high, -1)
+                profile = _sz_profile(weights.sum(axis=0), weights.sum(axis=1))
+                assert np.max(np.abs(profile - expected)) <= 1e-14
 
     def test_local_sz_site_range(self):
         with pytest.raises(ValueError):
