@@ -10,10 +10,9 @@ diagonal phase, split over OpenBLAS's threads from 18 sites on.  The
 chain's free fermions give the rest in closed form, from the two parity
 sectors: the return probability of the all-up start, behind the lifetime,
 phase-diagram and Fourier sweeps, with no 2**L array, and every
-quasi-energy level as a sum of mode phases; eigenvectors come from the
-dense propagator's Schur decomposition.  No array may exceed
+quasi-energy level as a sum of mode phases.  No array may exceed
 ``MAX_ARRAY_BYTES`` (256 MiB), which allows states up to 24 sites, spectra
-up to 25, their eigenvectors up to 12 and the closed-form stream up to
+up to 25, the dense propagator up to 12 and the closed-form stream up to
 32767.  A drive is ``FloquetParams(L, jt, epsilon)``: time is counted in
 periods, so quasi-energies are in units of ``1/T`` on ``(-pi, pi]``.
 
@@ -68,8 +67,6 @@ from .spectral import (
     count_exact_pi_pairs,
     fold_to_branch,
     gap_statistics,
-    overlap_with_pair_manifold,
-    paired_superposition,
     propagator_spectrum,
     quasi_energies,
 )
@@ -103,8 +100,7 @@ __all__ = [
     # spectral
     "EXACT_PAIR_TOL", "GapStatistics", "PairCounts", "QuasiEnergySpectrum",
     "check_time_reflection", "count_exact_pi_pairs", "fold_to_branch",
-    "gap_statistics", "overlap_with_pair_manifold", "paired_superposition",
-    "propagator_spectrum", "quasi_energies",
+    "gap_statistics", "propagator_spectrum", "quasi_energies",
     # magnon
     "MagnonPrediction", "c1_magnitude", "predicted_P2T",
     "predicted_P2T_unexpanded", "predicted_return",

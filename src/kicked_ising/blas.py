@@ -6,8 +6,7 @@ pool workers multiply with.  Its thread-count functions are exported under
 the name of its build: with a ``scipy_openblas_`` prefix in current wheels,
 plain ``openblas_`` in older ones, and a ``64_`` suffix in a 64-bit integer
 build.  A BLAS found nowhere there is left as it is, and counts as one thread.
-scipy's own OpenBLAS serves only ``scipy.linalg``, whose one call (the Schur
-of kept eigenvectors) runs on that library's own thread count.
+No other BLAS serves the package, whose one dependency is numpy.
 
 The engine's period loop reads ``threads`` to decide how many slices a large
 stack is cut into, and then runs the slices on threads of its own with

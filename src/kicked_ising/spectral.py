@@ -21,24 +21,24 @@ Free-fermion levels
 -------------------
 The drive is quadratic in Jordan-Wigner fermions, so ``propagator_spectrum``
 takes every level from ``sectors.free_fermion_levels`` as a sum of mode
-phases, with no matrix and no eigensolver.  ``quasi_energies`` of the full
-matrix of ``engine.build_dense_propagator`` is the dense oracle, and
-``propagator_spectrum`` keeps eigenvectors from that matrix's Schur
-decomposition.
+phases, with no matrix, no eigensolver and no eigenvectors.
+``quasi_energies`` of the full matrix of ``engine.build_dense_propagator``
+is the dense oracle of the levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import math
 
 import numpy as np
 
-from .engine import build_dense_propagator
+from .engine import _zz_phases
+# perfbench/tracer.py wraps spectral.build_dense_propagator; its install fails without the name.
+from .engine import build_dense_propagator  # noqa: F401
 from .sectors import free_fermion_levels
-from .states import FloquetParams, StateVector, _require_unitary
+from .states import FloquetParams, _require_unitary
 
 #: Quasi-energies closer than this to an anchor count as exactly degenerate.
 EXACT_PAIR_TOL = 1e-10
@@ -51,16 +51,10 @@ def fold_to_branch(x):
 
 @dataclass(frozen=True)
 class QuasiEnergySpectrum:
-    """Sorted quasi-energies of a propagator, optionally with eigenvectors.
-
-    ``energies`` is ascending within (-pi, pi]; when kept, column j of
-    ``eigenvectors`` belongs to ``energies[j]`` and the columns are
-    orthonormal.
-    """
+    """Sorted quasi-energies of a propagator, ascending within (-pi, pi]."""
 
     L: int
     energies: np.ndarray
-    eigenvectors: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
@@ -108,37 +102,18 @@ def quasi_energies(U: np.ndarray) -> QuasiEnergySpectrum:
     return QuasiEnergySpectrum(L=m.shape[0].bit_length() - 1, energies=energies)
 
 
-def propagator_spectrum(params: FloquetParams, keep_vectors: bool = False) -> QuasiEnergySpectrum:
+def propagator_spectrum(params: FloquetParams) -> QuasiEnergySpectrum:
     """Spectrum of the one-period propagator with the aligned quasi-energy origin.
 
     Quasi-energies are measured relative to the Ising phase of the fully
     aligned configuration, i.e. of ``exp(+i JT L / 4) U``; see the module
     docstring.  The levels are the free-fermion eigenphases of
-    ``sectors.free_fermion_levels``.  With ``keep_vectors`` they come from
-    the complex Schur decomposition of the dense propagator instead, so the
-    eigenvector columns are orthonormal even inside degenerate clusters, and
-    column j is the Schur vector of level j; the builder checks the
-    ``2**L x 2**L`` matrix against the array budget before it allocates.
+    ``sectors.free_fermion_levels``.
     """
-    shift = 0.25 * params.jt * params.L
-    if not keep_vectors:
-        energies = fold_to_branch(-free_fermion_levels(params) - shift)
-        energies.sort(kind="stable")
-        energies.setflags(write=False)
-        return QuasiEnergySpectrum(L=params.L, energies=energies)
-    U = build_dense_propagator(params).matrix
-    _require_unitary(U, "matrix")
-    # Imported here only: no sweep mode needs it, and it more than doubles the CLI's import time.
-    import scipy.linalg
-
-    triangular, vectors = scipy.linalg.schur(U, output="complex")
-    raw = fold_to_branch(-np.angle(np.diag(triangular)))
-    aligned = fold_to_branch(raw - shift)
-    order = np.lexsort((raw, aligned))  # by aligned level, ties by raw level, then by index
-    energies, vectors = aligned[order], vectors[:, order]
+    energies = fold_to_branch(-free_fermion_levels(params) - 0.25 * params.jt * params.L)
+    energies.sort(kind="stable")
     energies.setflags(write=False)
-    vectors.setflags(write=False)
-    return QuasiEnergySpectrum(L=params.L, energies=energies, eigenvectors=vectors)
+    return QuasiEnergySpectrum(L=params.L, energies=energies)
 
 
 def gap_statistics(spec: QuasiEnergySpectrum) -> GapStatistics:
@@ -175,16 +150,11 @@ def check_time_reflection(params: FloquetParams) -> float:
     R conj(D) R^T = conj(D).  The residual is (conj(D) - i**L D) K; the largest
     entries of every row of K have modulus max(|cos theta|, |sin theta|)**L.
     A periodic chain has an even number f of anti-aligned bonds, so D takes
-    only the L // 2 + 1 values of ``exp(-i (JT/4) (L - 2f))``.
+    only the L // 2 + 1 even-wall entries of ``engine._zz_phases``.
     """
-    d = np.exp(-0.25j * params.jt * (params.L - 2 * np.arange(0, params.L + 1, 2)))
+    d = _zz_phases(params.L, params.jt)[::2]
     kick = max(abs(math.cos(params.theta)), abs(math.sin(params.theta))) ** params.L
     return float(np.max(np.abs(d.conj() - 1j ** (params.L % 4) * d))) * kick
-
-
-def _anchor_distances(spec: QuasiEnergySpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Folded distances ``|e|`` and ``|e - pi|`` of every level from the two anchors."""
-    return (np.abs(fold_to_branch(spec.energies)), np.abs(fold_to_branch(spec.energies - math.pi)))
 
 
 def count_exact_pi_pairs(spec: QuasiEnergySpectrum, tol: float = EXACT_PAIR_TOL) -> PairCounts:
@@ -193,49 +163,6 @@ def count_exact_pi_pairs(spec: QuasiEnergySpectrum, tol: float = EXACT_PAIR_TOL)
     Distances are measured on the Floquet circle, so a level just below the
     branch edge -pi counts toward the pi anchor.
     """
-    d_zero, d_pi = _anchor_distances(spec)
+    d_zero = np.abs(fold_to_branch(spec.energies))
+    d_pi = np.abs(fold_to_branch(spec.energies - math.pi))
     return PairCounts(n_zero=int(np.sum(d_zero <= tol)), n_pi=int(np.sum(d_pi <= tol)))
-
-
-def paired_superposition(
-    spec: QuasiEnergySpectrum,
-    zero_index: int,
-    pi_index: int,
-    sign: int = +1,
-    tol: float = EXACT_PAIR_TOL,
-) -> StateVector:
-    """Equal-weight superposition of an anchor-0 and an anchor-pi eigenstate.
-
-    Such a state swaps between its two superposition branches every period and
-    returns to itself exactly every second period, for as long as the two
-    quasi-energies are exact: stroboscopic revival with no decay.
-    """
-    if spec.eigenvectors is None:
-        raise ValueError("spectrum was computed without eigenvectors")
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    d_zero, d_pi = _anchor_distances(spec)
-    dev_zero, dev_pi = float(d_zero[zero_index]), float(d_pi[pi_index])
-    if dev_zero > tol:
-        raise ValueError(f"state {zero_index} is {dev_zero:.3e} away from quasi-energy 0")
-    if dev_pi > tol:
-        raise ValueError(f"state {pi_index} is {dev_pi:.3e} away from quasi-energy pi")
-    combo = spec.eigenvectors[:, zero_index] + sign * spec.eigenvectors[:, pi_index]
-    combo = combo / np.linalg.norm(combo)
-    return StateVector(spec.L, combo)
-
-
-def overlap_with_pair_manifold(
-    state: StateVector, spec: QuasiEnergySpectrum, tol: float = EXACT_PAIR_TOL
-) -> float:
-    """Squared projection of ``state`` onto the span of anchor-0/anchor-pi eigenstates."""
-    if spec.eigenvectors is None:
-        raise ValueError("spectrum was computed without eigenvectors")
-    if state.L != spec.L:
-        raise ValueError(f"state has L={state.L} but spectrum has L={spec.L}")
-    d_zero, d_pi = _anchor_distances(spec)
-    on_anchor = (d_zero <= tol) | (d_pi <= tol)
-    if not np.any(on_anchor):
-        return 0.0
-    block = spec.eigenvectors[:, on_anchor]
-    return float(np.sum(np.abs(block.conj().T @ state.amplitudes) ** 2))

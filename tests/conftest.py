@@ -7,6 +7,9 @@ numpy itself.  Beside it, ``reflection_operator`` is the dense matrix of the
 time-reflection check's spin flip, and ``momentum_blocks`` cuts a matrix
 that commutes with translation and the global spin flip into the blocks of
 both, from the columns of the orbit representatives alone.
+``schur_spectrum`` gives eigenvectors, which the package does not: the
+complex Schur vectors of the package's dense propagator, orthonormal even
+inside degenerate clusters.
 
 The transfer-matrix oracle reaches any L.  Swapping the roles of space and
 time, a trace of the kicked ring factorizes along the ring into one small
@@ -25,8 +28,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from scipy.linalg import expm
+
+from kicked_ising import EXACT_PAIR_TOL, build_dense_propagator, fold_to_branch
+from kicked_ising.states import _norm
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -178,10 +185,35 @@ def reflection_operator(L: int) -> np.ndarray:
     return R
 
 
+def schur_spectrum(params) -> tuple[np.ndarray, np.ndarray]:
+    """Aligned quasi-energies and eigenvector columns of the dense propagator, from its complex
+    Schur decomposition, sorted by aligned level, ties by raw level, then by Schur order."""
+    triangular, vectors = scipy.linalg.schur(build_dense_propagator(params).matrix, output="complex")
+    raw = fold_to_branch(-np.angle(np.diag(triangular)))
+    aligned = fold_to_branch(raw - 0.25 * params.jt * params.L)
+    order = np.lexsort((raw, aligned))
+    return aligned[order], vectors[:, order]
+
+
+def paired_superposition(vectors: np.ndarray, zero_index: int, pi_index: int,
+                         sign: int = 1) -> np.ndarray:
+    """Normalized sum (sign +1) or difference (-1) of two eigenvector columns."""
+    combo = vectors[:, zero_index] + sign * vectors[:, pi_index]
+    return combo / np.linalg.norm(combo)
+
+
+def pair_manifold_weight(amplitudes: np.ndarray, energies: np.ndarray, vectors: np.ndarray) -> float:
+    """Squared projection onto the eigenvectors whose levels lie within EXACT_PAIR_TOL of 0 or pi."""
+    on_anchor = np.minimum(np.abs(fold_to_branch(energies)),
+                           np.abs(fold_to_branch(energies - np.pi))) <= EXACT_PAIR_TOL
+    return float(np.sum(np.abs(vectors[:, on_anchor].conj().T @ amplitudes) ** 2))
+
+
 def random_state(L: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized complex vector over the 2**L basis."""
+    """Normalized complex vector over the 2**L basis; the pairwise-sum norm keeps its bits off
+    the BLAS thread count."""
     amps = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
-    return amps / np.linalg.norm(amps)
+    return amps / _norm(amps)
 
 
 @pytest.fixture

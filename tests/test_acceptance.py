@@ -37,7 +37,6 @@ from kicked_ising import (
     fourier_spectrum,
     gap_statistics,
     iter_return_probability,
-    paired_superposition,
     polarized_state,
     predicted_P2T,
     predicted_P2T_unexpanded,
@@ -46,7 +45,7 @@ from kicked_ising import (
 )
 from kicked_ising.cli import main as cli_main
 
-from conftest import file_without_provenance, random_state
+from conftest import file_without_provenance, paired_superposition, random_state, schur_spectrum
 
 # Frozen study parameters.
 THRESHOLD = 0.05
@@ -302,10 +301,10 @@ def test_criterion_11_subharmonic_fourier_peak(capsys):
 
 def test_criterion_12_paired_superposition_never_decays(capsys):
     params = FloquetParams.from_dimensionless(6, 1.0, 0.1)
-    spec = propagator_spectrum(params, keep_vectors=True)
-    zero_index = int(np.argmin(np.abs(fold_to_branch(spec.energies))))
-    pi_index = int(np.argmin(np.abs(fold_to_branch(spec.energies - math.pi))))
-    state = paired_superposition(spec, zero_index, pi_index)
+    energies, vectors = schur_spectrum(params)
+    zero_index = int(np.argmin(np.abs(fold_to_branch(energies))))
+    pi_index = int(np.argmin(np.abs(fold_to_branch(energies - math.pi))))
+    state = StateVector(6, paired_superposition(vectors, zero_index, pi_index))
     series = evolve_stroboscopic(state, params, 2000)
     worst = float(np.min(series.return_probability[1::2]))
     ok = worst > 1.0 - 1e-8

@@ -261,15 +261,31 @@ def test_module_invocation(tmp_path):
     assert (tmp_path / "e_series_000.csv").exists()
 
 
-def test_cli_import_leaves_scipy_linalg_out():
-    """Only the Schur of ``propagator_spectrum(keep_vectors=True)`` imports scipy.linalg;
-    no mode runs it."""
-    completed = subprocess.run(
-        [sys.executable, "-c", "import sys, kicked_ising.cli; "
-                               "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'"],
-        capture_output=True, text=True, timeout=120, env=_child_env(),
-    )
+#: Every mode at four sites, then the dense oracle of the levels, with scipy unimportable.
+_WITHOUT_SCIPY = """
+import sys
+sys.modules['scipy'] = None
+from pathlib import Path
+from kicked_ising import FloquetParams, build_dense_propagator, quasi_energies
+from kicked_ising.cli import main
+drive = ['-L', '4', '--jt-over-pi', '0.9,1.0', '--epsilon-over-pi', '0.1']
+for mode, extra in (('evolve', ['--periods', '8']), ('lifetime-scan', ['--periods', '200']),
+                    ('phase-diagram', ['--periods', '40', '--window', '20', '--jobs', '2']),
+                    ('fourier', ['--periods', '64']), ('spectrum', ['--dump-spectra'])):
+    assert main([mode, *drive, *extra, '--out', str(Path(sys.argv[1]) / f'{mode}.csv')]) == 0, mode
+assert quasi_energies(build_dense_propagator(FloquetParams(4, 0.9, 0.1)).matrix).dim == 16
+"""
+
+
+def test_every_mode_runs_without_scipy(tmp_path):
+    """scipy is a test dependency only: no mode, the process pool and the dense oracle included,
+    imports it."""
+    completed = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+                               capture_output=True, text=True, timeout=120, env=_child_env())
     assert completed.returncode == 0, completed.stderr
+    for mode in ("evolve", "lifetime-scan", "phase-diagram", "fourier", "spectrum"):
+        _, rows = read_result_csv(tmp_path / f"{mode}.csv")
+        assert len(rows) == 2 and all(row["error"] == "" for row in rows), mode
 
 
 #: One period of an 18-site evolve: ``_threads`` then reads the BLAS thread count.
@@ -279,8 +295,8 @@ _EVOLVE_18 = ("from kicked_ising import FloquetParams, evolve_stroboscopic, pola
 
 @pytest.mark.parametrize("script", ["", _EVOLVE_18], ids=["launch", "evolve-18"])
 def test_cli_import_leaves_scipy_and_multiprocessing_out(script):
-    """Neither a launch nor an evolve split over two BLAS threads imports scipy (only the Schur
-    of kept eigenvectors needs it) or the process pool (only ``--jobs`` > 1 runs one)."""
+    """Neither a launch nor an evolve split over two BLAS threads imports scipy (only the tests
+    need it) or the process pool (only ``--jobs`` > 1 runs one)."""
     completed = subprocess.run(
         [sys.executable, "-c", "import sys, kicked_ising.cli; " + script +
                                "print(sorted({'scipy', 'multiprocessing'} & set(sys.modules)))"],

@@ -24,6 +24,7 @@ from kicked_ising import (
     iter_return_probability,
     local_sz,
     polarized_state,
+    propagator_spectrum,
     return_probability,
 )
 
@@ -419,7 +420,8 @@ def test_dense_propagator_columns_are_floquet_steps(L):
 
 
 def test_dense_propagator_capacity(monkeypatch):
-    """16 * 4**L bytes: 12 sites fit the budget exactly, 13 do not."""
+    """16 * 4**L bytes: 12 sites fit the budget exactly, 13 do not, though 13 sites of levels
+    alone fit, and they step no matrix."""
     with pytest.raises(CapacityError, match="L=13: a dense propagator needs 1024 MiB, over the "
                                             "256 MiB array capacity"):
         build_dense_propagator(FloquetParams.from_dimensionless(13, 1.0, 0.1))
@@ -430,6 +432,7 @@ def test_dense_propagator_capacity(monkeypatch):
     monkeypatch.setattr(engine, "_stacked_period", past_the_check)
     with pytest.raises(LookupError, match="capacity check passed"):
         build_dense_propagator(FloquetParams.from_dimensionless(12, 1.0, 0.1))
+    assert propagator_spectrum(FloquetParams.from_dimensionless(13, 1.0, 0.1)).dim == 2**13
 
 
 def _blas_counts() -> list[int]:

@@ -9,7 +9,6 @@ import scipy.linalg
 
 from kicked_ising import (
     EXACT_PAIR_TOL,
-    CapacityError,
     FloquetParams,
     PairCounts,
     QuasiEnergySpectrum,
@@ -21,8 +20,6 @@ from kicked_ising import (
     floquet_step,
     fold_to_branch,
     gap_statistics,
-    overlap_with_pair_manifold,
-    paired_superposition,
     polarized_state,
     propagator_spectrum,
     quasi_energies,
@@ -31,8 +28,9 @@ from kicked_ising import (
 from kicked_ising import engine, sectors, states
 from kicked_ising.engine import _kick_factor
 
-from conftest import (momentum_blocks, oracle_propagator, orbit_representatives, random_state,
-                      reflection_operator, transfer_return_amplitude, transfer_trace)
+from conftest import (momentum_blocks, oracle_propagator, orbit_representatives, pair_manifold_weight,
+                      paired_superposition, random_state, reflection_operator, schur_spectrum,
+                      transfer_return_amplitude, transfer_trace)
 
 #: (JT/pi, epsilon/pi) drive points of the time-reflection comparisons.
 DRIVES = ((1.0, 0.1), (0.5, 0.1), (1.0, 0.0), (0.2, 0.35), (0.0, 0.0), (1.3, 0.2341))
@@ -76,24 +74,22 @@ class TestQuasiEnergies:
         params = FloquetParams.from_dimensionless(5, 0.83, 0.12)
         U = build_dense_propagator(params).matrix
         fast = quasi_energies(np.exp(0.25j * params.jt * params.L) * U)
-        full = propagator_spectrum(params, keep_vectors=True)
-        assert fast.eigenvectors is None
-        assert np.max(np.abs(fast.energies - full.energies)) < 1e-10
+        energies, _ = schur_spectrum(params)
+        assert np.max(np.abs(fast.energies - energies)) < 1e-10
 
     def test_reconstruction_from_schur_vectors(self):
         params = FloquetParams.from_dimensionless(5, 0.83, 0.12)
         U = build_dense_propagator(params).matrix
-        spec = propagator_spectrum(params, keep_vectors=True)
-        V = spec.eigenvectors
-        assert np.max(np.abs(V.conj().T @ V - np.eye(spec.dim))) < 1e-12
-        rebuilt = V @ np.diag(np.exp(-1j * spec.energies)) @ V.conj().T
+        energies, V = schur_spectrum(params)
+        assert np.max(np.abs(V.conj().T @ V - np.eye(energies.size))) < 1e-12
+        rebuilt = V @ np.diag(np.exp(-1j * energies)) @ V.conj().T
         assert np.max(np.abs(np.exp(-0.25j * params.jt * params.L) * rebuilt - U)) < 1e-9
 
     @pytest.mark.parametrize("L", range(2, 9))
     def test_kept_schur_vectors_are_sorted_by_one_permutation(self, L):
-        """Kept levels and vectors are the dense propagator's Schur, sorted by raw level,
-        aligned, and sorted again, both sorts stable: ties in the aligned level fall to the
-        raw level, then to the Schur order.  The drives have degenerate clusters."""
+        """The oracle's one lexsort is the Schur sorted by raw level, aligned, and sorted again,
+        both sorts stable: ties in the aligned level fall to the raw level, then to the Schur
+        order.  The drives have degenerate clusters, where that order picks the anchors."""
         for jt_over_pi, eps_over_pi in ((1.0, 0.0), (1.0, 0.1), (0.0, 0.0)):
             params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
             U = build_dense_propagator(params).matrix
@@ -102,9 +98,9 @@ class TestQuasiEnergies:
             first = np.argsort(raw, kind="stable")
             aligned = fold_to_branch(raw[first] - 0.25 * params.jt * L)
             second = np.argsort(aligned, kind="stable")
-            spec = propagator_spectrum(params, keep_vectors=True)
-            assert np.array_equal(spec.energies, aligned[second])
-            assert np.array_equal(spec.eigenvectors, vectors[:, first][:, second])
+            energies, kept = schur_spectrum(params)
+            assert np.array_equal(energies, aligned[second])
+            assert np.array_equal(kept, vectors[:, first][:, second])
 
 
 class TestGapStatistics:
@@ -185,29 +181,12 @@ class TestMomentumBlocks:
     def test_lifted_vectors_are_orthonormal_eigenvectors(self, L):
         for jt_over_pi, eps_over_pi in ((1.0, 0.1), (0.0, 0.0)):
             params = FloquetParams.from_dimensionless(L, jt_over_pi, eps_over_pi)
-            spec = propagator_spectrum(params, keep_vectors=True)
-            V = spec.eigenvectors
+            energies, V = schur_spectrum(params)
             assert np.max(np.abs(V.conj().T @ V - np.eye(2**L))) <= 1e-12
             phase = np.exp(0.25j * params.jt * L)
-            eigenvalues = np.exp(-1j * spec.energies) / phase
+            eigenvalues = np.exp(-1j * energies) / phase
             U = build_dense_propagator(params).matrix
             assert np.max(np.linalg.norm(U @ V - V * eigenvalues, axis=0)) <= 1e-12
-
-    def test_lifted_vectors_capacity(self, monkeypatch):
-        """Kept vectors come from the dense 2**L x 2**L propagator, 16 * 4**L bytes: 12 sites
-        fit, 13 do not, though 13 sites of levels alone fit, and they need no matrix."""
-        params = FloquetParams.from_dimensionless(13, 1.0, 0.1)
-        with pytest.raises(CapacityError, match="L=13: a dense propagator needs "
-                                                "1024 MiB, over the 256 MiB array capacity"):
-            propagator_spectrum(params, keep_vectors=True)
-
-        def past_the_check(*args):
-            raise LookupError("the capacity check passed")
-
-        monkeypatch.setattr(engine, "_stacked_period", past_the_check)
-        with pytest.raises(LookupError, match="capacity check passed"):
-            propagator_spectrum(FloquetParams.from_dimensionless(12, 1.0, 0.1), keep_vectors=True)
-        assert propagator_spectrum(params).dim == 2**13
 
 
 #: (JT/pi, eps/pi) of the level traces: the locked point, the bare kick and a generic drive.
@@ -422,19 +401,19 @@ class TestPairedStates:
     @pytest.fixture
     def paired_spectrum(self):
         params = FloquetParams.from_dimensionless(4, 1.0, 0.1)
-        return params, propagator_spectrum(params, keep_vectors=True)
+        return params, *schur_spectrum(params)
 
     @staticmethod
-    def _anchor_indices(spec):
-        zero_index = int(np.argmin(np.abs(fold_to_branch(spec.energies))))
-        pi_index = int(np.argmin(np.abs(fold_to_branch(spec.energies - math.pi))))
+    def _anchor_indices(energies):
+        zero_index = int(np.argmin(np.abs(fold_to_branch(energies))))
+        pi_index = int(np.argmin(np.abs(fold_to_branch(energies - math.pi))))
         return zero_index, pi_index
 
     def test_superposition_swaps_and_revives(self, paired_spectrum):
-        params, spec = paired_spectrum
-        zero_index, pi_index = self._anchor_indices(spec)
-        plus = paired_superposition(spec, zero_index, pi_index, sign=+1)
-        minus = paired_superposition(spec, zero_index, pi_index, sign=-1)
+        params, energies, vectors = paired_spectrum
+        zero_index, pi_index = self._anchor_indices(energies)
+        plus = StateVector(4, paired_superposition(vectors, zero_index, pi_index, sign=+1))
+        minus = StateVector(4, paired_superposition(vectors, zero_index, pi_index, sign=-1))
         once = floquet_step(plus, params)
         # One period maps the + combination onto the - one (up to global phase)...
         assert abs(np.vdot(minus.amplitudes, once.amplitudes)) == pytest.approx(1.0, abs=1e-10)
@@ -443,48 +422,28 @@ class TestPairedStates:
         p2 = abs(np.vdot(plus.amplitudes, twice.amplitudes)) ** 2
         assert p2 == pytest.approx(1.0, abs=1e-10)
 
-    def test_superposition_validation(self, paired_spectrum):
-        params, spec = paired_spectrum
-        zero_index, pi_index = self._anchor_indices(spec)
-        bulk = int(np.argmax(np.abs(np.abs(spec.energies) - math.pi / 2) < 0.4))
-        with pytest.raises(ValueError, match="away from"):
-            paired_superposition(spec, bulk, pi_index)
-        with pytest.raises(ValueError, match="sign"):
-            paired_superposition(spec, zero_index, pi_index, sign=0)
-        plain = propagator_spectrum(params)
-        with pytest.raises(ValueError, match="eigenvectors"):
-            paired_superposition(plain, zero_index, pi_index)
-
     def test_manifold_weight_of_a_paired_state_is_one(self, paired_spectrum):
-        _, spec = paired_spectrum
-        zero_index, pi_index = self._anchor_indices(spec)
-        state = paired_superposition(spec, zero_index, pi_index)
-        assert overlap_with_pair_manifold(state, spec) == pytest.approx(1.0, abs=1e-10)
+        _, energies, vectors = paired_spectrum
+        state = paired_superposition(vectors, *self._anchor_indices(energies))
+        assert pair_manifold_weight(state, energies, vectors) == pytest.approx(1.0, abs=1e-10)
 
     def test_manifold_weight_is_a_probability(self, paired_spectrum, rng):
-        _, spec = paired_spectrum
-        state = StateVector(4, random_state(4, rng))
-        weight = overlap_with_pair_manifold(state, spec)
+        _, energies, vectors = paired_spectrum
+        weight = pair_manifold_weight(random_state(4, rng), energies, vectors)
         assert 0.0 <= weight <= 1.0 + 1e-12
 
     def test_polarized_state_weight_at_eight_sites(self):
-        params = FloquetParams.from_dimensionless(8, 1.0, 0.1)
-        spec = propagator_spectrum(params, keep_vectors=True)
-        weight = overlap_with_pair_manifold(polarized_state(8), spec)
+        energies, vectors = schur_spectrum(FloquetParams.from_dimensionless(8, 1.0, 0.1))
+        weight = pair_manifold_weight(polarized_state(8).amplitudes, energies, vectors)
         assert weight == pytest.approx(0.854990, abs=1e-5)
-
-    def test_dimension_mismatch(self, paired_spectrum):
-        _, spec = paired_spectrum
-        with pytest.raises(ValueError):
-            overlap_with_pair_manifold(polarized_state(5), spec)
 
 
 def test_paired_state_revival_survives_evolution():
     """The constructed superposition returns to itself every second period."""
     params = FloquetParams.from_dimensionless(4, 1.0, 0.1)
-    spec = propagator_spectrum(params, keep_vectors=True)
-    zero_index = int(np.argmin(np.abs(fold_to_branch(spec.energies))))
-    pi_index = int(np.argmin(np.abs(fold_to_branch(spec.energies - math.pi))))
-    state = paired_superposition(spec, zero_index, pi_index)
+    energies, vectors = schur_spectrum(params)
+    zero_index = int(np.argmin(np.abs(fold_to_branch(energies))))
+    pi_index = int(np.argmin(np.abs(fold_to_branch(energies - math.pi))))
+    state = StateVector(4, paired_superposition(vectors, zero_index, pi_index))
     series = evolve_stroboscopic(state, params, 40)
     assert np.min(series.return_probability[1::2]) > 1.0 - 1e-10

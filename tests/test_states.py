@@ -1,6 +1,10 @@
 """Basis conventions, parameter containers, and state constructors."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from kicked_ising import (
     product_state,
 )
 
+import kicked_ising
 from kicked_ising import blas, states
 
 from conftest import random_state
@@ -161,6 +166,26 @@ class TestPolarizedAndProduct:
         threaded = product_state(18, orientations).amplitudes
         with blas.one_thread():
             assert np.array_equal(product_state(18, orientations).amplitudes, threaded)
+
+
+def test_seeded_random_start_does_not_depend_on_the_blas_threads():
+    """``conftest.random_state`` normalizes by the pairwise sum too, so a seeded start is the
+    same bytes under one BLAS thread and three (``np.linalg.norm`` moved them at 14 and 18)."""
+    script = ("import hashlib, numpy as np; from conftest import random_state; "
+              "print([hashlib.sha256(random_state(L, np.random.default_rng(20260816)).tobytes())"
+              ".hexdigest() for L in (14, 18)])")
+    path = [str(Path(__file__).parent), str(Path(kicked_ising.__file__).parents[1]),
+            os.environ.get("PYTHONPATH")]
+    printed = []
+    for threads in ("1", "3"):
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+                 "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert completed.returncode == 0, completed.stderr
+        printed.append(completed.stdout)
+    assert printed[0] == printed[1]
 
 
 class TestOverlap:
