@@ -36,29 +36,33 @@ eigenvectors of ``V_k`` with eigenphases ``beta_k -+ eps_k``, hence
 
     A_s(n) = exp(i n gamma_s) prod_k (cos(n eps_k) - i t_k sin(n eps_k)):
 
-O(L) numbers at any L, and no 2**L array.  The same modes give all 2**L
-levels of one period (``free_fermion_levels``) as sums of mode phases.
+O(L) numbers at any L, and no 2**L array.  ``sector_chunks`` evaluates it
+for a batch of drives at one L at once, as arrays over drives and periods,
+and for the even periods alone if asked; ``sector_return_probability`` is its
+stream of one drive.  The same modes give all 2**L levels of one period
+(``free_fermion_levels``) as sums of mode phases.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 import numpy as np
 
 from .states import FloquetParams, _pow2, _require_bytes
 
-#: Periods evaluated per chunk in ``sector_return_probability`` (the columns of
-#: its phase table, a power of two).
+#: Periods evaluated per chunk in ``sector_chunks`` (the columns of its phase
+#: table, a power of two).
 _CHUNK = 512
 #: Rows of that table rotated at once.
 _ROWS = 256
 
 
-def _parity_sectors(params: FloquetParams) -> list[tuple[float, np.ndarray, np.ndarray]]:
+def _parity_sectors(L: int, jt, theta) -> list[tuple]:
     """Per sector, NS then R: the phase per period ``gamma_s``, and ``eps_k`` and ``t_k``
-    of its pairs (k, -k), 0 < k < pi."""
-    L, jt, theta = params.L, params.jt, params.theta
+    of its pairs (k, -k), 0 < k < pi, at L sites for the drive ``jt``, ``theta``; for
+    columns of drives, a row of ``eps_k`` and ``t_k`` each, with the same bits."""
     s, c = np.sin(jt / 2), np.cos(jt / 2)
     s2, c2 = np.sin(2 * theta), np.cos(2 * theta)
     gammas = (-theta - jt / 4, theta - jt / 4) if L % 2 else (0.0, -jt / 2)
@@ -69,7 +73,7 @@ def _parity_sectors(params: FloquetParams) -> list[tuple[float, np.ndarray, np.n
         v_z = c * s2 - s * c2 * cos_k
         sin_eps = np.hypot(s * np.sin(k), v_z)  # |v|
         eps = np.arctan2(sin_eps, c * c2 + s * s2 * cos_k)
-        tilt = np.divide(s * c2 - c * s2 * cos_k, sin_eps, out=np.zeros_like(k),
+        tilt = np.divide(s * c2 - c * s2 * cos_k, sin_eps, out=np.zeros_like(sin_eps),
                          where=sin_eps > 0)
         sectors.append((gamma, eps, tilt))
     return sectors
@@ -96,7 +100,7 @@ def free_fermion_levels(params: FloquetParams) -> np.ndarray:
     _require_levels(L)
     half = 1 << (L - 1)
     levels, scratch = np.empty(2 * half), np.empty(half)
-    for parity, (_, eps, _) in enumerate(_parity_sectors(params)):
+    for parity, (_, eps, _) in enumerate(_parity_sectors(L, jt, theta)):
         m = np.arange(1 - parity, L + 1, 2)
         paired = (m > 0) & (m < L)
         beta = 2 * theta - jt / 2 * np.cos(np.pi * m / L)
@@ -110,53 +114,85 @@ def free_fermion_levels(params: FloquetParams) -> np.ndarray:
     return levels
 
 
-def _require_stream(L: int) -> None:
-    """Check the phase table of ``sector_return_probability``, L + 1 rows of ``_CHUNK``."""
-    _require_bytes(L, 16 * _CHUNK * (L + 1), "the phase table")
+def _table_bytes(L: int) -> int:
+    """Bytes of one drive's phase table in ``sector_chunks``: L + 1 rows of ``_CHUNK``."""
+    return 16 * _CHUNK * (L + 1)
 
 
-def sector_return_probability(params: FloquetParams):
-    """Yield P(nT) of the all-up start for n = 1, 2, ..., indefinitely.
+def _require_stream(L: int, batch: int = 1) -> None:
+    """Check the phase table of ``sector_chunks`` over ``batch`` drives at L sites."""
+    _require_bytes(L, batch * _table_bytes(L), "the phase table")
 
-    Nothing is computed before the first sample is requested.  Each chunk of
-    ``_CHUNK`` periods from ``n0`` on multiplies the fixed table
-    ``exp(i j phi)``, one row per phase (the two ``gamma_s``, then every
-    ``eps_k``), by ``exp(i n0 phi)``, and then multiplies the factors of each
-    sector in row order, ``_ROWS`` rows at a time, so no rotated copy of the
-    whole table is held; no powers are accumulated, so the error does not
-    compound from chunk to chunk.  The table is doubled up in place from
+
+def sector_chunks(drives: Sequence[FloquetParams], even: bool = False):
+    """Yield P(nT) of the all-up start for a batch of drives at one L, a chunk at a time.
+
+    Chunk c has a row per drive and a column per period: row b holds P(nT)
+    of ``drives[b]`` for n = n0 .. n0 + _CHUNK - 1, n0 = 1 + c _CHUNK.  With
+    ``even`` it holds the even n alone, the odd columns as n0 is odd: half the
+    columns for half the work.  Sending the generator a boolean mask over the
+    rows of the last chunk keeps only those drives from the next chunk on.
+    Nothing is computed before the first chunk is requested.
+
+    Each chunk multiplies the fixed table ``exp(i j phi)``, one row per phase
+    of a drive (the two ``gamma_s``, then every ``eps_k``), by
+    ``exp(i n0 phi)``, and then multiplies the factors of each sector in row
+    order, ``_ROWS`` rows at a time, so no rotated copy of the whole table is
+    held; no powers are accumulated, so the error does not compound from
+    chunk to chunk.  The table is doubled up in place from
     ``exp(i 2**b phi)``: each entry is a product of at most log2(_CHUNK)
     exponentials of exactly scaled phases, which is both cheaper and closer
-    than rounding ``j * phi`` before ``exp``.
+    than rounding ``j * phi`` before ``exp``.  The even table is a view of the
+    odd columns of the whole one.  Doubling up the odd columns alone, from
+    column 1, forms the same products in loops of other lengths, and numpy's
+    complex multiply then moves the last bit of some entries; taken from the
+    whole table, every sample keeps its bits in any batch, with or without
+    ``even``.
     """
-    _require_stream(params.L)
-    (gamma_ns, eps_ns, tilt_ns), (gamma_r, eps_r, tilt_r) = _parity_sectors(params)
-    phases = np.concatenate(([gamma_ns, gamma_r], eps_ns, eps_r))
-    minus_tilt = -np.concatenate(([0.0, 0.0], tilt_ns, tilt_r))[:, None]  # by table row
-    split = 2 + eps_ns.size
-    table = np.empty((phases.size, _CHUNK), dtype=np.complex128)
-    table[:, 0] = 1.0
+    L = drives[0].L
+    _require_stream(L, len(drives))
+    jt = np.array([[params.jt] for params in drives])
+    theta = np.array([[params.theta] for params in drives])
+    (gamma_ns, eps_ns, tilt_ns), (gamma_r, eps_r, tilt_r) = _parity_sectors(L, jt, theta)
+    phases = np.concatenate((*np.broadcast_arrays(gamma_ns, gamma_r), eps_ns, eps_r), axis=1)
+    minus_tilt = -np.concatenate((np.zeros_like(phases[:, :2]), tilt_ns, tilt_r), axis=1)
+    split = 2 + eps_ns.shape[1]
+    table = np.empty((*phases.shape, _CHUNK), dtype=np.complex128)
+    table[..., 0] = 1.0
     filled = 1
     while filled < _CHUNK:
-        np.multiply(table[:, :filled], np.exp(1j * filled * phases)[:, None],
-                    out=table[:, filled:2 * filled])
+        np.multiply(table[..., :filled], np.exp(1j * filled * phases)[..., None],
+                    out=table[..., filled:2 * filled])
         filled *= 2
-    block = np.empty((_ROWS + 1, _CHUNK), dtype=np.complex128)
+    if even:
+        table = table[..., 1::2]
+    # row 0 carries the product; a sector has at most L // 2 pairs
+    block = np.empty((len(drives), min(L // 2, _ROWS) + 1, table.shape[-1]), dtype=np.complex128)
 
     def pair_product(first: int, stop: int, start: np.ndarray) -> np.ndarray:
         """Product of rows ``first .. stop-1`` of ``table * start``, each row
-        ``cos(n eps_k) - i t_k sin(n eps_k)``; row 0 of ``block`` carries it."""
-        block[0] = 1.0
+        ``cos(n eps_k) - i t_k sin(n eps_k)``, one per drive of the batch."""
+        carry = block[:len(start)]
+        carry[:, 0] = 1.0
         for lo in range(first, stop, _ROWS):
             hi = min(lo + _ROWS, stop)
-            rows = block[1:1 + hi - lo]
-            np.multiply(table[lo:hi], start[lo:hi, None], out=rows)
-            rows.imag *= minus_tilt[lo:hi]
-            block[0] = block[:1 + hi - lo].prod(axis=0)
-        return block[0]
+            rows = carry[:, 1:1 + hi - lo]
+            np.multiply(table[:, lo:hi], start[:, lo:hi, None], out=rows)
+            rows.imag *= minus_tilt[:, lo:hi, None]
+            carry[:, 0] = carry[:, :1 + hi - lo].prod(axis=1)
+        return carry[:, 0]
 
     for n0 in itertools.count(1, _CHUNK):
         start = np.exp(1j * n0 * phases)
-        amplitude = (table[0] * start[0] * pair_product(2, split, start)
-                     + table[1] * start[1] * pair_product(split, phases.size, start))
-        yield from (np.abs(amplitude / 2) ** 2).tolist()
+        amplitude = (table[:, 0] * start[:, :1] * pair_product(2, split, start)
+                     + table[:, 1] * start[:, 1:2] * pair_product(split, L + 1, start))
+        keep = yield np.abs(amplitude / 2) ** 2
+        if keep is not None:
+            table, phases, minus_tilt = table[keep], phases[keep], minus_tilt[keep]
+
+
+def sector_return_probability(params: FloquetParams):
+    """Yield P(nT) of the all-up start for n = 1, 2, ..., indefinitely: the chunks of
+    ``sector_chunks`` over the one drive ``params``."""
+    for chunk in sector_chunks([params]):
+        yield from chunk[0].tolist()

@@ -21,7 +21,7 @@ Five sweep modes cover the standard numerical experiments:
 
 ``lifetime-scan``, ``phase-diagram`` and ``fourier`` read one stream of
 P(nT) from the all-up start, the closed-form product over the two parity
-sectors of the free-fermion chain (``sectors.sector_return_probability``):
+sectors of the free-fermion chain (``sectors.sector_chunks``):
 O(L) numbers per point at any chain length, and no 2**L array.  ``spectrum``
 sums their mode phases into the 2**L levels (``sectors.free_fermion_levels``)
 and runs no eigensolver.  ``evolve`` iterates the 2**L state, whose norm
@@ -29,8 +29,9 @@ drift and site magnetizations it reports.
 
 Every run writes a single summary CSV whose first line is a ``#``-prefixed
 JSON object echoing the sweep configuration and recording provenance
-(tool, version, timestamp, elapsed time, worker count, and the engine --
-``free-fermion`` or ``iterative`` -- that computed each row).
+(tool, version, timestamp, elapsed time, the worker count asked for and the
+processes started, and the engine -- ``free-fermion`` or ``iterative`` --
+that computed each row).
 The data that follows is a function of the configuration alone: repeated
 runs produce byte-identical files once the provenance object is ignored,
 regardless of ``jobs``.  Floats are written with ``repr`` so values
@@ -45,9 +46,14 @@ subcommand parsers, the config-file check and the value conversion all read.
 Every file is written under a temporary name and renamed into place, so a
 failed write leaves no partial file.
 
-Grid points are processed independently (optionally in a process pool) and
-rows are emitted in grid order.  A failure at one point is captured in that
-row's ``error`` column instead of aborting the sweep.
+Grid points are processed independently and rows are emitted in grid order.
+The stream's points at one chain length run as batches of drives, arrays of
+points at once, and ``lifetime-scan`` and ``phase-diagram`` compute the even
+periods alone.  With ``jobs`` > 1 the tasks (a point each for ``evolve`` and
+``spectrum``, on the stream runs of points that carry ``_TASK_WORK`` each) go
+to a process pool, but only when there are two or more: a grid too cheap to
+pay for the pool's start-up runs in-process.  A failure at one point is
+captured in that row's ``error`` column instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -70,8 +76,8 @@ from . import __version__, blas
 from .engine import evolve_stroboscopic
 # perfbench/tracer.py wraps sweep.iter_return_probability; its install fails without the name.
 from .engine import iter_return_probability  # noqa: F401
-from .observables import average_return, first_crossing, fourier_spectrum, lifetime
-from .sectors import _require_levels, _require_stream, sector_return_probability
+from .observables import average_return, fourier_spectrum, lifetime
+from .sectors import _require_levels, _require_stream, _table_bytes, sector_chunks
 from .spectral import (check_time_reflection, count_exact_pi_pairs, gap_statistics,
                        propagator_spectrum)
 from .states import FloquetParams, _require_bytes, _require_state, polarized_state
@@ -171,9 +177,23 @@ class SweepResult:
     aux_files: list[Path] = field(default_factory=list)
 
 
+#: Stream work of a task: samples read times phase-table rows, L + 1 a sample.  Two tasks of
+#: this much pay for a pool of two workers, as each takes as long in-process as the pool's
+#: start-up: 0.038 s in the CLI (median difference of 15 paired launches of a two-point
+#: lifetime-scan at --jobs 2 and 1) at the batched stream's 60 million sample-rows a second
+#: (phase-diagram at L = 8, 328 drives, window 500; about 90 million at L = 40), both on a
+#: 2-core x86-64 host.
+_TASK_WORK = 2_300_000
+#: Phase-table bytes of one batch of drives streamed at once, 14 drives at L = 8.  On that
+#: grid, batches of 3, 7, 14 and 28 drives took 62, 42, 33 and 31 ms, and the CLI's peak RSS
+#: rose from 31.2 MB (one drive at a time) to 32.0 MB at 1 MiB and 33.4 MB at 2 MiB.
+_BATCH_BYTES = 1 << 20
+
+
 # --------------------------------------------------------------------------
-# per-point functions: (params, config) -> result cells, plus an optional
-# ``_aux = (columns, arrays)`` curve, one array per column, written next to the summary
+# point functions: (FloquetParams, config) -> result cells, or (list of FloquetParams at one L,
+# config) -> the cells of each; cells may hold an ``_aux = (columns, arrays)`` curve, one array
+# per column, written next to the summary
 
 def _evolve_point(params: FloquetParams, config: SweepConfig) -> dict:
     L = params.L
@@ -194,18 +214,53 @@ def _evolve_point(params: FloquetParams, config: SweepConfig) -> dict:
     )
 
 
-def _lifetime_point(params: FloquetParams, config: SweepConfig) -> dict:
-    """``n_star`` indexes even periods (pairs); odd periods are never compared."""
-    even = itertools.islice(sector_return_probability(params), 1, None, 2)
-    n_star = first_crossing(itertools.islice(even, config.n_periods // 2), config.threshold)
-    return {"n_star": n_star, "censored": n_star is None}
+def _sub_batches(drives: list) -> list[list]:
+    """``drives`` in runs whose phase table takes ``_BATCH_BYTES`` at most, or one drive."""
+    size = max(1, _BATCH_BYTES // _table_bytes(drives[0].L))
+    return [drives[i:i + size] for i in range(0, len(drives), size)]
 
 
-def _phase_point(params: FloquetParams, config: SweepConfig) -> dict:
-    total = 0.0
-    for p_even in itertools.islice(sector_return_probability(params), 1, 2 * config.window, 2):
-        total += p_even
-    return {"average_return": total / config.window}
+def _stream(batch: list, samples: int, even: bool):
+    """The first ``samples`` columns of ``sector_chunks(batch, even)``, chunk by chunk."""
+    for chunk in sector_chunks(batch, even):
+        yield chunk[:, :samples]
+        samples -= chunk.shape[1]
+        if samples <= 0:
+            return
+
+
+def _lifetime_points(drives: list, config: SweepConfig) -> list[dict]:
+    """``n_star`` indexes even periods (pairs); odd periods are never computed.  A drive leaves
+    its batch's stream once it crosses, so it computes the chunks it would alone."""
+    n_max, n_star = config.n_periods // 2, []
+    for batch in _sub_batches(drives):
+        found = [None] * len(batch)
+        left = np.arange(len(batch))  # the drives still streamed
+        stream = sector_chunks(batch, even=True)
+        chunk, read = next(stream), 0
+        while True:
+            below = chunk[:, :n_max - read] < config.threshold
+            crossed = below.any(axis=1)
+            for row in np.flatnonzero(crossed):
+                found[left[row]] = read + 1 + int(below[row].argmax())
+            read, left = read + below.shape[1], left[~crossed]
+            if read == n_max or not left.size:
+                break
+            chunk = stream.send(~crossed) if crossed.any() else next(stream)
+        n_star += found
+    return [{"n_star": n, "censored": n is None} for n in n_star]
+
+
+def _phase_points(drives: list, config: SweepConfig) -> list[dict]:
+    """The mean of the first ``window`` even samples, added up in order, as ``total += p``."""
+    averages = []
+    for batch in _sub_batches(drives):
+        total = np.zeros(len(batch))
+        for part in _stream(batch, config.window, even=True):
+            part[:, 0] += total
+            total = np.add.accumulate(part, axis=1)[:, -1]
+        averages += (total / config.window).tolist()
+    return [{"average_return": average} for average in averages]
 
 
 def _spectrum_point(params: FloquetParams, config: SweepConfig) -> dict:
@@ -217,19 +272,27 @@ def _spectrum_point(params: FloquetParams, config: SweepConfig) -> dict:
     return cells
 
 
-def _fourier_point(params: FloquetParams, config: SweepConfig) -> dict:
-    samples = np.fromiter(sector_return_probability(params), float, config.n_periods)
-    spectrum = fourier_spectrum(samples)
-    peak = spectrum.peak_bin()
+def _fourier_points(drives: list, config: SweepConfig) -> list[dict]:
     half = config.n_periods // 2 if config.n_periods % 2 == 0 else None
-    return dict(
-        peak_bin=peak,
-        peak_frequency=float(spectrum.frequencies[peak]),
-        peak_magnitude=float(spectrum.magnitudes[peak]),
-        subharmonic_magnitude=None if half is None else float(spectrum.magnitudes[half]),
-        _aux=(("bin", "frequency", "magnitude"),
-              (np.arange(spectrum.n_samples), spectrum.frequencies, spectrum.magnitudes)),
-    )
+    cells = []
+    for batch in _sub_batches(drives):
+        for samples in np.concatenate(list(_stream(batch, config.n_periods, even=False)), axis=1):
+            spectrum = fourier_spectrum(samples)
+            peak = spectrum.peak_bin()
+            cells.append(dict(
+                peak_bin=peak,
+                peak_frequency=float(spectrum.frequencies[peak]),
+                peak_magnitude=float(spectrum.magnitudes[peak]),
+                subharmonic_magnitude=None if half is None else float(spectrum.magnitudes[half]),
+                _aux=(("bin", "frequency", "magnitude"),
+                      (np.arange(spectrum.n_samples), spectrum.frequencies, spectrum.magnitudes)),
+            ))
+    return cells
+
+
+def _each(point: Callable) -> Callable:
+    """A point function of one FloquetParams as one of a task's list of them."""
+    return lambda drives, config: [point(params, config) for params in drives]
 
 
 _POINT = ("L", "jt_over_pi", "epsilon_over_pi")
@@ -239,77 +302,109 @@ class _Mode(NamedTuple):
     """A row of ``_MODES``."""
 
     columns: tuple[str, ...]  # summary columns
-    point: Callable           # (FloquetParams, SweepConfig) -> result cells
+    point: Callable           # (list of FloquetParams at one L, SweepConfig) -> cells of each
     engine: str               # what computes every row (``provenance.paths``)
     require: Callable         # L -> None: checks the path's largest array, before any point
     aux: Optional[str]        # kind of the per-point CSV, if the points write one
     periods: int              # default horizon (``--periods``)
     help: str                 # the subcommand's help
+    samples: Optional[Callable] = None  # config -> stream samples a point reads; None: not batched
 
 
 _MODES = {
     "evolve": _Mode(_POINT + ("n_periods", "n_star", "censored", "average_return",
                               "window_used", "norm_drift", "series_file", "error"),
-                    _evolve_point, "iterative", _require_state, "series", 2000,
+                    _each(_evolve_point), "iterative", _require_state, "series", 2000,
                     "record return probability and magnetization time series"),
     "lifetime-scan": _Mode(_POINT + ("threshold", "n_max_pairs", "n_star", "censored", "error"),
-                           _lifetime_point, "free-fermion", _require_stream, None, 100_000,
+                           _lifetime_points, "free-fermion", _require_stream, None, 100_000,
                            "scan the threshold-crossing time of the even-period return "
-                           "probability"),
-    "phase-diagram": _Mode(_POINT + ("window", "average_return", "error"), _phase_point,
+                           "probability", lambda config: config.n_periods // 2),
+    "phase-diagram": _Mode(_POINT + ("window", "average_return", "error"), _phase_points,
                            "free-fermion", _require_stream, None, 2000, "map the early-time "
-                           "averaged return probability over drive parameters"),
+                           "averaged return probability over drive parameters",
+                           lambda config: config.window),
     "spectrum": _Mode(_POINT + ("delta0_mean", "delta_pi_mean", "ratio", "n_zero", "n_pi",
                                 "reflection_residual", "spectrum_file", "error"),
-                      _spectrum_point, "free-fermion", _require_levels, "spectrum", 2000,
+                      _each(_spectrum_point), "free-fermion", _require_levels, "spectrum", 2000,
                       "report quasi-energy pairing statistics and symmetry residuals"),
     "fourier": _Mode(_POINT + ("n_periods", "peak_bin", "peak_frequency", "peak_magnitude",
                                "subharmonic_magnitude", "spectrum_file", "error"),
-                     _fourier_point, "free-fermion", _require_stream, "spectrum", 2000,
-                     "Fourier-analyze the return-probability series"),
+                     _fourier_points, "free-fermion", _require_stream, "spectrum", 2000,
+                     "Fourier-analyze the return-probability series",
+                     lambda config: config.n_periods),
 }
 MODES = tuple(_MODES)
 
 
-def _sweep_point(task) -> dict:
-    """One grid point as a summary row, a failure recorded in ``error`` (pool-picklable)."""
-    L, jt_pi, eps_pi, config = task
+def _tasks(config: SweepConfig) -> list[tuple]:
+    """The grid as tasks ``(L, drives, config)`` in grid order, ``drives`` their (JT/pi,
+    epsilon/pi): one point each, or on the stream the points at one L in as many runs of
+    consecutive points, equal to within one, as carry ``_TASK_WORK`` each (one at least)."""
+    samples = _MODES[config.mode].samples
+    tasks = []
+    for L, points in itertools.groupby(config.grid(), key=lambda point: point[0]):
+        drives = [point[1:] for point in points]
+        n = len(drives)
+        count = n if samples is None else min(
+            n, max(1, n * (L + 1) * samples(config) // max(_TASK_WORK, 1)))
+        tasks += [(L, drives[i * n // count:(i + 1) * n // count], config) for i in range(count)]
+    return tasks
+
+
+def _sweep_points(task) -> list[dict]:
+    """A task's grid points as summary rows, a failure recorded in ``error`` (pool-picklable).
+
+    A batch that raises runs again point by point, so each error lands in its own row.
+    """
+    L, drives, config = task
     columns, point, *_ = _MODES[config.mode]
-    cell = dict(L=L, jt_over_pi=jt_pi, epsilon_over_pi=eps_pi, n_periods=config.n_periods,
-                threshold=config.threshold, window=config.window,
-                n_max_pairs=config.n_periods // 2)
-    row = {column: cell.get(column) for column in columns}
+    rows = []
+    for jt_pi, eps_pi in drives:
+        cell = dict(L=L, jt_over_pi=jt_pi, epsilon_over_pi=eps_pi, n_periods=config.n_periods,
+                    threshold=config.threshold, window=config.window,
+                    n_max_pairs=config.n_periods // 2)
+        rows.append({column: cell.get(column) for column in columns})
     try:
-        params = FloquetParams.from_dimensionless(L, jt_pi, eps_pi)
-        row.update(point(params, config))
+        results = point([FloquetParams.from_dimensionless(L, *drive) for drive in drives], config)
     except Exception as exc:  # noqa: BLE001 - recorded per row, sweep continues
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+        if len(drives) > 1:
+            return [row for drive in drives for row in _sweep_points((L, [drive], config))]
+        rows[0]["error"] = f"{type(exc).__name__}: {exc}"
+        return rows
+    for row, cells in zip(rows, results):
+        row.update(cells)
+    return rows
 
 
-def _run_share(share: tuple) -> list[dict]:
+def _workers(jobs: int, tasks: int) -> int:
+    """Processes a pool starts for ``tasks`` tasks at ``jobs``: none for one task or one job."""
+    return 0 if jobs <= 1 or tasks <= 1 else min(jobs, tasks)
+
+
+def _run_share(share: tuple) -> list:
     """``worker`` over its ``tasks``, in turn: one pool worker's items."""
     worker, tasks = share
     return [worker(task) for task in tasks]
 
 
-def _run_points(worker, tasks: list[tuple], jobs: int) -> list[dict]:
-    if jobs <= 1 or len(tasks) <= 1:
+def _run_points(worker, tasks: list[tuple], jobs: int) -> list:
+    workers = _workers(jobs, len(tasks))
+    if not workers:
         return [worker(task) for task in tasks]
     # Imported here, as only a pool needs it: multiprocessing would cost every launch's start-up.
     from concurrent.futures import ProcessPoolExecutor
 
-    # One item per worker: worker k runs tasks[k::workers], so a grid of short points pays
-    # the pool's round trip once per worker, not once per point.  The workers fork inside
+    # One item per worker: worker k runs tasks[k::workers], so a grid of short tasks pays
+    # the pool's round trip once per worker, not once per task.  The workers fork inside
     # one_thread, so each starts with OpenBLAS at one thread, and workers multiplying at
     # once do not oversubscribe the cores.
-    workers = min(jobs, len(tasks))
-    rows = [None] * len(tasks)
+    results = [None] * len(tasks)
     with blas.one_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
         shares = pool.map(_run_share, [(worker, tasks[k::workers]) for k in range(workers)])
         for k, share in enumerate(shares):
-            rows[k::workers] = share
-    return rows
+            results[k::workers] = share
+    return results
 
 
 # --------------------------------------------------------------------------
@@ -370,8 +465,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     if not out.parent.is_dir():  # the error the summary's write would raise, before any point
         tmp = out.with_name(out.name + ".tmp")
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(tmp))
-    tasks = [(L, jt, eps, config) for L, jt, eps in config.grid()]
-    rows = _run_points(_sweep_point, tasks, config.jobs)
+    tasks = _tasks(config)
+    rows = [row for task_rows in _run_points(_sweep_points, tasks, config.jobs)
+            for row in task_rows]
     aux_files = []
     try:
         for index, row in enumerate(rows):
@@ -387,8 +483,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         provenance = dict(tool="kicked-ising", version=__version__,
                           timestamp=datetime.now(timezone.utc).isoformat(),
                           elapsed_seconds=time.perf_counter() - started,
-                          jobs=config.jobs, out=config.out,
-                          paths=[engine] * len(tasks))
+                          jobs=config.jobs, workers=_workers(config.jobs, len(tasks)),
+                          out=config.out, paths=[engine] * len(rows))
         header = {"config": _config_echo(config), "provenance": provenance}
         _write_csv(out, columns, ([_format_cell(row[column]) for column in columns]
                                   for row in rows), header)
@@ -415,7 +511,8 @@ _SETTINGS = {
     "threshold": ("threshold", float, False, "return-probability threshold for lifetime detection"),
     "window": ("window", int, False, "even-period samples averaged for phase-diagram cells"),
     "out": ("out", str, False, "summary CSV path"),
-    "jobs": ("jobs", int, False, "worker processes (results identical for any value)"),
+    "jobs": ("jobs", int, False, "most worker processes; a grid too cheap to pay for them runs "
+                                 "in-process (results identical for any value)"),
     "dump_spectra": ("dump_spectra", bool, False, "write one quasi-energy CSV per grid point"),
 }
 _JSON_TYPES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}

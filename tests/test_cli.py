@@ -183,6 +183,7 @@ def _die_in_worker(params, config):
                     reason="the patched mode table reaches pool workers only by fork")
 def test_crashed_worker_returns_five(tmp_path, monkeypatch, capsys):
     """A pool worker that dies gives exit 5, a one-line message and no CSV."""
+    monkeypatch.setattr(sweep, "_TASK_WORK", 0)  # a task per point, so two workers start
     row = sweep._MODES["lifetime-scan"]
     monkeypatch.setitem(sweep._MODES, "lifetime-scan", row._replace(point=_die_in_worker))
     code = main(
@@ -266,8 +267,9 @@ _WITHOUT_SCIPY = """
 import sys
 sys.modules['scipy'] = None
 from pathlib import Path
-from kicked_ising import FloquetParams, build_dense_propagator, quasi_energies
+from kicked_ising import FloquetParams, build_dense_propagator, quasi_energies, sweep
 from kicked_ising.cli import main
+sweep._TASK_WORK = 0  # a task per point, so phase-diagram's two points start two workers
 drive = ['-L', '4', '--jt-over-pi', '0.9,1.0', '--epsilon-over-pi', '0.1']
 for mode, extra in (('evolve', ['--periods', '8']), ('lifetime-scan', ['--periods', '200']),
                     ('phase-diagram', ['--periods', '40', '--window', '20', '--jobs', '2']),
@@ -284,8 +286,9 @@ def test_every_mode_runs_without_scipy(tmp_path):
                                capture_output=True, text=True, timeout=120, env=_child_env())
     assert completed.returncode == 0, completed.stderr
     for mode in ("evolve", "lifetime-scan", "phase-diagram", "fourier", "spectrum"):
-        _, rows = read_result_csv(tmp_path / f"{mode}.csv")
+        header, rows = read_result_csv(tmp_path / f"{mode}.csv")
         assert len(rows) == 2 and all(row["error"] == "" for row in rows), mode
+        assert header["provenance"]["workers"] == (2 if mode == "phase-diagram" else 0), mode
 
 
 #: One period of an 18-site evolve: ``_threads`` then reads the BLAS thread count.

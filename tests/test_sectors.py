@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kicked_ising import (
+    CapacityError,
     FloquetParams,
     SweepConfig,
     build_dense_propagator,
@@ -64,7 +65,7 @@ class TestSectorOperator:
         for jt, eps in itertools.product(JT_GRID, EPS_GRID):
             params = FloquetParams.from_dimensionless(L, jt, eps)
             dense = np.linalg.eigvals(build_dense_propagator(params).matrix)
-            for gamma, pair_phases, tilt in sectors._parity_sectors(params):
+            for gamma, pair_phases, tilt in sectors._parity_sectors(L, params.jt, params.theta):
                 assert np.max(np.abs(tilt), initial=0.0) <= 1.0 + 1e-15
                 for signs in itertools.product((-1, 1), repeat=pair_phases.size):
                     phase = gamma + np.dot(signs, pair_phases)
@@ -200,3 +201,46 @@ class TestModesOnTheSector:
             magnitudes = np.array([float(line["magnitude"]) for line in curve])
             assert np.max(np.abs(magnitudes - expected.magnitudes)) <= 1e-12
 
+
+
+#: (JT/pi, eps/pi): the edges of the drive (no kick error, no interaction, JT = 2 pi, where
+#: ``tilt`` divides by a zero ``sin eps_k``), negative eps, and points off any grid.
+BATCH_DRIVES = ((0.0, 0.1), (0.9, 0.0), (2.0, 0.3), (0.9, -0.1), (1.0, -0.2), (0.0, 0.0),
+                (0.5, 0.2341), (1.3, 0.07), (2.0, -0.05), (0.37, 0.41), (1.0, 0.1))
+
+
+class TestSectorChunks:
+    @pytest.mark.parametrize("L", range(2, 14))
+    def test_batches_keep_every_bit(self, L):
+        """Batches of 1, 2, 3, 7 and 33 drives, over every period or the even ones, give the
+        bits of ``sector_return_probability`` on their own, n = 1..1026 across the chunk
+        edges 512 and 1024."""
+        drives = [FloquetParams.from_dimensionless(L, jt, eps)
+                  for jt, eps in BATCH_DRIVES * 3]
+        alone = np.array([np.fromiter(sector_return_probability(params), float, 1026)
+                          for params in drives])
+        for size in (1, 2, 3, 7, 33):
+            for even in (False, True):
+                for first in range(0, len(drives), size):
+                    stream = sectors.sector_chunks(drives[first:first + size], even)
+                    got = np.concatenate([next(stream) for _ in range(3)], axis=1)
+                    want = alone[first:first + size, slice(1, None, 2) if even else slice(None)]
+                    assert np.array_equal(got[:, :want.shape[1]], want), (size, even, first)
+
+    def test_a_dropped_drive_leaves_the_others_bits(self):
+        """Sending a mask keeps the kept drives' samples and drops the rest."""
+        drives = [FloquetParams.from_dimensionless(9, jt, eps) for jt, eps in BATCH_DRIVES]
+        whole = sectors.sector_chunks(drives, even=True)
+        first, second = next(whole), next(whole)
+        keep = np.arange(len(drives)) % 3 != 1
+        dropping = sectors.sector_chunks(drives, even=True)
+        assert np.array_equal(next(dropping), first)
+        assert np.array_equal(dropping.send(keep), second[keep])
+
+    def test_batch_capacity_counts_every_drive(self):
+        """The table of two drives at L = 16383 is 256 MiB; of three it is over the budget."""
+        sectors._require_stream(16383, 2)
+        with pytest.raises(CapacityError, match="the phase table"):
+            sectors._require_stream(16383, 3)
+        with pytest.raises(CapacityError):
+            next(sectors.sector_chunks([FloquetParams(16383, 0.9, 0.1)] * 3))

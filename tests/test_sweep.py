@@ -5,6 +5,10 @@ import ctypes
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -349,8 +353,10 @@ JOBS_CASES = {
 
 
 def test_pool_never_asks_for_more_workers_than_points(monkeypatch, tmp_path):
-    """``--jobs 64`` on a two-point grid asks the pool for two workers (mapped serially here)."""
+    """``--jobs 64`` on a two-point grid asks the pool for two workers (mapped serially here),
+    each point a task of its own."""
     asked = []
+    monkeypatch.setattr(sweep, "_TASK_WORK", 0)
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -389,7 +395,9 @@ def test_a_missing_output_directory_stops_before_any_point(monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize("case", list(JOBS_CASES))
-def test_jobs_do_not_change_the_bytes(case, tmp_path):
+def test_jobs_do_not_change_the_bytes(case, tmp_path, monkeypatch):
+    """Each point a task of its own, so ``--jobs 2`` runs a two-worker pool."""
+    monkeypatch.setattr(sweep, "_TASK_WORK", 0)
     mode, fields, paths = JOBS_CASES[case]
     written = {}
     for jobs in (1, 2):
@@ -397,7 +405,9 @@ def test_jobs_do_not_change_the_bytes(case, tmp_path):
         config = make_config(mode=mode, out=str(tmp_path / f"jobs{jobs}" / "out.csv"),
                              jobs=jobs, **fields)
         result = run_sweep(config)
-        assert read_result_csv(result.path)[0]["provenance"]["paths"] == paths
+        provenance = read_result_csv(result.path)[0]["provenance"]
+        assert provenance["paths"] == paths
+        assert (provenance["jobs"], provenance["workers"]) == (jobs, 0 if jobs == 1 else 2)
         written[jobs] = {path.name: file_without_provenance(path)
                          for path in [result.path, *result.aux_files]}
     if mode not in ("lifetime-scan", "phase-diagram"):
@@ -441,8 +451,9 @@ def test_jobs_do_not_change_the_spectrum_bytes(tmp_path):
     assert written[1] == written[2]
 
 
-def test_jobs_do_not_change_the_sector_bytes(tmp_path):
+def test_jobs_do_not_change_the_sector_bytes(tmp_path, monkeypatch):
     """The polarized-start stream gives the same bytes in the parent and in pool workers."""
+    monkeypatch.setattr(sweep, "_TASK_WORK", 0)
     written = _cli_files_by_jobs(tmp_path, ["phase-diagram", "-L", "10",
                                             "--jt-over-pi", "0.5,0.9,1.0",
                                             "--epsilon-over-pi", "0.1,0.2341",
@@ -609,3 +620,99 @@ def test_benchmark_tracer_bindings_resolve():
     spec.loader.exec_module(tracer)
     for short, attr, _ in (*tracer.WRAPPED, tracer.STREAMED):
         assert hasattr(importlib.import_module(f"kicked_ising.{short}"), attr), f"{short}.{attr}"
+
+
+class TestStreamTasks:
+    """The stream's grid points run as batches of drives, and a pool starts only for two
+    tasks or more."""
+
+    def test_tasks_split_the_points_at_one_length_by_their_work(self, monkeypatch):
+        """At 5 rows times 20 samples a point, 2000 of work makes 5 tasks of 20 points out of
+        102 at one L, equal to within one; evolve and spectrum run a point a task."""
+        config = make_config(mode="phase-diagram", lengths=(4,), n_periods=40, window=20,
+                             jt_over_pi=tuple(np.linspace(0, 2, 17).tolist()),
+                             epsilon_over_pi=(-0.1, 0.0, 0.1, 0.2, 0.3, 0.4))
+        monkeypatch.setattr(sweep, "_TASK_WORK", 2000)
+        tasks = sweep._tasks(config)
+        assert [len(drives) for _, drives, _ in tasks] == [20, 20, 21, 20, 21]
+        assert [drive for _, drives, _ in tasks for drive in drives] == [
+            point[1:] for point in config.grid()]
+        assert all(L == 4 and task_config is config for L, _, task_config in tasks)
+        scan = make_config(lengths=(4, 6), n_periods=200, jt_over_pi=(0.9, 1.0, 1.1))
+        assert [(L, len(drives)) for L, drives, _ in sweep._tasks(scan)] == [(4, 3), (6, 3)]
+        monkeypatch.setattr(sweep, "_TASK_WORK", 0)
+        assert len(sweep._tasks(config)) == len(config.grid())
+        for mode in ("evolve", "spectrum"):
+            assert len(sweep._tasks(make_config(mode=mode, lengths=(4, 6)))) == 2
+
+    def test_cheap_stream_grid_starts_no_pool(self, tmp_path):
+        """A grid under the task work at ``--jobs 2`` runs in-process and imports no pool."""
+        script = ("import sys; from kicked_ising.cli import main; "
+                  "code = main(['phase-diagram', '-L', '8', '--jt-over-pi', '0:2:9', "
+                  "'--epsilon-over-pi', '0.05,0.1', '--window', '200', '--periods', '400', "
+                  "'--jobs', '2', '--out', sys.argv[1]]); "
+                  "print(code, 'concurrent.futures.process' in sys.modules)")
+        package_root = str(Path(sweep.__file__).parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "map.csv")], capture_output=True,
+            text=True, timeout=120, env={**os.environ, "PYTHONPATH": package_root})
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split()[-2:] == ["0", "False"]
+        header, rows = read_result_csv(tmp_path / "map.csv")
+        assert (header["provenance"]["jobs"], header["provenance"]["workers"]) == (2, 0)
+        assert header["provenance"]["paths"] == ["free-fermion"] * 18 and len(rows) == 18
+
+    def test_grid_above_the_task_work_starts_a_pool(self, tmp_path):
+        """Two lifetime points that each read the task work run in two workers, and give the
+        rows they give in-process."""
+        periods = 2 * -(-sweep._TASK_WORK // 5)  # (L + 1) * n_max_pairs reaches it at L = 4
+        config = make_config(lengths=(4,), jt_over_pi=(0.9, 1.0), n_periods=periods, jobs=2,
+                             out=str(tmp_path / "scan.csv"))
+        assert [len(drives) for _, drives, _ in sweep._tasks(config)] == [1, 1]
+        pooled = run_sweep(config)
+        alone = run_sweep(replace(config, jobs=1, out=str(tmp_path / "alone.csv")))
+        assert [read_result_csv(result.path)[0]["provenance"]["workers"]
+                for result in (pooled, alone)] == [2, 0]
+        assert pooled.rows == alone.rows and pooled.rows[0]["n_star"] == 255
+
+    def test_error_in_one_point_of_a_batch_lands_in_its_row(self, tmp_path, monkeypatch):
+        """The batch runs again point by point: the other rows keep their cells."""
+        L, eps = 4, (0.05, 0.1, 0.2)
+        refused = np.sin(np.pi * 0.1) ** (2 * L)  # P(T) of the eps = 0.1 pi drive
+        fourier = sweep.fourier_spectrum
+
+        def refuse(samples):
+            if abs(samples[0] - refused) < 1e-12:
+                raise ValueError("the DFT refuses")
+            return fourier(samples)
+
+        monkeypatch.setattr(sweep, "fourier_spectrum", refuse)
+        config = make_config(mode="fourier", lengths=(L,), jt_over_pi=(1.0,),
+                             epsilon_over_pi=eps, n_periods=64, out=str(tmp_path / "fft.csv"))
+        assert [len(drives) for _, drives, _ in sweep._tasks(config)] == [3]
+        rows = run_sweep(config).rows
+        assert [row["error"] for row in rows] == [None, "ValueError: the DFT refuses", None]
+        assert rows[1]["peak_bin"] is None and rows[1]["spectrum_file"] is None
+        assert [row["peak_bin"] for row in rows[::2]] == [32, 32]
+        assert [row["spectrum_file"] for row in rows[::2]] == ["fft_spectrum_000.csv",
+                                                               "fft_spectrum_002.csv"]
+
+    def test_lifetime_batch_computes_no_extra_chunks(self, tmp_path, monkeypatch):
+        """A drive that crosses in the first chunk leaves the stream there, while a censored
+        one reads every chunk of its horizon: three chunks of 256 pairs for 700 pairs."""
+        shapes = []
+        chunks = sweep.sector_chunks
+
+        def counted(*args, **kwargs):
+            stream = chunks(*args, **kwargs)
+            chunk = next(stream)
+            while True:
+                shapes.append(chunk.shape)
+                chunk = stream.send((yield chunk))
+
+        monkeypatch.setattr(sweep, "sector_chunks", counted)
+        config = make_config(lengths=(4,), jt_over_pi=(0.9, 1.0), n_periods=1400,
+                             out=str(tmp_path / "scan.csv"))
+        rows = run_sweep(config).rows
+        assert [(row["n_star"], row["censored"]) for row in rows] == [(255, False), (None, True)]
+        assert shapes == [(2, 256), (1, 256), (1, 256)]
